@@ -2,18 +2,13 @@
 """Rebuilds the constant-baseline score tables from the per-class test-set
 counts of the English and Arabic datasets, using the library's metric stack.
 
-Run: python3 scripts/reproduce_baselines.py
+Run: PYTHONPATH=src python3 scripts/reproduce_baselines.py
 """
 
-from itertools import count
-
-from topicsent.baselines import constant_classifier
 from topicsent.classification import accuracy, avg_rec, f1_pn
 from topicsent.cli import round_display
-from topicsent.model import Dataset, LabeledItem, Scale, align
+from topicsent.model import ConfusionMatrix, Scale
 from topicsent.ordinal import mae_macro, mae_micro
-
-_ids = count()
 
 COUNTS = {
     "English": {
@@ -30,13 +25,13 @@ COUNTS = {
 SCALES = {"A": Scale.THREE_POINT, "B": Scale.TWO_POINT, "C": Scale.FIVE_POINT}
 
 
-def build(scale, counts):
-    items = [
-        LabeledItem(f"t{next(_ids)}", None, cls)
-        for cls, n in counts.items()
-        for _ in range(n)
-    ]
-    return Dataset.build(scale, items)
+def constant_table(scale, counts, c):
+    """The confusion matrix of a classifier that predicts c for every item
+    of a test set with the given per-class counts."""
+    return ConfusionMatrix(
+        scale,
+        tuple(tuple(counts[g] if p == c else 0 for p in scale.classes) for g in scale.classes),
+    )
 
 
 def fmt(x):
@@ -47,23 +42,21 @@ def main():
     for language, tables in COUNTS.items():
         for subtask in ("A", "B"):
             scale = SCALES[subtask]
-            gold = build(scale, tables[subtask])
             print(f"\n{language}, subtask {subtask} (constant classifiers, pooled)")
             print(f"{'baseline':<16} {'AvgRec':>7} {'F1_PN':>7} {'Acc':>7}")
             for c in scale.classes:
-                pd = align(gold, constant_classifier(gold, c))
+                cm = constant_table(scale, tables[subtask], c)
                 name = f"All {scale.class_name(c).title()}"
                 print(
-                    f"{name:<16} {fmt(avg_rec(pd)):>7} {fmt(f1_pn(pd)):>7} "
-                    f"{fmt(accuracy(pd)):>7}"
+                    f"{name:<16} {fmt(avg_rec(cm)):>7} {fmt(f1_pn(cm)):>7} "
+                    f"{fmt(accuracy(cm)):>7}"
                 )
 
-        gold = build(SCALES["C"], tables["C"])
         print(f"\n{language}, subtask C (constant classifiers, pooled)")
         print(f"{'baseline':<16} {'MAE_M':>7} {'MAE_mu':>7}")
         for c in SCALES["C"].classes:
-            pd = align(gold, constant_classifier(gold, c))
-            print(f"{'All ' + str(c):<16} {fmt(mae_macro(pd)):>7} {fmt(mae_micro(pd)):>7}")
+            cm = constant_table(SCALES["C"], tables["C"], c)
+            print(f"{'All ' + str(c):<16} {fmt(mae_macro(cm)):>7} {fmt(mae_micro(cm)):>7}")
 
 
 if __name__ == "__main__":

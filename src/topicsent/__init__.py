@@ -8,15 +8,14 @@ from .errors import ScoringError
 from .evaluate import SUBTASKS, Mode, ScoreReport, SubtaskSpec, evaluate, macroaverage
 from .ingestion import bow_cosine, dedup, parse_dataset, stats, topic_filter
 from .model import (
+    ConfusionMatrix,
     Dataset,
     LabeledItem,
-    Pair,
-    PairedData,
     Prevalence,
     Scale,
-    align,
-    group_by_topic,
+    confusion_tables,
     prevalence_of,
+    topic_class_counts,
 )
 from .ordinal import mae_macro, mae_micro
 from .quantification import SmoothingConfig, ae, emd, kld, rae, smooth

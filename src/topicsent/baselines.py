@@ -7,8 +7,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
-from .errors import EmptyInput, NoTopics, ScaleMismatch
-from .model import Dataset, LabeledItem, Prevalence, group_by_topic, prevalence_of
+from .errors import EmptyInput, ScaleMismatch
+from .model import Dataset, LabeledItem, Prevalence, prevalence_of, topic_class_counts
 
 
 class Averaging(Enum):
@@ -42,11 +42,9 @@ def ml_quantifier(train: Dataset, averaging: Averaging = Averaging.MICRO) -> Pre
         raise EmptyInput("cannot estimate a prevalence from an empty training set")
     if averaging is Averaging.MICRO:
         return prevalence_of(train.labels(), train.scale)
-    if not train.has_topics:
-        raise NoTopics("macro averaging requires topics in the training set")
     per_topic = [
-        prevalence_of(subset.labels(), train.scale).fractions
-        for subset in group_by_topic(train).values()
+        Prevalence.from_counts(train.scale, counts).fractions
+        for counts in topic_class_counts(train).values()
     ]
     means = [sum(col) / len(per_topic) for col in zip(*per_topic)]
     total = sum(means)  # renormalize to guard against rounding drift

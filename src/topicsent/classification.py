@@ -1,6 +1,7 @@
 """Classification metrics for the 2- and 3-point subtasks: per-class
 recall/precision/F1, accuracy, macro-averaged recall (AvgRec) and the
-Positive/Negative-only F1 average (F1_PN).
+Positive/Negative-only F1 average (F1_PN). Each is a function of one
+gold-by-prediction confusion matrix.
 
 Recall of a class absent from gold is undefined; such classes are excluded
 from the AvgRec mean rather than counted as 0 or 1.
@@ -8,84 +9,63 @@ from the AvgRec mean rather than counted as 0 or 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptyInput
-from .model import PairedData
+from .model import ConfusionMatrix
 
 
-@dataclass(frozen=True)
-class ClassScore:
-    cls: int
-    recall: float | None
-    precision: float
-    f1: float
-    support: int
-
-
-def _require_nonempty(pd: PairedData) -> None:
-    if not pd.pairs:
+def _require_nonempty(cm: ConfusionMatrix) -> None:
+    if not cm.total:
         raise EmptyInput("no gold/prediction pairs to score")
 
 
-def class_recall(pd: PairedData, c: int) -> float | None:
+def class_recall(cm: ConfusionMatrix, c: int) -> float | None:
     """Fraction of gold-c items predicted as c; None when gold has no c."""
-    gold_c = [p for p in pd.pairs if p.gold == c]
-    if not gold_c:
+    i = cm.scale.classes.index(c)
+    support = sum(cm.counts[i])
+    if not support:
         return None
-    return sum(1 for p in gold_c if p.pred == c) / len(gold_c)
+    return cm.counts[i][i] / support
 
 
-def class_precision(pd: PairedData, c: int) -> float:
+def class_precision(cm: ConfusionMatrix, c: int) -> float:
     """Fraction of predicted-c items whose gold is c; 0 when c never predicted."""
-    pred_c = [p for p in pd.pairs if p.pred == c]
-    if not pred_c:
+    i = cm.scale.classes.index(c)
+    predicted = sum(row[i] for row in cm.counts)
+    if not predicted:
         return 0.0
-    return sum(1 for p in pred_c if p.gold == c) / len(pred_c)
+    return cm.counts[i][i] / predicted
 
 
-def class_f1(pd: PairedData, c: int) -> float:
+def class_f1(cm: ConfusionMatrix, c: int) -> float:
     """Harmonic mean of precision and recall for class c; 0 on zero denominator."""
-    _require_nonempty(pd)
-    recall = class_recall(pd, c) or 0.0
-    precision = class_precision(pd, c)
+    _require_nonempty(cm)
+    recall = class_recall(cm, c) or 0.0
+    precision = class_precision(cm, c)
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
 
 
-def class_score(pd: PairedData, c: int) -> ClassScore:
-    _require_nonempty(pd)
-    return ClassScore(
-        cls=c,
-        recall=class_recall(pd, c),
-        precision=class_precision(pd, c),
-        f1=class_f1(pd, c),
-        support=sum(1 for p in pd.pairs if p.gold == c),
-    )
+def accuracy(cm: ConfusionMatrix) -> float:
+    _require_nonempty(cm)
+    return sum(row[i] for i, row in enumerate(cm.counts)) / cm.total
 
 
-def accuracy(pd: PairedData) -> float:
-    _require_nonempty(pd)
-    return sum(1 for p in pd.pairs if p.gold == p.pred) / len(pd.pairs)
-
-
-def avg_rec(pd: PairedData) -> float:
+def avg_rec(cm: ConfusionMatrix) -> float:
     """Mean of per-class recall over the classes present in gold."""
-    _require_nonempty(pd)
-    recalls = [class_recall(pd, c) for c in pd.scale.classes]
+    _require_nonempty(cm)
+    recalls = [class_recall(cm, c) for c in cm.scale.classes]
     present = [r for r in recalls if r is not None]
     return sum(present) / len(present)
 
 
-def absent_classes(pd: PairedData) -> list[int]:
+def absent_classes(cm: ConfusionMatrix) -> list[int]:
     """Scale classes with no gold item, i.e. those excluded from AvgRec."""
-    gold = {p.gold for p in pd.pairs}
-    return [c for c in pd.scale.classes if c not in gold]
+    return [c for c, row in zip(cm.scale.classes, cm.counts) if not any(row)]
 
 
-def f1_pn(pd: PairedData) -> float:
+def f1_pn(cm: ConfusionMatrix) -> float:
     """Mean of F1 over the most positive (+1) and most negative (-1) classes;
     Neutral is excluded by definition."""
-    _require_nonempty(pd)
-    return (class_f1(pd, 1) + class_f1(pd, -1)) / 2
+    _require_nonempty(cm)
+    return (class_f1(cm, 1) + class_f1(cm, -1)) / 2

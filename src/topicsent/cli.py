@@ -17,7 +17,7 @@ from typing import IO
 
 from . import baselines, ingestion
 from .annotation import consolidate
-from .errors import ScoringError
+from .errors import InvalidLabel, ScoringError
 from .evaluate import SUBTASKS, Mode, ScoreReport, SubtaskSpec, evaluate
 from .model import Prevalence, Scale
 
@@ -30,10 +30,12 @@ def round_display(x: float, digits: int = 3) -> float:
 
 @contextmanager
 def _open_in(path: str):
+    """Reads strict UTF-8, skipping a leading byte-order mark."""
     if path == "-":
+        sys.stdin.reconfigure(encoding="utf-8-sig")
         yield sys.stdin
     else:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             yield f
 
 
@@ -66,7 +68,7 @@ def _report_payload(report: ScoreReport) -> dict:
 def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
     payload = _report_payload(report)
     if fmt == "json":
-        json.dump(payload, out, sort_keys=True, indent=2)
+        json.dump(payload, out, sort_keys=True, indent=2, allow_nan=False)
         out.write("\n")
     elif fmt == "tsv":
         for name in sorted(report.metrics):
@@ -110,8 +112,10 @@ def cmd_score(args) -> int:
 
 
 def _parse_prevalence_arg(scale: Scale, raw: str) -> Prevalence:
-    parts = [float(v) for v in raw.split(",")]
-    return Prevalence(scale, tuple(parts))
+    try:
+        return Prevalence(scale, tuple(float(v) for v in raw.split(",")))
+    except ValueError:
+        raise InvalidLabel(f"bad prevalence list {raw!r}") from None
 
 
 def _baseline_predictions(spec: SubtaskSpec, gold, args):
@@ -134,7 +138,10 @@ def _baseline_predictions(spec: SubtaskSpec, gold, args):
             raise ScoringError("the ML baseline applies to subtasks D and E only")
         if not args.train:
             raise ScoringError("the ML baseline requires --train")
-        averaging = baselines.Averaging(arg or "micro")
+        try:
+            averaging = baselines.Averaging(arg or "micro")
+        except ValueError:
+            raise ScoringError(f"unknown baseline kind {args.kind!r}") from None
         with _open_in(args.train) as f:
             train = ingestion.parse_dataset(f, spec)
         p = baselines.ml_quantifier(train, averaging)
@@ -193,7 +200,7 @@ def cmd_stats(args) -> int:
     }
     with _open_out(args.output) as out:
         if args.format == "json":
-            json.dump(payload, out, sort_keys=True, indent=2)
+            json.dump(payload, out, sort_keys=True, indent=2, allow_nan=False)
             out.write("\n")
         elif args.format == "tsv":
             for c, n in s.per_class.items():
@@ -271,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         diag = {"error": exc.code, "message": str(exc)}
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": "IO_ERROR", "message": str(exc)}, sort_keys=True),
               file=sys.stderr)
         return 1

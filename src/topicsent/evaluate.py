@@ -23,7 +23,7 @@ from typing import Mapping
 
 from . import classification, ordinal, quantification
 from .errors import EmptyInput, MissingPrediction, TopicRequired
-from .model import Dataset, PairedData, Prevalence, Scale, align, group_by_topic, prevalence_of
+from .model import ConfusionMatrix, Dataset, Prevalence, Scale, confusion_tables, topic_class_counts
 
 
 class Mode(Enum):
@@ -72,16 +72,16 @@ def macroaverage(values: Mapping[str, float]) -> float:
     return sum(values.values()) / len(values)
 
 
-def _classification_metrics(spec: SubtaskSpec, pd: PairedData) -> dict[str, float]:
+def _classification_metrics(spec: SubtaskSpec, cm: ConfusionMatrix) -> dict[str, float]:
     if spec.scale is Scale.FIVE_POINT:
         return {
-            "mae_macro": ordinal.mae_macro(pd),
-            "mae_micro": ordinal.mae_micro(pd),
+            "mae_macro": ordinal.mae_macro(cm),
+            "mae_micro": ordinal.mae_micro(cm),
         }
     return {
-        "avgrec": classification.avg_rec(pd),
-        "f1_pn": classification.f1_pn(pd),
-        "accuracy": classification.accuracy(pd),
+        "avgrec": classification.avg_rec(cm),
+        "f1_pn": classification.f1_pn(cm),
+        "accuracy": classification.accuracy(cm),
     }
 
 
@@ -118,35 +118,39 @@ def _evaluate_classification(
     spec: SubtaskSpec, gold: Dataset, pred: Dataset, pooled: bool
 ) -> ScoreReport:
     warnings: list[str] = []
-    pd = align(gold, pred)
-    if pd.n_ignored_extra:
-        warnings.append(f"{pd.n_ignored_extra} prediction rows not in gold were ignored")
+    tables, n_ignored = confusion_tables(gold, pred)
+    if n_ignored:
+        warnings.append(f"{n_ignored} prediction rows not in gold were ignored")
+    # the integer sum of the per-topic tables is exactly the pooled table
+    k = len(spec.scale.classes)
+    zero = ConfusionMatrix(spec.scale, ((0,) * k,) * k)
 
     if not spec.topic_based:
-        report = ScoreReport(spec, _classification_metrics(spec, pd), warnings=warnings)
-        _warn_absent_classes(spec, pd, None, warnings)
+        table = sum(tables.values(), zero)
+        report = ScoreReport(spec, _classification_metrics(spec, table), warnings=warnings)
+        _warn_absent_classes(spec, table, None, warnings)
         return report
 
     if not gold.has_topics:
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
     per_topic: dict[str, dict[str, float]] = {}
-    for topic, sub in group_by_topic(pd).items():
-        per_topic[topic] = _classification_metrics(spec, sub)
-        _warn_absent_classes(spec, sub, topic, warnings)
+    for topic, table in tables.items():
+        per_topic[topic] = _classification_metrics(spec, table)
+        _warn_absent_classes(spec, table, topic, warnings)
     metrics = {
         name: macroaverage({t: m[name] for t, m in per_topic.items()})
         for name in next(iter(per_topic.values()))
     }
     report = ScoreReport(spec, metrics, per_topic, len(per_topic), warnings)
     if pooled:
-        report.pooled = _classification_metrics(spec, pd)
+        report.pooled = _classification_metrics(spec, sum(tables.values(), zero))
     return report
 
 
 def _warn_absent_classes(
-    spec: SubtaskSpec, pd: PairedData, topic: str | None, warnings: list[str]
+    spec: SubtaskSpec, cm: ConfusionMatrix, topic: str | None, warnings: list[str]
 ) -> None:
-    absent = classification.absent_classes(pd)
+    absent = classification.absent_classes(cm)
     if absent:
         where = f"topic {topic}" if topic is not None else "gold data"
         names = ", ".join(spec.scale.class_name(c) for c in absent)
@@ -162,18 +166,18 @@ def _evaluate_quantification(
     if not gold.has_topics:
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
     warnings: list[str] = []
-    gold_by_topic = group_by_topic(gold)
-    extra = sorted(set(pred_prevalences) - set(gold_by_topic))
+    counts_by_topic = topic_class_counts(gold)
+    extra = sorted(set(pred_prevalences) - set(counts_by_topic))
     if extra:
         warnings.append(f"predicted topics not in gold were ignored: {', '.join(extra)}")
 
     per_topic: dict[str, dict[str, float]] = {}
-    for topic, subset in gold_by_topic.items():
+    for topic, counts in counts_by_topic.items():
         if topic not in pred_prevalences:
             raise MissingPrediction(None, topic)
-        true_p = prevalence_of(subset.labels(), gold.scale)
+        true_p = Prevalence.from_counts(gold.scale, counts)
         per_topic[topic] = _quantification_metrics(
-            spec, pred_prevalences[topic], true_p, len(subset)
+            spec, pred_prevalences[topic], true_p, sum(counts)
         )
     metrics = {
         name: macroaverage({t: m[name] for t, m in per_topic.items()})
@@ -184,12 +188,13 @@ def _evaluate_quantification(
         # pooled view: item-weighted mix of per-topic predictions vs. the
         # pooled gold prevalence, epsilon from the total test size
         n_total = len(gold)
-        weights = {t: len(s) / n_total for t, s in gold_by_topic.items()}
+        weights = {t: sum(c) / n_total for t, c in counts_by_topic.items()}
         mixed = tuple(
-            sum(weights[t] * pred_prevalences[t].fractions[i] for t in gold_by_topic)
+            sum(weights[t] * pred_prevalences[t].fractions[i] for t in counts_by_topic)
             for i in range(len(gold.scale.classes))
         )
         pooled_pred = Prevalence(gold.scale, mixed)
-        pooled_true = prevalence_of(gold.labels(), gold.scale)
+        totals = [sum(col) for col in zip(*counts_by_topic.values())]
+        pooled_true = Prevalence.from_counts(gold.scale, totals)
         report.pooled = _quantification_metrics(spec, pooled_pred, pooled_true, n_total)
     return report

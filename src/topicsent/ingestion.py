@@ -27,7 +27,7 @@ from .errors import (
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
-from .model import Dataset, LabeledItem, Prevalence, Scale, group_by_topic
+from .model import Dataset, LabeledItem, Prevalence, Scale
 
 NO_TOPIC = "NA"
 PREVALENCE_SUM_TOL = 1e-6
@@ -80,7 +80,8 @@ def parse_dataset(stream: IO[str], spec: SubtaskSpec) -> Dataset:
         seen.add(key)
         text = fields[3] if len(fields) > 3 else None
         items.append(LabeledItem(item_id, topic, label, text))
-    return Dataset.build(spec.scale, items)
+    # every row passed the scale, topic-rule and uniqueness checks above
+    return Dataset(spec.scale, tuple(items), has_topics=bool(items) and spec.topic_based)
 
 
 def serialize_dataset(d: Dataset, stream: IO[str]) -> None:
@@ -107,6 +108,8 @@ def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence
             frac = float(fields[2])
         except ValueError:
             raise MalformedLine(f"bad prevalence value {fields[2]!r}", line=n) from None
+        if not math.isfinite(frac):
+            raise MalformedLine(f"non-finite prevalence {fields[2]!r}", line=n)
         if frac < 0:
             raise MalformedLine(f"negative prevalence {frac}", line=n)
         bucket = by_topic.setdefault(topic, {})
@@ -116,7 +119,7 @@ def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence
         lines_of[topic] = n
     result = {}
     for topic in sorted(by_topic):
-        total = sum(by_topic[topic].values())
+        total = math.fsum(by_topic[topic].values())  # exact, so line order cannot matter
         if abs(total - 1.0) > PREVALENCE_SUM_TOL:
             raise MalformedLine(
                 f"prevalences for topic {topic} sum to {total!r}, expected 1",

@@ -1,5 +1,5 @@
-"""Core data model: sentiment scales, datasets, gold/prediction alignment,
-and class-prevalence extraction.
+"""Core data model: sentiment scales, datasets, per-topic count tables
+(confusion matrices and gold class counts), and class-prevalence extraction.
 
 Labels are plain integers validated against a :class:`Scale`:
 two-point {-1, +1}, three-point {-1, 0, +1}, five-point {-2 .. +2}.
@@ -8,9 +8,11 @@ All types are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+import math
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -122,29 +124,27 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Pair:
-    """A gold item joined with its prediction."""
-
-    id: str
-    topic: str | None
-    gold: int
-    pred: int
-
-
-@dataclass(frozen=True)
-class PairedData:
-    """Gold and predicted labels aligned by (id, topic), in gold order."""
+class ConfusionMatrix:
+    """Gold-by-prediction counts on one scale: ``counts[i][j]`` items have
+    gold class ``scale.classes[i]`` and predicted class ``scale.classes[j]``."""
 
     scale: Scale
-    pairs: tuple[Pair, ...]
-    n_ignored_extra: int = 0
+    counts: tuple[tuple[int, ...], ...]
 
-    def __len__(self) -> int:
-        return len(self.pairs)
+    def __post_init__(self):
+        k = len(self.scale.classes)
+        if len(self.counts) != k or any(len(row) != k for row in self.counts):
+            raise ScaleMismatch(f"a {self.scale.name} confusion matrix must be {k}x{k}")
+
+    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
+        """Cell-wise sum: the table of both tables' items taken together."""
+        return ConfusionMatrix(
+            self.scale, tuple(tuple(map(add, r, s)) for r, s in zip(self.counts, other.counts))
+        )
 
     @property
-    def has_topics(self) -> bool:
-        return bool(self.pairs) and self.pairs[0].topic is not None
+    def total(self) -> int:
+        return sum(map(sum, self.counts))
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,8 @@ class Prevalence:
             raise InvalidLabel(
                 f"expected {len(self.scale.classes)} fractions, got {len(self.fractions)}"
             )
-        if any(f < 0 for f in self.fractions):
-            raise InvalidLabel("prevalence fractions must be nonnegative")
+        if not all(math.isfinite(f) and f >= 0 for f in self.fractions):
+            raise InvalidLabel("prevalence fractions must be finite and nonnegative")
         if abs(sum(self.fractions) - 1.0) > self._SUM_TOL:
             raise InvalidLabel(
                 f"prevalence fractions sum to {sum(self.fractions)!r}, expected 1"
@@ -175,6 +175,14 @@ class Prevalence:
             scale.validate(c)
         return cls(scale, tuple(float(p.get(c, 0.0)) for c in scale.classes))
 
+    @classmethod
+    def from_counts(cls, scale: Scale, counts: Sequence[int]) -> "Prevalence":
+        """Relative class frequencies from class counts in scale.classes order."""
+        n = sum(counts)
+        if not n:
+            raise EmptyInput("cannot compute prevalence of an empty label list")
+        return cls(scale, tuple(c / n for c in counts))
+
     def __getitem__(self, c: int) -> float:
         return self.fractions[self.scale.classes.index(c)]
 
@@ -182,53 +190,46 @@ class Prevalence:
         return dict(zip(self.scale.classes, self.fractions))
 
 
-def align(gold: Dataset, pred: Dataset) -> PairedData:
-    """Joins predictions onto gold by (id, topic), preserving gold order.
+def confusion_tables(
+    gold: Dataset, pred: Dataset
+) -> tuple[dict[str | None, ConfusionMatrix], int]:
+    """Joins predictions onto gold by (id, topic) and counts each topic's
+    gold/prediction class pairs. Topics come out sorted; data without topics
+    gives one table under the key None.
 
-    Prediction rows absent from gold are ignored; their count is recorded in
-    the result. A gold item without a prediction is an error.
+    Also returns the number of prediction rows absent from gold, which are
+    ignored. A gold item without a prediction is an error.
     """
     if gold.scale is not pred.scale:
         raise ScaleMismatch(
             f"gold scale {gold.scale.name} != prediction scale {pred.scale.name}"
         )
-    lookup = {(it.id, it.topic): it.label for it in pred.items}
-    pairs = []
+    index = {c: i for i, c in enumerate(gold.scale.classes)}
+    k = len(index)
+    predicted = {(it.id, it.topic): index[it.label] for it in pred.items}
+    cells: dict[str | None, list[list[int]]] = defaultdict(lambda: [[0] * k for _ in range(k)])
     for it in gold.items:
-        key = (it.id, it.topic)
-        if key not in lookup:
+        j = predicted.get((it.id, it.topic))
+        if j is None:
             raise MissingPrediction(it.id, it.topic)
-        pairs.append(Pair(it.id, it.topic, it.label, lookup[key]))
-    gold_keys = {(it.id, it.topic) for it in gold.items}
-    extra = sum(1 for k in lookup if k not in gold_keys)
-    return PairedData(gold.scale, tuple(pairs), n_ignored_extra=extra)
+        cells[it.topic][index[it.label]][j] += 1
+    tables = {t: ConfusionMatrix(gold.scale, tuple(map(tuple, cells[t]))) for t in sorted(cells)}
+    # (id, topic) keys are unique on both sides and every gold key matched
+    return tables, len(predicted) - len(gold.items)
 
 
-def group_by_topic(data: Dataset | PairedData) -> dict[str, Dataset | PairedData]:
-    """Partitions a dataset or paired data by topic; keys sorted
-    lexicographically for determinism."""
-    if isinstance(data, Dataset):
-        if not data.has_topics:
-            raise NoTopics("dataset has no topics")
-        buckets: dict[str, list] = {}
-        for it in data.items:
-            buckets.setdefault(it.topic, []).append(it)
-        return {
-            t: Dataset(data.scale, tuple(buckets[t]), has_topics=True)
-            for t in sorted(buckets)
-        }
+def topic_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:
+    """Each topic's class counts in scale.classes order; topics sorted."""
     if not data.has_topics:
-        raise NoTopics("paired data has no topics")
-    buckets = {}
-    for pair in data.pairs:
-        buckets.setdefault(pair.topic, []).append(pair)
-    return {t: PairedData(data.scale, tuple(buckets[t])) for t in sorted(buckets)}
+        raise NoTopics("dataset has no topics")
+    index = {c: i for i, c in enumerate(data.scale.classes)}
+    counts: dict[str, list[int]] = defaultdict(lambda: [0] * len(index))
+    for it in data.items:
+        counts[it.topic][index[it.label]] += 1
+    return {t: tuple(counts[t]) for t in sorted(counts)}
 
 
 def prevalence_of(labels: Sequence[int], scale: Scale) -> Prevalence:
     """Relative frequency of every scale class among the given labels."""
-    if not labels:
-        raise EmptyInput("cannot compute prevalence of an empty label list")
     counts = Counter(scale.validate(lab) for lab in labels)
-    n = len(labels)
-    return Prevalence(scale, tuple(counts[c] / n for c in scale.classes))
+    return Prevalence.from_counts(scale, [counts[c] for c in scale.classes])

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import count
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from topicsent.model import Dataset, LabeledItem, Scale
+from topicsent.model import ConfusionMatrix, Dataset, LabeledItem, Scale, confusion_tables
 
 _ids = count()
 
@@ -19,9 +20,22 @@ def dataset_from_counts(
     return Dataset.build(scale, items)
 
 
-def paired_constant(gold: Dataset, pred_class: int):
-    """Gold aligned with an all-pred_class prediction."""
-    from topicsent.baselines import constant_classifier
-    from topicsent.model import align
+def table(scale: Scale, gold_pred: Iterable[tuple[int, int]]) -> ConfusionMatrix:
+    """The confusion matrix of (gold, pred) label pairs."""
+    n = Counter(gold_pred)
+    return ConfusionMatrix(
+        scale, tuple(tuple(n[g, p] for p in scale.classes) for g in scale.classes)
+    )
 
-    return align(gold, constant_classifier(gold, pred_class))
+
+def joined(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
+    """The confusion matrix of single-topic (or topicless) gold joined with pred."""
+    (cm,) = confusion_tables(gold, pred)[0].values()
+    return cm
+
+
+def constant_table(gold: Dataset, pred_class: int) -> ConfusionMatrix:
+    """Gold joined with an all-pred_class prediction."""
+    from topicsent.baselines import constant_classifier
+
+    return joined(gold, constant_classifier(gold, pred_class))

@@ -15,13 +15,13 @@ from itertools import product
 
 import pytest
 
-from conftest import dataset_from_counts, paired_constant
+from conftest import constant_table, dataset_from_counts, table
 from topicsent.annotation import consolidate_labels
 from topicsent.baselines import constant_classifier
 from topicsent.classification import avg_rec, class_f1
 from topicsent.cli import round_display
 from topicsent.evaluate import SUBTASKS, evaluate
-from topicsent.model import Pair, PairedData, Prevalence, Scale, align
+from topicsent.model import ConfusionMatrix, Prevalence, Scale
 from topicsent.ordinal import mae_macro, mae_micro
 from topicsent.quantification import SmoothingConfig, emd, kld, smooth
 
@@ -58,7 +58,7 @@ def test_criterion_2_subtask_a_arabic_baselines():
 def test_criterion_3_subtask_b_pooled_baselines():
     def pooled_b(counts, pred_class):
         gold = dataset_from_counts(Scale.TWO_POINT, counts)
-        pd = paired_constant(gold, pred_class)
+        pd = constant_table(gold, pred_class)
         from topicsent.classification import accuracy, f1_pn
 
         return (
@@ -80,7 +80,7 @@ def test_criterion_4_subtask_c_baselines():
     for counts, expected_micro in [(EN_TEST_C, expected_micro_en), (AR_TEST_C, expected_micro_ar)]:
         gold = dataset_from_counts(Scale.FIVE_POINT, counts)
         for c in Scale.FIVE_POINT.classes:
-            pd = paired_constant(gold, c)
+            pd = constant_table(gold, c)
             assert round_display(mae_macro(pd)) == expected_macro[c]
             assert round_display(mae_micro(pd)) == expected_micro[c]
     print("ACCEPTANCE 4 PASS: subtask C constant baselines, both languages")
@@ -179,31 +179,24 @@ def test_criterion_6_consolidation_brute_force():
 def test_criterion_7_metric_properties():
     rng = random.Random(42)
 
-    def swap(pd):
-        flip = {1: -1, -1: 1, 0: 0}
-        return PairedData(
-            pd.scale,
-            tuple(Pair(p.id, p.topic, flip[p.gold], flip[p.pred]) for p in pd.pairs),
-        )
+    def swap(cm):
+        # classes are -1, 0, +1: reversing both axes swaps Positive and Negative
+        return ConfusionMatrix(cm.scale, tuple(row[::-1] for row in cm.counts[::-1]))
 
     # avg_rec label-swap invariance on random 3-class instances
     for _ in range(500):
-        pairs = tuple(
-            Pair(f"t{i}", None, rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1]))
-            for i in range(rng.randint(4, 40))
-        )
-        pd = PairedData(Scale.THREE_POINT, pairs)
-        if {1, -1} <= {p.gold for p in pairs}:
+        pairs = [
+            (rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1]))
+            for _ in range(rng.randint(4, 40))
+        ]
+        pd = table(Scale.THREE_POINT, pairs)
+        if {1, -1} <= {g for g, _ in pairs}:
             assert avg_rec(pd) == pytest.approx(avg_rec(swap(pd)), abs=1e-12)
 
     # exhibited F1 counterexample under the positive/negative label swap.
     # Note: the swap moves the single-class F1 but provably cannot move
     # f1_pn, which averages F1 over both swapped classes.
-    pd = PairedData(
-        Scale.THREE_POINT,
-        tuple(Pair(f"t{i}", None, g, p) for i, (g, p) in
-              enumerate([(1, 1), (1, 1), (1, 1), (-1, 1)])),
-    )
+    pd = table(Scale.THREE_POINT, [(1, 1), (1, 1), (1, 1), (-1, 1)])
     assert class_f1(pd, 1) != pytest.approx(class_f1(swap(pd), 1))
 
     # MAE^M == MAE^mu on 1,000 class-balanced instances
@@ -212,8 +205,8 @@ def test_criterion_7_metric_properties():
         pairs = []
         for c in Scale.FIVE_POINT.classes:
             for _ in range(per_class):
-                pairs.append(Pair(f"t{len(pairs)}", None, c, rng.choice(range(-2, 3))))
-        pd = PairedData(Scale.FIVE_POINT, tuple(pairs))
+                pairs.append((c, rng.choice(range(-2, 3))))
+        pd = table(Scale.FIVE_POINT, pairs)
         assert mae_macro(pd) == pytest.approx(mae_micro(pd), abs=1e-12)
 
     # constant-classifier AvgRec = 1/k whenever all k classes are present
@@ -221,8 +214,7 @@ def test_criterion_7_metric_properties():
         counts = {c: rng.randint(1, 30) for c in scale.classes}
         gold = dataset_from_counts(scale, counts)
         for c in scale.classes:
-            pd = align(gold, constant_classifier(gold, c))
-            assert avg_rec(pd) == pytest.approx(1 / len(scale.classes), abs=1e-12)
+            assert avg_rec(constant_table(gold, c)) == pytest.approx(1 / len(scale.classes), abs=1e-12)
     print("ACCEPTANCE 7 PASS: metric property suite")
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import dataset_from_counts
+from conftest import constant_table, dataset_from_counts
 from topicsent.baselines import (
     Averaging,
     constant_classifier,
@@ -10,7 +10,7 @@ from topicsent.baselines import (
 )
 from topicsent.classification import avg_rec
 from topicsent.errors import EmptyInput, NoTopics, ScaleMismatch
-from topicsent.model import Dataset, LabeledItem, Scale, align, prevalence_of
+from topicsent.model import Dataset, LabeledItem, Scale, prevalence_of
 from topicsent.quantification import SmoothingConfig, emd, kld
 
 
@@ -34,8 +34,7 @@ class TestConstantClassifier:
         ]:
             gold = dataset_from_counts(scale, counts)
             for c in scale.classes:
-                pd = align(gold, constant_classifier(gold, c))
-                assert avg_rec(pd) == pytest.approx(1 / len(scale.classes))
+                assert avg_rec(constant_table(gold, c)) == pytest.approx(1 / len(scale.classes))
 
 
 class TestConstantQuantifier:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts, paired_constant
+from conftest import constant_table, dataset_from_counts, joined, table
 from topicsent.classification import (
     accuracy,
     avg_rec,
@@ -11,31 +11,24 @@ from topicsent.classification import (
     f1_pn,
 )
 from topicsent.errors import EmptyInput
-from topicsent.model import Dataset, LabeledItem, Pair, PairedData, Scale, align
+from topicsent.model import ConfusionMatrix, Scale
 
 EN_TEST_A = {1: 2375, 0: 5937, -1: 3972}  # positive / neutral / negative
 
 
-def paired(scale, gold_pred):
-    pairs = tuple(
-        Pair(f"t{i}", None, g, p) for i, (g, p) in enumerate(gold_pred)
-    )
-    return PairedData(scale, pairs)
-
-
 class TestClassRecall:
     def test_hand_enumeration(self):
-        pd = paired(Scale.TWO_POINT, [(1, 1), (1, -1), (-1, -1)])
+        pd = table(Scale.TWO_POINT, [(1, 1), (1, -1), (-1, -1)])
         assert class_recall(pd, 1) == 0.5
         assert class_recall(pd, -1) == 1.0
 
     def test_perfect_predictions(self):
-        pd = paired(Scale.THREE_POINT, [(1, 1), (0, 0), (-1, -1)])
+        pd = table(Scale.THREE_POINT, [(1, 1), (0, 0), (-1, -1)])
         for c in Scale.THREE_POINT.classes:
             assert class_recall(pd, c) == 1.0
 
     def test_absent_class_is_undefined(self):
-        pd = paired(Scale.TWO_POINT, [(1, 1), (1, -1)])
+        pd = table(Scale.TWO_POINT, [(1, 1), (1, -1)])
         assert class_recall(pd, -1) is None
 
 
@@ -43,50 +36,50 @@ class TestAvgRec:
     def test_constant_prediction_one_third(self):
         gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
         for c in Scale.THREE_POINT.classes:
-            assert avg_rec(paired_constant(gold, c)) == pytest.approx(1 / 3)
+            assert avg_rec(constant_table(gold, c)) == pytest.approx(1 / 3)
 
     def test_constant_prediction_two_point(self):
         gold = dataset_from_counts(Scale.TWO_POINT, {1: 7, -1: 3})
-        assert avg_rec(paired_constant(gold, 1)) == pytest.approx(0.5)
+        assert avg_rec(constant_table(gold, 1)) == pytest.approx(0.5)
 
     def test_perfect(self):
         gold = dataset_from_counts(Scale.THREE_POINT, {1: 2, 0: 2, -1: 2})
-        pd = align(gold, gold)
+        pd = joined(gold, gold)
         assert avg_rec(pd) == 1.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            avg_rec(PairedData(Scale.TWO_POINT, ()))
+            avg_rec(table(Scale.TWO_POINT, []))
 
 
 class TestAccuracy:
     def test_all_neutral_english_counts(self):
         gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
-        assert accuracy(paired_constant(gold, 0)) == pytest.approx(5937 / 12284)
+        assert accuracy(constant_table(gold, 0)) == pytest.approx(5937 / 12284)
 
     def test_all_neutral_arabic_counts(self):
         gold = dataset_from_counts(Scale.THREE_POINT, {1: 1514, 0: 2364, -1: 2222})
-        assert accuracy(paired_constant(gold, 0)) == pytest.approx(2364 / 6100)
+        assert accuracy(constant_table(gold, 0)) == pytest.approx(2364 / 6100)
 
     def test_perfect(self):
         gold = dataset_from_counts(Scale.THREE_POINT, {1: 2, 0: 2, -1: 2})
-        assert accuracy(align(gold, gold)) == 1.0
+        assert accuracy(joined(gold, gold)) == 1.0
 
 
 class TestF1:
     def test_all_positive_f1_positive(self):
         gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
-        pd = paired_constant(gold, 1)
+        pd = constant_table(gold, 1)
         prev = 2375 / 12284
         assert class_f1(pd, 1) == pytest.approx(2 * prev / (1 + prev))
 
     def test_all_positive_f1_negative_zero(self):
         gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
-        assert class_f1(paired_constant(gold, 1), -1) == 0.0
+        assert class_f1(constant_table(gold, 1), -1) == 0.0
 
     def test_perfect_per_class(self):
         gold = dataset_from_counts(Scale.THREE_POINT, {1: 2, 0: 2, -1: 2})
-        pd = align(gold, gold)
+        pd = joined(gold, gold)
         for c in Scale.THREE_POINT.classes:
             assert class_f1(pd, c) == 1.0
 
@@ -95,16 +88,13 @@ class TestF1:
     )
     def test_f1_pn_constant_baselines(self, pred_class, expected):
         gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
-        value = f1_pn(paired_constant(gold, pred_class))
+        value = f1_pn(constant_table(gold, pred_class))
         assert round(value, 3) == expected
 
 
-def _swap_pn(pd):
-    flip = {1: -1, -1: 1, 0: 0}
-    pairs = tuple(
-        Pair(p.id, p.topic, flip[p.gold], flip[p.pred]) for p in pd.pairs
-    )
-    return PairedData(pd.scale, pairs)
+def _swap_pn(cm):
+    # classes are -1, 0, +1: reversing both axes swaps Positive and Negative
+    return ConfusionMatrix(cm.scale, tuple(row[::-1] for row in cm.counts[::-1]))
 
 
 class TestLabelSwapInvariance:
@@ -116,13 +106,13 @@ class TestLabelSwapInvariance:
         ).filter(lambda gp: {1, -1} <= {g for g, _ in gp})
     )
     def test_avg_rec_invariant(self, gold_pred):
-        pd = paired(Scale.THREE_POINT, gold_pred)
+        pd = table(Scale.THREE_POINT, gold_pred)
         assert avg_rec(pd) == pytest.approx(avg_rec(_swap_pn(pd)))
 
     def test_class_f1_counterexample(self):
         # single-class F1 depends on which class is called positive: swapping
         # the labels changes F1 of the positive class.
-        pd = paired(Scale.THREE_POINT, [(1, 1), (1, 1), (1, 1), (-1, 1)])
+        pd = table(Scale.THREE_POINT, [(1, 1), (1, 1), (1, 1), (-1, 1)])
         assert class_f1(pd, 1) != pytest.approx(class_f1(_swap_pn(pd), 1))
 
     @given(
@@ -135,7 +125,7 @@ class TestLabelSwapInvariance:
     def test_f1_pn_invariant_under_joint_swap(self, gold_pred):
         # swapping both gold and predictions exchanges F1(P) and F1(N), so
         # their mean cannot change
-        pd = paired(Scale.THREE_POINT, gold_pred)
+        pd = table(Scale.THREE_POINT, gold_pred)
         assert f1_pn(pd) == pytest.approx(f1_pn(_swap_pn(pd)))
 
 
@@ -148,12 +138,12 @@ class TestMicroRecallEqualsAccuracy:
         )
     )
     def test_support_weighted_recall_is_accuracy(self, gold_pred):
-        pd = paired(Scale.THREE_POINT, gold_pred)
-        n = len(pd)
+        pd = table(Scale.THREE_POINT, gold_pred)
+        n = len(gold_pred)
         total = 0.0
         for c in pd.scale.classes:
             r = class_recall(pd, c)
             if r is not None:
-                support = sum(1 for p in pd.pairs if p.gold == c)
+                support = sum(1 for g, _ in gold_pred if g == c)
                 total += r * support / n
         assert total == pytest.approx(accuracy(pd))

@@ -1,10 +1,17 @@
+import contextlib
 import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dataset_from_counts
 from topicsent.cli import main, round_display
+from topicsent.evaluate import SUBTASKS, Mode
 from topicsent.ingestion import serialize_dataset
 from topicsent.model import Dataset, Scale
 
@@ -208,3 +215,121 @@ class TestDeterminism:
         _, out1, _ = run(argv, capsys)
         _, out2, _ = run(argv, capsys)
         assert out1 == out2
+
+
+class TestInputContract:
+    def test_nan_prevalence_rejected(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        write_dataset(gold, Scale.TWO_POINT, {1: 1, -1: 1}, topic="x")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("x\tpositive\tnan\nx\tnegative\tnan\n")
+        code, out, err = run(
+            ["score", "--subtask", "D", "--gold", str(gold), "--pred", str(pred)],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "MALFORMED_LINE" and "line 1" in diag["message"]
+
+    @pytest.mark.parametrize("kind", ["prevalence:0.5,x", "ml:bogus"])
+    def test_malformed_kind(self, kind, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        write_dataset(gold, Scale.TWO_POINT, {1: 3, -1: 1}, topic="x")
+        code, _, err = run(
+            ["baseline", "--subtask", "D", "--gold", str(gold), "--kind", kind,
+             "--train", str(gold)],
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(err)["error"] != "INTERNAL"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, monkeypatch):
+        gold = b"\xef\xbb\xbft1\tx\tpositive\nt2\tx\tnegative\n"
+        (tmp_path / "gold.tsv").write_bytes(gold)
+        pred = tmp_path / "pred.tsv"
+        pred.write_bytes(b"\xef\xbb\xbft2\tx\t1\nt1\tx\t1\n")
+        for gold_arg in (str(tmp_path / "gold.tsv"), "-"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(gold)))
+            code, out, err = run(
+                ["score", "--subtask", "B", "--gold", gold_arg, "--pred", str(pred)],
+                capsys,
+            )
+            assert code == 0, err
+            assert json.loads(out)["metrics"]["avgrec"] == 0.5
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes(b"t1\tNA\tpositive\xff\n")
+        code, _, err = run(
+            ["score", "--subtask", "A", "--gold", str(gold), "--pred", str(gold)],
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "IO_ERROR"
+
+
+_TOKENS = [b"t1", b"t2", b"NA", b"x", b"1", b"-1", b"0", b"2", b"positive", b"nan",
+           b"inf", b"0.5", b"1e400", b"\xef\xbb\xbf", b"\xff", b"\r", b" ", b""]
+_lines = st.lists(st.sampled_from(_TOKENS) | st.binary(max_size=4), max_size=4).map(b"\t".join)
+_files = st.binary(max_size=64) | st.lists(_lines, max_size=6).map(b"\n".join)
+
+
+@pytest.mark.parametrize("subtask", sorted(SUBTASKS))
+@settings(deadline=None)
+@given(gold=_files, pred=_files)
+def test_score_arbitrary_bytes_exits_0_or_1(subtask, gold, pred):
+    with tempfile.TemporaryDirectory() as tmp:
+        gold_path, pred_path = Path(tmp, "gold"), Path(tmp, "pred")
+        gold_path.write_bytes(gold)
+        pred_path.write_bytes(pred)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["score", "--subtask", subtask, "--gold", str(gold_path),
+                         "--pred", str(pred_path)])
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])
+
+
+@st.composite
+def _scored_files(draw, subtask):
+    """Valid gold and prediction rows for one subtask, as text lines."""
+    spec = SUBTASKS[subtask]
+    classes = spec.scale.classes
+    topics = ["a", "b", "c"] if spec.topic_based else ["NA"]
+    label = st.sampled_from(classes)
+    rows = draw(st.lists(st.tuples(st.sampled_from(topics), label, label),
+                         min_size=1, max_size=40))
+    gold = [f"t{i}\t{t}\t{g}" for i, (t, g, _) in enumerate(rows)]
+    if spec.mode is Mode.CLASSIFICATION:
+        pred = [f"t{i}\t{t}\t{p}" for i, (t, _, p) in enumerate(rows)]
+        pred += [f"extra{i}\t{topics[0]}\t{classes[0]}" for i in range(draw(st.integers(0, 2)))]
+        return gold, pred
+    pred = []
+    for t in topics:
+        weights = draw(st.lists(st.integers(0, 9), min_size=len(classes),
+                                max_size=len(classes)).filter(any))
+        pred += [f"{t}\t{c}\t{w / sum(weights)!r}" for c, w in zip(classes, weights)]
+    return gold, pred
+
+
+@pytest.mark.parametrize("subtask", sorted(SUBTASKS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_row_order_does_not_change_report(subtask, data):
+    gold, pred = data.draw(_scored_files(subtask))
+    shuffled = (data.draw(st.permutations(gold)), data.draw(st.permutations(pred)))
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (gold_lines, pred_lines) in enumerate([(gold, pred), shuffled]):
+            paths = [Path(tmp, f"{name}{i}") for name in ("gold", "pred", "out")]
+            paths[0].write_text("".join(line + "\n" for line in gold_lines), encoding="utf-8")
+            paths[1].write_text("".join(line + "\n" for line in pred_lines), encoding="utf-8")
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["score", "--subtask", subtask, "--gold", str(paths[0]),
+                             "--pred", str(paths[1]), "--pooled", "--output", str(paths[2])])
+            assert code == 0
+            reports.append(paths[2].read_bytes())
+    assert reports[0] == reports[1]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,13 +14,14 @@ from topicsent.errors import (
     ScaleMismatch,
 )
 from topicsent.model import (
+    ConfusionMatrix,
     Dataset,
     LabeledItem,
     Prevalence,
     Scale,
-    align,
-    group_by_topic,
+    confusion_tables,
     prevalence_of,
+    topic_class_counts,
 )
 
 
@@ -67,6 +70,8 @@ class TestDataset:
 
 
 class TestAlign:
+    """Joining predictions onto gold by (id, topic) into confusion matrices."""
+
     def test_direct_pairing(self):
         gold = Dataset.build(
             Scale.TWO_POINT,
@@ -76,16 +81,16 @@ class TestAlign:
             Scale.TWO_POINT,
             [LabeledItem("t1", None, 1), LabeledItem("t2", None, 1)],
         )
-        pd = align(gold, pred)
-        assert len(pd) == 2
-        assert pd.pairs[0].gold == pd.pairs[0].pred == 1
-        assert pd.pairs[1].gold == -1 and pd.pairs[1].pred == 1
+        tables, ignored = confusion_tables(gold, pred)
+        assert list(tables) == [None] and ignored == 0
+        # rows are gold -1, +1; columns predicted -1, +1
+        assert tables[None].counts == ((0, 1), (0, 1))
 
     def test_missing_prediction(self):
         gold = Dataset.build(Scale.TWO_POINT, [LabeledItem("t1", None, 1)])
         pred = Dataset.build(Scale.TWO_POINT, [])
         with pytest.raises(MissingPrediction):
-            align(gold, pred)
+            confusion_tables(gold, pred)
 
     def test_extra_predictions_ignored_with_count(self):
         gold = Dataset.build(Scale.TWO_POINT, [LabeledItem("t1", None, 1)])
@@ -93,18 +98,20 @@ class TestAlign:
             Scale.TWO_POINT,
             [LabeledItem("t1", None, 1), LabeledItem("t9", None, -1)],
         )
-        pd = align(gold, pred)
-        assert len(pd) == 1
-        assert pd.n_ignored_extra == 1
+        tables, ignored = confusion_tables(gold, pred)
+        assert tables[None].total == 1
+        assert ignored == 1
 
     def test_scale_mismatch(self):
         gold = Dataset.build(Scale.TWO_POINT, [LabeledItem("t1", None, 1)])
         pred = Dataset.build(Scale.THREE_POINT, [LabeledItem("t1", None, 1)])
         with pytest.raises(ScaleMismatch):
-            align(gold, pred)
+            confusion_tables(gold, pred)
 
 
 class TestGroupByTopic:
+    """Per-topic count tables: gold class counts and confusion matrices."""
+
     def test_partition(self):
         d = Dataset.build(
             Scale.TWO_POINT,
@@ -114,8 +121,7 @@ class TestGroupByTopic:
                 LabeledItem("t3", "b", 1),
             ],
         )
-        groups = group_by_topic(d)
-        assert {t: len(g) for t, g in groups.items()} == {"a": 2, "b": 1}
+        assert topic_class_counts(d) == {"a": (1, 1), "b": (0, 1)}
 
     def test_keys_sorted(self):
         d = Dataset.build(
@@ -127,18 +133,19 @@ class TestGroupByTopic:
                 LabeledItem("t4", "a", -1),
             ],
         )
-        assert list(group_by_topic(d)) == ["a", "b"]
+        assert list(topic_class_counts(d)) == ["a", "b"]
+        assert list(confusion_tables(d, d)[0]) == ["a", "b"]
 
     def test_single_topic_is_identity(self):
         d = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 2}, topic="only")
-        groups = group_by_topic(d)
-        assert list(groups) == ["only"]
-        assert groups["only"].items == d.items
+        assert topic_class_counts(d) == {"only": (2, 3)}
+        tables, _ = confusion_tables(d, d)
+        assert tables == {"only": ConfusionMatrix(Scale.TWO_POINT, ((2, 0), (0, 3)))}
 
     def test_no_topics_raises(self):
         d = dataset_from_counts(Scale.TWO_POINT, {1: 1})
         with pytest.raises(NoTopics):
-            group_by_topic(d)
+            topic_class_counts(d)
 
     def test_group_counts_sum_to_total_after_align(self):
         from topicsent.baselines import constant_classifier
@@ -146,9 +153,10 @@ class TestGroupByTopic:
         gold = dataset_from_counts(Scale.TWO_POINT, {1: 4, -1: 3}, topic="a")
         gold2 = dataset_from_counts(Scale.TWO_POINT, {1: 2}, topic="b")
         merged = Dataset.build(Scale.TWO_POINT, gold.items + gold2.items)
-        pd = align(merged, constant_classifier(merged, 1))
-        groups = group_by_topic(pd)
-        assert sum(len(g) for g in groups.values()) == len(pd)
+        tables, _ = confusion_tables(merged, constant_classifier(merged, 1))
+        assert sum(t.total for t in tables.values()) == len(merged)
+        pooled = tables["a"] + tables["b"]
+        assert pooled.counts == ((0, 3), (0, 6))
 
 
 class TestPrevalence:
@@ -177,6 +185,8 @@ class TestPrevalence:
             Prevalence(Scale.TWO_POINT, (0.6, 0.6))
         with pytest.raises(InvalidLabel):
             Prevalence(Scale.TWO_POINT, (-0.1, 1.1))
+        with pytest.raises(InvalidLabel):
+            Prevalence(Scale.TWO_POINT, (math.nan, math.nan))
 
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=50),
            st.randoms())

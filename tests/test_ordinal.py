@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts, paired_constant
+from conftest import constant_table, dataset_from_counts, joined, table
 from topicsent.errors import EmptyInput
-from topicsent.model import Pair, PairedData, Scale, align
+from topicsent.model import Scale
 from topicsent.ordinal import mae_macro, mae_micro
 
 EN_TEST_C = {2: 131, 1: 2332, 0: 6194, -1: 3545, -2: 177}
@@ -12,10 +12,7 @@ AR_TEST_C = {2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21}
 
 
 def paired(gold_pred):
-    return PairedData(
-        Scale.FIVE_POINT,
-        tuple(Pair(f"t{i}", None, g, p) for i, (g, p) in enumerate(gold_pred)),
-    )
+    return table(Scale.FIVE_POINT, gold_pred)
 
 
 class TestMaeMacro:
@@ -24,29 +21,29 @@ class TestMaeMacro:
     )
     def test_constant_all_classes_present(self, const, expected):
         gold = dataset_from_counts(Scale.FIVE_POINT, EN_TEST_C)
-        assert mae_macro(paired_constant(gold, const)) == pytest.approx(expected)
+        assert mae_macro(constant_table(gold, const)) == pytest.approx(expected)
 
     def test_perfect(self):
         gold = dataset_from_counts(Scale.FIVE_POINT, {c: 2 for c in range(-2, 3)})
-        assert mae_macro(align(gold, gold)) == 0.0
+        assert mae_macro(joined(gold, gold)) == 0.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            mae_macro(PairedData(Scale.FIVE_POINT, ()))
+            mae_macro(paired([]))
 
 
 class TestMaeMicro:
     def test_constant_neutral_english_counts(self):
         gold = dataset_from_counts(Scale.FIVE_POINT, EN_TEST_C)
-        assert mae_micro(paired_constant(gold, 0)) == pytest.approx(6493 / 12379)
+        assert mae_micro(constant_table(gold, 0)) == pytest.approx(6493 / 12379)
 
     def test_constant_minus_two_arabic_counts(self):
         gold = dataset_from_counts(Scale.FIVE_POINT, AR_TEST_C)
-        assert mae_micro(paired_constant(gold, -2)) == pytest.approx(12557 / 6100)
+        assert mae_micro(constant_table(gold, -2)) == pytest.approx(12557 / 6100)
 
     def test_constant_plus_one_english_counts(self):
         gold = dataset_from_counts(Scale.FIVE_POINT, EN_TEST_C)
-        assert mae_micro(paired_constant(gold, 1)) == pytest.approx(13946 / 12379)
+        assert mae_micro(constant_table(gold, 1)) == pytest.approx(13946 / 12379)
 
 
 classes = st.sampled_from([-2, -1, 0, 1, 2])
