@@ -10,7 +10,6 @@ from .ingestion import bow_cosine, dedup, parse_dataset, stats, topic_filter
 from .model import (
     ConfusionMatrix,
     Dataset,
-    LabeledItem,
     Prevalence,
     Scale,
     confusion_tables,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidLabel, TooFewAnnotators
+from .model import Scale
 
-FIVE_POINT_VALUES = frozenset({-2, -1, 0, 1, 2})
 MIN_ANNOTATORS = 5
 
 
@@ -27,7 +27,7 @@ class CrowdAnnotation:
 
     def __post_init__(self):
         for lab in self.labels:
-            if lab not in FIVE_POINT_VALUES:
+            if lab not in Scale.FIVE_POINT.classes:
                 raise InvalidLabel(f"annotator label {lab!r} not in -2..2")
         if len(self.labels) < MIN_ANNOTATORS:
             raise TooFewAnnotators(

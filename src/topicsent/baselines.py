@@ -5,10 +5,11 @@ class distribution."""
 from __future__ import annotations
 
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import EmptyInput, ScaleMismatch
-from .model import Dataset, LabeledItem, Prevalence, prevalence_of, topic_class_counts
+from .model import Dataset, Prevalence, prevalence_of, topic_class_counts
 
 
 class Averaging(Enum):
@@ -20,8 +21,7 @@ def constant_classifier(gold: Dataset, c: int) -> Dataset:
     """Predictions labeling every gold item as class c."""
     if c not in gold.scale.classes:
         raise ScaleMismatch(f"class {c!r} not in scale {gold.scale.name}")
-    items = tuple(LabeledItem(it.id, it.topic, c) for it in gold.items)
-    return Dataset(gold.scale, items, has_topics=gold.has_topics)
+    return Dataset(gold.scale, MappingProxyType(dict.fromkeys(gold.labels, c)))
 
 
 def constant_quantifier(topics: Iterable[str], p: Prevalence) -> dict[str, Prevalence]:
@@ -38,10 +38,10 @@ def point_mass(scale, c: int) -> Prevalence:
 def ml_quantifier(train: Dataset, averaging: Averaging = Averaging.MICRO) -> Prevalence:
     """Training-set class distribution: pooled over all items (micro) or the
     unweighted mean of per-topic distributions (macro)."""
-    if not train.items:
+    if not train.labels:
         raise EmptyInput("cannot estimate a prevalence from an empty training set")
     if averaging is Averaging.MICRO:
-        return prevalence_of(train.labels(), train.scale)
+        return prevalence_of(train.labels.values(), train.scale)
     per_topic = [
         Prevalence.from_counts(train.scale, counts).fractions
         for counts in topic_class_counts(train).values()

@@ -17,7 +17,7 @@ from typing import IO
 
 from . import baselines, ingestion
 from .annotation import consolidate
-from .errors import InvalidLabel, ScoringError
+from .errors import InvalidArgument, InvalidLabel, ScoringError
 from .evaluate import SUBTASKS, Mode, ScoreReport, SubtaskSpec, evaluate
 from .model import Prevalence, Scale
 
@@ -124,16 +124,12 @@ def _baseline_predictions(spec: SubtaskSpec, gold, args):
         c = spec.scale.parse_label(arg)
         if spec.mode is Mode.CLASSIFICATION:
             return {"pred_labels": baselines.constant_classifier(gold, c)}
-        topics = sorted({it.topic for it in gold.items})
         p = baselines.point_mass(spec.scale, c)
-        return {"pred_prevalences": baselines.constant_quantifier(topics, p)}
-    if kind == "prevalence":
+    elif kind == "prevalence":
         if spec.mode is not Mode.QUANTIFICATION:
             raise ScoringError("prevalence baselines apply to subtasks D and E only")
         p = _parse_prevalence_arg(spec.scale, arg)
-        topics = sorted({it.topic for it in gold.items})
-        return {"pred_prevalences": baselines.constant_quantifier(topics, p)}
-    if kind == "ml":
+    elif kind == "ml":
         if spec.mode is not Mode.QUANTIFICATION:
             raise ScoringError("the ML baseline applies to subtasks D and E only")
         if not args.train:
@@ -145,9 +141,10 @@ def _baseline_predictions(spec: SubtaskSpec, gold, args):
         with _open_in(args.train) as f:
             train = ingestion.parse_dataset(f, spec)
         p = baselines.ml_quantifier(train, averaging)
-        topics = sorted({it.topic for it in gold.items})
-        return {"pred_prevalences": baselines.constant_quantifier(topics, p)}
-    raise ScoringError(f"unknown baseline kind {args.kind!r}")
+    else:
+        raise ScoringError(f"unknown baseline kind {args.kind!r}")
+    topics = sorted({topic for _, topic in gold.labels})
+    return {"pred_prevalences": baselines.constant_quantifier(topics, p)}
 
 
 def cmd_baseline(args) -> int:
@@ -216,8 +213,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors, so that they exit 1 with a JSON diagnostic like
+    other input errors; subcommand parsers inherit this class."""
+
+    def error(self, message: str):
+        raise InvalidArgument(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="topicsent",
         description="Scoring toolkit for topic-based sentiment classification "
         "and quantification (subtasks A-E).",
@@ -270,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ScoringError as exc:
         diag = {"error": exc.code, "message": str(exc)}

@@ -43,6 +43,10 @@ class TopicRequired(ScoringError):
     code = "TOPIC_REQUIRED"
 
 
+class InvalidArgument(ScoringError):
+    code = "INVALID_ARGUMENT"
+
+
 class InvalidLabel(ScoringError):
     code = "INVALID_LABEL"
 

@@ -72,6 +72,14 @@ def macroaverage(values: Mapping[str, float]) -> float:
     return sum(values.values()) / len(values)
 
 
+def _macroaverage_metrics(per_topic: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
+    """Each metric's macroaverage over the topics, in the metrics' own order."""
+    return {
+        name: macroaverage({t: m[name] for t, m in per_topic.items()})
+        for name in next(iter(per_topic.values()))
+    }
+
+
 def _classification_metrics(spec: SubtaskSpec, cm: ConfusionMatrix) -> dict[str, float]:
     if spec.scale is Scale.FIVE_POINT:
         return {
@@ -137,10 +145,7 @@ def _evaluate_classification(
     for topic, table in tables.items():
         per_topic[topic] = _classification_metrics(spec, table)
         _warn_absent_classes(spec, table, topic, warnings)
-    metrics = {
-        name: macroaverage({t: m[name] for t, m in per_topic.items()})
-        for name in next(iter(per_topic.values()))
-    }
+    metrics = _macroaverage_metrics(per_topic)
     report = ScoreReport(spec, metrics, per_topic, len(per_topic), warnings)
     if pooled:
         report.pooled = _classification_metrics(spec, sum(tables.values(), zero))
@@ -179,10 +184,7 @@ def _evaluate_quantification(
         per_topic[topic] = _quantification_metrics(
             spec, pred_prevalences[topic], true_p, sum(counts)
         )
-    metrics = {
-        name: macroaverage({t: m[name] for t, m in per_topic.items()})
-        for name in next(iter(per_topic.values()))
-    }
+    metrics = _macroaverage_metrics(per_topic)
     report = ScoreReport(spec, metrics, per_topic, len(per_topic), warnings)
     if pooled:
         # pooled view: item-weighted mix of per-topic predictions vs. the

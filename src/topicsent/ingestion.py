@@ -3,7 +3,8 @@ statistics.
 
 File formats (TSV, UTF-8, one record per line):
   * label files:        id <TAB> topic <TAB> label [<TAB> text [<TAB> extra...]]
-    The topic column is the literal ``NA`` for the non-topic subtask A.
+    The topic column is the literal ``NA`` for the non-topic subtask A. Columns
+    after the label are accepted and ignored.
   * prevalence files:   topic <TAB> class <TAB> prevalence, one class per
     line; each topic's prevalences must sum to 1 within 1e-6.
   * annotation files:   id <TAB> topic <TAB> label1 <TAB> ... <TAB> labelN
@@ -14,20 +15,22 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import IO, Iterable, Iterator
 
 from .annotation import CrowdAnnotation
 from .errors import (
     DuplicateKey,
     EmptyText,
+    InvalidArgument,
     InvalidLabel,
     MalformedLine,
     NoTopics,
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
-from .model import Dataset, LabeledItem, Prevalence, Scale
+from .model import Dataset, Prevalence, Scale
 
 NO_TOPIC = "NA"
 PREVALENCE_SUM_TOL = 1e-6
@@ -59,8 +62,7 @@ def _parse_topic(raw: str) -> str | None:
 def parse_dataset(stream: IO[str], spec: SubtaskSpec) -> Dataset:
     """Parses a gold or prediction label file; every error carries its line
     number. Duplicate (id, topic) rows are a hard error."""
-    items: list[LabeledItem] = []
-    seen: set[tuple[str, str | None]] = set()
+    labels: dict[tuple[str, str | None], int] = {}
     for n, line in _lines(stream):
         fields = line.split("\t")
         if len(fields) < 3:
@@ -75,23 +77,18 @@ def parse_dataset(stream: IO[str], spec: SubtaskSpec) -> Dataset:
             raise MalformedLine(f"subtask {spec.id} expects topic NA", line=n)
         label = spec.scale.parse_label(fields[2], line=n)
         key = (item_id, topic)
-        if key in seen:
+        if key in labels:
             raise DuplicateKey(f"duplicate (id, topic) pair {key}", line=n)
-        seen.add(key)
-        text = fields[3] if len(fields) > 3 else None
-        items.append(LabeledItem(item_id, topic, label, text))
+        labels[key] = label
     # every row passed the scale, topic-rule and uniqueness checks above
-    return Dataset(spec.scale, tuple(items), has_topics=bool(items) and spec.topic_based)
+    return Dataset(spec.scale, MappingProxyType(labels))
 
 
 def serialize_dataset(d: Dataset, stream: IO[str]) -> None:
     """Inverse of parse_dataset on valid datasets (labels written as
     integers, missing topics as NA)."""
-    for it in d.items:
-        fields = [it.id, it.topic if it.topic is not None else NO_TOPIC, str(it.label)]
-        if it.text is not None:
-            fields.append(it.text)
-        stream.write("\t".join(fields) + "\n")
+    for (item_id, topic), label in d.labels.items():
+        stream.write(f"{item_id}\t{topic if topic is not None else NO_TOPIC}\t{label}\n")
 
 
 def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence]:
@@ -141,6 +138,8 @@ def parse_annotations(stream: IO[str]) -> list[CrowdAnnotation]:
         if len(fields) < 3:
             raise MalformedLine("expected id, topic and annotator labels", line=n)
         item_id = fields[0].strip()
+        if not item_id:
+            raise MalformedLine("empty id field", line=n)
         topic = _parse_topic(fields[1])
         key = (item_id, topic)
         if key in seen:
@@ -220,7 +219,9 @@ def dedup(
 ) -> tuple[list[RawTweetRecord], list[tuple[RawTweetRecord, RawTweetRecord]]]:
     """Greedy near-duplicate scan in input order: a record is dropped iff its
     bag-of-words cosine to some already-kept record strictly exceeds the
-    threshold. Returns (kept, removed-with-collision)."""
+    threshold, which must lie in [0, 1]. Returns (kept, removed-with-collision)."""
+    if not 0.0 <= threshold <= 1.0:  # also rejects NaN
+        raise InvalidArgument(f"threshold must be in [0, 1], got {threshold!r}")
     kept: list[RawTweetRecord] = []
     kept_vecs: list[tuple[Counter, float]] = []
     removed: list[tuple[RawTweetRecord, RawTweetRecord]] = []
@@ -245,11 +246,13 @@ def dedup(
 
 def topic_filter(d: Dataset, min_size: int = 100) -> Dataset:
     """Retains only the topics holding at least min_size items."""
+    if min_size < 0:
+        raise InvalidArgument(f"min_size must be nonnegative, got {min_size!r}")
     if not d.has_topics:
         raise NoTopics("topic filtering requires topics")
-    sizes = Counter(it.topic for it in d.items)
-    items = tuple(it for it in d.items if sizes[it.topic] >= min_size)
-    return Dataset(d.scale, items, has_topics=bool(items))
+    sizes = Counter(topic for _, topic in d.labels)
+    labels = {key: label for key, label in d.labels.items() if sizes[key[1]] >= min_size}
+    return Dataset(d.scale, MappingProxyType(labels))
 
 
 @dataclass
@@ -268,11 +271,11 @@ class DatasetStats:
 
 
 def stats(d: Dataset) -> DatasetStats:
-    per_class = Counter(it.label for it in d.items)
-    per_topic = Counter(it.topic for it in d.items) if d.has_topics else Counter()
+    per_class = Counter(d.labels.values())
+    per_topic = Counter(topic for _, topic in d.labels) if d.has_topics else Counter()
     return DatasetStats(
         scale=d.scale,
         per_class={c: per_class.get(c, 0) for c in reversed(d.scale.classes)},
         per_topic=dict(sorted(per_topic.items())),
-        total=len(d.items),
+        total=len(d),
     )

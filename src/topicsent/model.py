@@ -13,6 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -74,53 +75,39 @@ class Scale(Enum):
 
 
 @dataclass(frozen=True)
-class LabeledItem:
-    """One record of a gold or prediction file."""
-
-    id: str
-    topic: str | None
-    label: int
-    text: str | None = None
-
-    def __post_init__(self):
-        if not self.id:
-            raise InvalidLabel("item id must be non-empty")
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """A collection of labeled items on a single scale.
-
-    Use :meth:`build` to construct from arbitrary iterables; it enforces the
-    scale, the all-or-none topic rule, and (id, topic) uniqueness.
+    """Labels on a single scale: ``labels`` is a read-only map from each
+    (id, topic) key to its label, in input order; the topic is None for data
+    without topics. :meth:`build` enforces the scale, non-empty ids, the
+    all-or-none topic rule, and (id, topic) uniqueness.
     """
 
     scale: Scale
-    items: tuple[LabeledItem, ...]
-    has_topics: bool
+    labels: Mapping[tuple[str, str | None], int]
 
     @classmethod
-    def build(cls, scale: Scale, items: Iterable[LabeledItem]) -> "Dataset":
-        items = tuple(items)
-        seen: set[tuple[str, str | None]] = set()
-        n_with_topic = 0
-        for it in items:
-            scale.validate(it.label)
-            key = (it.id, it.topic)
-            if key in seen:
+    def build(cls, scale: Scale, rows: Iterable[tuple[str, str | None, int]]) -> "Dataset":
+        """Builds a dataset from (id, topic, label) rows."""
+        labels: dict[tuple[str, str | None], int] = {}
+        for item_id, topic, label in rows:
+            if not item_id:
+                raise InvalidLabel("item id must be non-empty")
+            scale.validate(label)
+            key = (item_id, topic)
+            if key in labels:
                 raise DuplicateKey(f"duplicate (id, topic) pair {key}")
-            seen.add(key)
-            if it.topic is not None:
-                n_with_topic += 1
-        if n_with_topic not in (0, len(items)):
+            labels[key] = label
+        if len({topic is None for _, topic in labels}) > 1:
             raise NoTopics("items must either all carry a topic or none")
-        return cls(scale, items, has_topics=bool(items) and n_with_topic == len(items))
+        return cls(scale, MappingProxyType(labels))
+
+    @property
+    def has_topics(self) -> bool:
+        # topics are all-or-none, so the first key speaks for every key
+        return next(iter(self.labels), (None, None))[1] is not None
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    def labels(self) -> list[int]:
-        return [it.label for it in self.items]
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -206,16 +193,15 @@ def confusion_tables(
         )
     index = {c: i for i, c in enumerate(gold.scale.classes)}
     k = len(index)
-    predicted = {(it.id, it.topic): index[it.label] for it in pred.items}
+    predicted = pred.labels
     cells: dict[str | None, list[list[int]]] = defaultdict(lambda: [[0] * k for _ in range(k)])
-    for it in gold.items:
-        j = predicted.get((it.id, it.topic))
-        if j is None:
-            raise MissingPrediction(it.id, it.topic)
-        cells[it.topic][index[it.label]][j] += 1
+    for key, label in gold.labels.items():
+        if key not in predicted:
+            raise MissingPrediction(*key)
+        cells[key[1]][index[label]][index[predicted[key]]] += 1
     tables = {t: ConfusionMatrix(gold.scale, tuple(map(tuple, cells[t]))) for t in sorted(cells)}
     # (id, topic) keys are unique on both sides and every gold key matched
-    return tables, len(predicted) - len(gold.items)
+    return tables, len(predicted) - len(gold.labels)
 
 
 def topic_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:
@@ -224,12 +210,12 @@ def topic_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:
         raise NoTopics("dataset has no topics")
     index = {c: i for i, c in enumerate(data.scale.classes)}
     counts: dict[str, list[int]] = defaultdict(lambda: [0] * len(index))
-    for it in data.items:
-        counts[it.topic][index[it.label]] += 1
+    for (_, topic), label in data.labels.items():
+        counts[topic][index[label]] += 1
     return {t: tuple(counts[t]) for t in sorted(counts)}
 
 
-def prevalence_of(labels: Sequence[int], scale: Scale) -> Prevalence:
+def prevalence_of(labels: Iterable[int], scale: Scale) -> Prevalence:
     """Relative frequency of every scale class among the given labels."""
     counts = Counter(scale.validate(lab) for lab in labels)
     return Prevalence.from_counts(scale, [counts[c] for c in scale.classes])

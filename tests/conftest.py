@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import count
 from typing import Iterable, Mapping
 
-from topicsent.model import ConfusionMatrix, Dataset, LabeledItem, Scale, confusion_tables
+from topicsent.model import ConfusionMatrix, Dataset, Scale, confusion_tables
 
 _ids = count()
 
@@ -13,11 +13,14 @@ def dataset_from_counts(
     scale: Scale, counts: Mapping[int, int], topic: str | None = None
 ) -> Dataset:
     """A synthetic dataset with the given per-class gold counts."""
-    items = []
-    for cls, n in counts.items():
-        for _ in range(n):
-            items.append(LabeledItem(f"t{next(_ids)}", topic, cls))
-    return Dataset.build(scale, items)
+    return Dataset.build(
+        scale, [(f"t{next(_ids)}", topic, cls) for cls, n in counts.items() for _ in range(n)]
+    )
+
+
+def rows(*datasets: Dataset) -> list[tuple[str, str | None, int]]:
+    """The (id, topic, label) rows of the datasets, one after another."""
+    return [(i, t, label) for d in datasets for (i, t), label in d.labels.items()]
 
 
 def table(scale: Scale, gold_pred: Iterable[tuple[int, int]]) -> ConfusionMatrix:
@@ -39,3 +42,32 @@ def constant_table(gold: Dataset, pred_class: int) -> ConfusionMatrix:
     from topicsent.baselines import constant_classifier
 
     return joined(gold, constant_classifier(gold, pred_class))
+
+
+def reference_join(
+    gold: Dataset, pred: Dataset
+) -> tuple[dict[str | None, ConfusionMatrix], int]:
+    """Per-row reference for confusion_tables: each gold row finds its
+    prediction by a scan over the prediction rows, and each topic's (gold,
+    pred) pairs make its table. Also counts the prediction rows whose
+    (id, topic) no gold row has. Every gold row must have one prediction."""
+    pairs: dict[str | None, list[tuple[int, int]]] = {}
+    for gold_id, gold_topic, gold_label in rows(gold):
+        (pred_label,) = [p for i, t, p in rows(pred) if (i, t) == (gold_id, gold_topic)]
+        pairs.setdefault(gold_topic, []).append((gold_label, pred_label))
+    gold_keys = [(i, t) for i, t, _ in rows(gold)]
+    ignored = sum((i, t) not in gold_keys for i, t, _ in rows(pred))
+    return {t: table(gold.scale, pairs[t]) for t in sorted(pairs)}, ignored
+
+
+def reference_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:
+    """Per-row reference for topic_class_counts: each topic's count of every
+    scale class, topics sorted."""
+    topics = sorted({t for _, t, _ in rows(data)})
+    return {
+        topic: tuple(
+            sum(1 for _, t, label in rows(data) if t == topic and label == c)
+            for c in data.scale.classes
+        )
+        for topic in topics
+    }

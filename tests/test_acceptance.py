@@ -15,7 +15,7 @@ from itertools import product
 
 import pytest
 
-from conftest import constant_table, dataset_from_counts, table
+from conftest import constant_table, dataset_from_counts, rows, table
 from topicsent.annotation import consolidate_labels
 from topicsent.baselines import constant_classifier
 from topicsent.classification import avg_rec, class_f1
@@ -249,9 +249,9 @@ def test_criterion_8_dedup_and_topic_filter():
 
     a = dataset_from_counts(Scale.TWO_POINT, {1: 50, -1: 50}, topic="exactly100")
     b = dataset_from_counts(Scale.TWO_POINT, {1: 99}, topic="just99")
-    d = Dataset.build(Scale.TWO_POINT, a.items + b.items)
+    d = Dataset.build(Scale.TWO_POINT, rows(a, b))
     filtered = topic_filter(d, min_size=100)
-    assert {it.topic for it in filtered.items} == {"exactly100"}
+    assert {topic for _, topic in filtered.labels} == {"exactly100"}
     print("ACCEPTANCE 8 PASS: dedup threshold, idempotence, topic-size boundary")
 
 
@@ -263,12 +263,12 @@ def test_criterion_9_cli_determinism(tmp_path):
     b = dataset_from_counts(Scale.TWO_POINT, {1: 2, -1: 8}, topic="b")
     gold_path = tmp_path / "gold.tsv"
     with open(gold_path, "w", encoding="utf-8") as f:
-        serialize_dataset(Dataset.build(Scale.TWO_POINT, a.items + b.items), f)
+        serialize_dataset(Dataset.build(Scale.TWO_POINT, rows(a, b)), f)
     pred_path = tmp_path / "pred.tsv"
     rng = random.Random(5)
     with open(pred_path, "w", encoding="utf-8") as f:
-        for it in a.items + b.items:
-            f.write(f"{it.id}\t{it.topic}\t{rng.choice([-1, 1])}\n")
+        for item_id, topic, _ in rows(a, b):
+            f.write(f"{item_id}\t{topic}\t{rng.choice([-1, 1])}\n")
 
     argv = [
         sys.executable, "-m", "topicsent.cli", "score", "--subtask", "B",

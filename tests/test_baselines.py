@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import constant_table, dataset_from_counts
+from conftest import constant_table, dataset_from_counts, rows
 from topicsent.baselines import (
     Averaging,
     constant_classifier,
@@ -10,7 +10,7 @@ from topicsent.baselines import (
 )
 from topicsent.classification import avg_rec
 from topicsent.errors import EmptyInput, NoTopics, ScaleMismatch
-from topicsent.model import Dataset, LabeledItem, Scale, prevalence_of
+from topicsent.model import Dataset, Scale, prevalence_of
 from topicsent.quantification import SmoothingConfig, emd, kld
 
 
@@ -19,7 +19,7 @@ class TestConstantClassifier:
         gold = dataset_from_counts(Scale.THREE_POINT, {1: 3, 0: 2, -1: 1})
         pred = constant_classifier(gold, 0)
         assert len(pred) == len(gold)
-        assert all(it.label == 0 for it in pred.items)
+        assert all(label == 0 for label in pred.labels.values())
 
     def test_rejects_out_of_scale_class(self):
         gold = dataset_from_counts(Scale.TWO_POINT, {1: 1})
@@ -64,7 +64,7 @@ class TestMlQuantifier:
     def test_micro_vs_macro_hand_computation(self):
         a = dataset_from_counts(Scale.TWO_POINT, {-1: 10}, topic="a")
         b = dataset_from_counts(Scale.TWO_POINT, {1: 90}, topic="b")
-        train = Dataset.build(Scale.TWO_POINT, a.items + b.items)
+        train = Dataset.build(Scale.TWO_POINT, rows(a, b))
         assert ml_quantifier(train, Averaging.MACRO).fractions == pytest.approx((0.5, 0.5))
         assert ml_quantifier(train, Averaging.MICRO).fractions == pytest.approx((0.1, 0.9))
 
@@ -77,9 +77,9 @@ class TestMlQuantifier:
     def test_micro_equals_pooled_prevalence(self):
         a = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 4}, topic="a")
         b = dataset_from_counts(Scale.TWO_POINT, {1: 6}, topic="b")
-        train = Dataset.build(Scale.TWO_POINT, a.items + b.items)
+        train = Dataset.build(Scale.TWO_POINT, rows(a, b))
         assert ml_quantifier(train, Averaging.MICRO).fractions == prevalence_of(
-            train.labels(), train.scale
+            train.labels.values(), train.scale
         ).fractions
 
     def test_errors(self):
@@ -92,6 +92,6 @@ class TestMlQuantifier:
     def test_macro_sums_to_one(self):
         a = dataset_from_counts(Scale.FIVE_POINT, {0: 3, 1: 4}, topic="a")
         b = dataset_from_counts(Scale.FIVE_POINT, {-2: 1, 2: 6}, topic="b")
-        train = Dataset.build(Scale.FIVE_POINT, a.items + b.items)
+        train = Dataset.build(Scale.FIVE_POINT, rows(a, b))
         p = ml_quantifier(train, Averaging.MACRO)
         assert sum(p.fractions) == pytest.approx(1.0, abs=1e-12)

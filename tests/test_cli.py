@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts
+from conftest import dataset_from_counts, rows
 from topicsent.cli import main, round_display
 from topicsent.evaluate import SUBTASKS, Mode
 from topicsent.ingestion import serialize_dataset
@@ -45,8 +45,8 @@ class TestScore:
         d = write_dataset(gold, Scale.THREE_POINT, {1: 4, 0: 3, -1: 3})
         pred = tmp_path / "pred.tsv"
         with open(pred, "w") as f:
-            for it in d.items:
-                f.write(f"{it.id}\tNA\t0\n")
+            for item_id, _ in d.labels:
+                f.write(f"{item_id}\tNA\t0\n")
         code, out, _ = run(
             ["score", "--subtask", "A", "--gold", str(gold), "--pred", str(pred),
              "--format", "json"],
@@ -108,7 +108,7 @@ class TestBaseline:
             Scale.FIVE_POINT, {2: 1, 1: 154, 0: 335, -1: 117, -2: 2}, topic="b"
         )
         with open(gold, "w") as f:
-            serialize_dataset(Dataset.build(Scale.FIVE_POINT, a.items + b.items), f)
+            serialize_dataset(Dataset.build(Scale.FIVE_POINT, rows(a, b)), f)
         code, out, _ = run(
             ["baseline", "--subtask", "C", "--gold", str(gold),
              "--kind", "constant:0", "--pooled"],
@@ -190,7 +190,7 @@ class TestStatsCommand:
         a = dataset_from_counts(Scale.TWO_POINT, {1: 3}, topic="a")
         b = dataset_from_counts(Scale.TWO_POINT, {1: 9, -1: 3}, topic="b")
         with open(gold, "w") as f:
-            serialize_dataset(Dataset.build(Scale.TWO_POINT, a.items + b.items), f)
+            serialize_dataset(Dataset.build(Scale.TWO_POINT, rows(a, b)), f)
         code, out, _ = run(
             ["stats", "--subtask", "B", "--input", str(gold),
              "--min-size", "5", "--format", "json"],
@@ -208,8 +208,8 @@ class TestDeterminism:
         d = write_dataset(gold, Scale.TWO_POINT, {1: 5, -1: 5}, topic="x")
         pred = tmp_path / "pred.tsv"
         with open(pred, "w") as f:
-            for i, it in enumerate(d.items):
-                f.write(f"{it.id}\t{it.topic}\t{1 if i % 2 else -1}\n")
+            for i, (item_id, topic) in enumerate(d.labels):
+                f.write(f"{item_id}\t{topic}\t{1 if i % 2 else -1}\n")
         argv = ["score", "--subtask", "B", "--gold", str(gold), "--pred", str(pred),
                 "--format", "json", "--pooled"]
         _, out1, _ = run(argv, capsys)
@@ -256,6 +256,33 @@ class TestInputContract:
             )
             assert code == 0, err
             assert json.loads(out)["metrics"]["avgrec"] == 0.5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dedup", "--input", "IN", "--threshold", "2"],
+            ["dedup", "--input", "IN", "--threshold", "-1"],
+            ["dedup", "--input", "IN", "--threshold", "nan"],
+            ["dedup", "--input", "IN", "--threshold", "abc"],
+            ["stats", "--subtask", "B", "--input", "IN", "--min-size", "-5"],
+            ["stats", "--subtask", "Z", "--input", "IN"],
+            ["frobnicate", "--input", "IN"],
+            [],
+        ],
+    )
+    def test_bad_argument_exits_1_with_json(self, argv, tmp_path, capsys):
+        src = tmp_path / "in.tsv"
+        src.write_text("t1\tx\t1\ta b\nt2\tx\t1\ta b\n")
+        code, out, err = run([str(src) if a == "IN" else a for a in argv], capsys)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "INVALID_ARGUMENT"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: topicsent" in capsys.readouterr().out
 
     def test_non_utf8_input(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts
+from conftest import dataset_from_counts, rows
 from topicsent.baselines import constant_classifier, constant_quantifier, point_mass
 from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
 from topicsent.evaluate import SUBTASKS, Mode, evaluate, macroaverage
-from topicsent.model import Dataset, LabeledItem, Prevalence, Scale, prevalence_of
+from topicsent.model import Dataset, Prevalence, Scale, prevalence_of
 
 
 class TestSubtaskTable:
@@ -62,7 +62,7 @@ class TestSubtaskBC:
     def _two_topic_gold(self, scale, counts_a, counts_b):
         a = dataset_from_counts(scale, counts_a, topic="a")
         b = dataset_from_counts(scale, counts_b, topic="b")
-        return Dataset.build(scale, a.items + b.items)
+        return Dataset.build(scale, rows(a, b))
 
     def test_topics_required(self):
         gold = dataset_from_counts(Scale.TWO_POINT, {1: 2, -1: 2})
@@ -101,7 +101,7 @@ class TestQuantification:
         # per-topic values by checking aggregation on real metric outputs
         gold_a = dataset_from_counts(Scale.TWO_POINT, {1: 50, -1: 50}, topic="a")
         gold_b = dataset_from_counts(Scale.TWO_POINT, {1: 80, -1: 20}, topic="b")
-        gold = Dataset.build(Scale.TWO_POINT, gold_a.items + gold_b.items)
+        gold = Dataset.build(Scale.TWO_POINT, rows(gold_a, gold_b))
         preds = {
             "a": Prevalence(Scale.TWO_POINT, (0.3, 0.7)),
             "b": Prevalence(Scale.TWO_POINT, (0.5, 0.5)),
@@ -113,7 +113,7 @@ class TestQuantification:
 
     def test_perfect_quantifier(self):
         gold = dataset_from_counts(Scale.FIVE_POINT, {0: 5, 1: 5}, topic="x")
-        true_p = prevalence_of(gold.labels(), gold.scale)
+        true_p = prevalence_of(gold.labels.values(), gold.scale)
         report = evaluate(SUBTASKS["E"], gold, pred_prevalences={"x": true_p})
         assert report.metrics["emd"] == 0.0
 
@@ -132,8 +132,8 @@ class TestQuantification:
     def test_topic_order_does_not_matter(self):
         gold_a = dataset_from_counts(Scale.TWO_POINT, {1: 5, -1: 5}, topic="a")
         gold_b = dataset_from_counts(Scale.TWO_POINT, {1: 9, -1: 1}, topic="b")
-        fwd = Dataset.build(Scale.TWO_POINT, gold_a.items + gold_b.items)
-        rev = Dataset.build(Scale.TWO_POINT, gold_b.items + gold_a.items)
+        fwd = Dataset.build(Scale.TWO_POINT, rows(gold_a, gold_b))
+        rev = Dataset.build(Scale.TWO_POINT, rows(gold_b, gold_a))
         preds = constant_quantifier(["a", "b"], Prevalence(Scale.TWO_POINT, (0.4, 0.6)))
         r1 = evaluate(SUBTASKS["D"], fwd, pred_prevalences=preds)
         r2 = evaluate(SUBTASKS["D"], rev, pred_prevalences=preds)

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts
+from conftest import dataset_from_counts, rows
 from topicsent.errors import (
     DuplicateKey,
     EmptyText,
+    InvalidArgument,
     InvalidLabel,
     MalformedLine,
     NoTopics,
@@ -25,7 +26,7 @@ from topicsent.ingestion import (
     stats,
     topic_filter,
 )
-from topicsent.model import Dataset, LabeledItem, Scale
+from topicsent.model import Dataset, Scale
 
 
 def parse(text, subtask):
@@ -35,8 +36,7 @@ def parse(text, subtask):
 class TestParseDataset:
     def test_direct_parse(self):
         d = parse("t1\tTOPIC\tpositive\tsome text\n", "B")
-        item = d.items[0]
-        assert (item.id, item.topic, item.label, item.text) == ("t1", "TOPIC", 1, "some text")
+        assert dict(d.labels) == {("t1", "TOPIC"): 1}
 
     def test_invalid_label_carries_line(self):
         with pytest.raises(InvalidLabel) as exc:
@@ -57,14 +57,18 @@ class TestParseDataset:
         with pytest.raises(MalformedLine):
             parse("t1\tTOPIC\tpositive\n", "A")
 
-    def test_round_trip(self):
-        a = dataset_from_counts(Scale.FIVE_POINT, {-2: 2, 0: 3, 2: 1}, topic="x")
-        b = dataset_from_counts(Scale.FIVE_POINT, {1: 2, -1: 2}, topic="y")
-        d = Dataset.build(Scale.FIVE_POINT, a.items + b.items)
+    @given(st.data())
+    def test_round_trip(self, data):
+        spec = data.draw(st.sampled_from(list(SUBTASKS.values())))
+        word = st.text(alphabet="abcxyz019_-", min_size=1, max_size=4)
+        topic = word if spec.topic_based else st.none()
+        keyed = data.draw(st.dictionaries(st.tuples(word, topic), st.sampled_from(spec.scale.classes)))
+        d = Dataset.build(spec.scale, [(i, t, label) for (i, t), label in keyed.items()])
         buf = io.StringIO()
         serialize_dataset(d, buf)
         buf.seek(0)
-        assert parse_dataset(buf, SUBTASKS["C"]) == d
+        parsed = parse_dataset(buf, spec)
+        assert parsed == d and list(parsed.labels) == list(d.labels)
 
 
 class TestParsePrevalenceFile:
@@ -94,6 +98,11 @@ class TestParseAnnotations:
 
         with pytest.raises(TooFewAnnotators):
             parse_annotations(io.StringIO("t1\tx\t1\t1\t1\n"))
+
+    def test_empty_id(self):
+        with pytest.raises(MalformedLine) as exc:
+            parse_annotations(io.StringIO("t1\tx\t1\t1\t1\t0\t0\n \tx\t1\t1\t1\t0\t0\n"))
+        assert exc.value.line == 2
 
 
 class TestBowCosine:
@@ -144,6 +153,11 @@ class TestDedup:
         kept, _ = dedup([record(1, "a"), record(2, "a")], threshold=1.0)
         assert len(kept) == 2
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(InvalidArgument):
+            dedup([record(1, "a b")], threshold=threshold)
+
     @given(st.lists(st.text(alphabet="abcdef ", min_size=1).filter(str.strip), max_size=25))
     def test_idempotent(self, texts):
         records = [record(i, t) for i, t in enumerate(texts)]
@@ -156,14 +170,19 @@ class TestTopicFilter:
     def test_boundary(self):
         a = dataset_from_counts(Scale.TWO_POINT, {1: 99}, topic="small")
         b = dataset_from_counts(Scale.TWO_POINT, {1: 100}, topic="big")
-        d = Dataset.build(Scale.TWO_POINT, a.items + b.items)
+        d = Dataset.build(Scale.TWO_POINT, rows(a, b))
         out = topic_filter(d, min_size=100)
-        assert {it.topic for it in out.items} == {"big"}
+        assert {topic for _, topic in out.labels} == {"big"}
         assert len(out) == 100
 
     def test_min_size_one_is_identity(self):
         d = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 2}, topic="x")
         assert topic_filter(d, min_size=1) == d
+
+    def test_negative_min_size_rejected(self):
+        d = dataset_from_counts(Scale.TWO_POINT, {1: 3}, topic="x")
+        with pytest.raises(InvalidArgument):
+            topic_filter(d, min_size=-5)
 
     def test_requires_topics(self):
         d = dataset_from_counts(Scale.TWO_POINT, {1: 3})

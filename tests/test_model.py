@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts
+from conftest import dataset_from_counts, reference_class_counts, reference_join, rows
 from topicsent.errors import (
     DuplicateKey,
     EmptyInput,
@@ -16,7 +16,6 @@ from topicsent.errors import (
 from topicsent.model import (
     ConfusionMatrix,
     Dataset,
-    LabeledItem,
     Prevalence,
     Scale,
     confusion_tables,
@@ -50,23 +49,33 @@ class TestScale:
 
 class TestDataset:
     def test_duplicate_key_is_hard_error(self):
-        items = [LabeledItem("t1", "x", 1), LabeledItem("t1", "x", -1)]
+        items = [("t1", "x", 1), ("t1", "x", -1)]
         with pytest.raises(DuplicateKey):
             Dataset.build(Scale.TWO_POINT, items)
 
     def test_same_id_different_topic_allowed(self):
-        items = [LabeledItem("t1", "x", 1), LabeledItem("t1", "y", -1)]
+        items = [("t1", "x", 1), ("t1", "y", -1)]
         d = Dataset.build(Scale.TWO_POINT, items)
         assert len(d) == 2 and d.has_topics
 
     def test_mixed_topic_presence_rejected(self):
-        items = [LabeledItem("t1", "x", 1), LabeledItem("t2", None, -1)]
+        items = [("t1", "x", 1), ("t2", None, -1)]
         with pytest.raises(NoTopics):
             Dataset.build(Scale.TWO_POINT, items)
 
     def test_label_outside_scale_rejected(self):
         with pytest.raises(InvalidLabel):
-            Dataset.build(Scale.TWO_POINT, [LabeledItem("t1", None, 0)])
+            Dataset.build(Scale.TWO_POINT, [("t1", None, 0)])
+
+    def test_empty_id_rejected(self):
+        with pytest.raises(InvalidLabel):
+            Dataset.build(Scale.TWO_POINT, [("t1", "x", 1), ("", "x", -1)])
+
+    def test_labels_keyed_in_input_order_and_read_only(self):
+        d = Dataset.build(Scale.TWO_POINT, [("t2", "x", 1), ("t1", "x", -1)])
+        assert list(d.labels.items()) == [(("t2", "x"), 1), (("t1", "x"), -1)]
+        with pytest.raises(TypeError):
+            d.labels["t3", "x"] = 1
 
 
 class TestAlign:
@@ -75,11 +84,11 @@ class TestAlign:
     def test_direct_pairing(self):
         gold = Dataset.build(
             Scale.TWO_POINT,
-            [LabeledItem("t1", None, 1), LabeledItem("t2", None, -1)],
+            [("t1", None, 1), ("t2", None, -1)],
         )
         pred = Dataset.build(
             Scale.TWO_POINT,
-            [LabeledItem("t1", None, 1), LabeledItem("t2", None, 1)],
+            [("t1", None, 1), ("t2", None, 1)],
         )
         tables, ignored = confusion_tables(gold, pred)
         assert list(tables) == [None] and ignored == 0
@@ -87,24 +96,24 @@ class TestAlign:
         assert tables[None].counts == ((0, 1), (0, 1))
 
     def test_missing_prediction(self):
-        gold = Dataset.build(Scale.TWO_POINT, [LabeledItem("t1", None, 1)])
+        gold = Dataset.build(Scale.TWO_POINT, [("t1", None, 1)])
         pred = Dataset.build(Scale.TWO_POINT, [])
         with pytest.raises(MissingPrediction):
             confusion_tables(gold, pred)
 
     def test_extra_predictions_ignored_with_count(self):
-        gold = Dataset.build(Scale.TWO_POINT, [LabeledItem("t1", None, 1)])
+        gold = Dataset.build(Scale.TWO_POINT, [("t1", None, 1)])
         pred = Dataset.build(
             Scale.TWO_POINT,
-            [LabeledItem("t1", None, 1), LabeledItem("t9", None, -1)],
+            [("t1", None, 1), ("t9", None, -1)],
         )
         tables, ignored = confusion_tables(gold, pred)
         assert tables[None].total == 1
         assert ignored == 1
 
     def test_scale_mismatch(self):
-        gold = Dataset.build(Scale.TWO_POINT, [LabeledItem("t1", None, 1)])
-        pred = Dataset.build(Scale.THREE_POINT, [LabeledItem("t1", None, 1)])
+        gold = Dataset.build(Scale.TWO_POINT, [("t1", None, 1)])
+        pred = Dataset.build(Scale.THREE_POINT, [("t1", None, 1)])
         with pytest.raises(ScaleMismatch):
             confusion_tables(gold, pred)
 
@@ -116,9 +125,9 @@ class TestGroupByTopic:
         d = Dataset.build(
             Scale.TWO_POINT,
             [
-                LabeledItem("t1", "a", 1),
-                LabeledItem("t2", "a", -1),
-                LabeledItem("t3", "b", 1),
+                ("t1", "a", 1),
+                ("t2", "a", -1),
+                ("t3", "b", 1),
             ],
         )
         assert topic_class_counts(d) == {"a": (1, 1), "b": (0, 1)}
@@ -127,10 +136,10 @@ class TestGroupByTopic:
         d = Dataset.build(
             Scale.TWO_POINT,
             [
-                LabeledItem("t1", "b", 1),
-                LabeledItem("t2", "a", 1),
-                LabeledItem("t3", "b", -1),
-                LabeledItem("t4", "a", -1),
+                ("t1", "b", 1),
+                ("t2", "a", 1),
+                ("t3", "b", -1),
+                ("t4", "a", -1),
             ],
         )
         assert list(topic_class_counts(d)) == ["a", "b"]
@@ -152,11 +161,48 @@ class TestGroupByTopic:
 
         gold = dataset_from_counts(Scale.TWO_POINT, {1: 4, -1: 3}, topic="a")
         gold2 = dataset_from_counts(Scale.TWO_POINT, {1: 2}, topic="b")
-        merged = Dataset.build(Scale.TWO_POINT, gold.items + gold2.items)
+        merged = Dataset.build(Scale.TWO_POINT, rows(gold, gold2))
         tables, _ = confusion_tables(merged, constant_classifier(merged, 1))
         assert sum(t.total for t in tables.values()) == len(merged)
         pooled = tables["a"] + tables["b"]
         assert pooled.counts == ((0, 3), (0, 6))
+
+
+@st.composite
+def gold_and_pred(draw):
+    """Gold and prediction datasets on one scale that share every gold
+    (id, topic) key; the predictions may hold extra keys. Ids repeat across
+    topics; the data is either topicless or spread over several topics."""
+    scale = draw(st.sampled_from(list(Scale)))
+    topics = draw(st.sampled_from([[None], ["a", "b", "c"]]))
+    keys = st.tuples(st.sampled_from(["t1", "t2", "t3", "t4", "t5"]), st.sampled_from(topics))
+    label = st.sampled_from(scale.classes)
+    gold = draw(st.dictionaries(keys, label, min_size=1))
+    extra = draw(st.dictionaries(keys.filter(lambda k: k not in gold), label))
+    pred = [(k, draw(label)) for k in gold] + list(extra.items())
+    pred = draw(st.permutations(pred))
+    return (
+        Dataset.build(scale, [(i, t, c) for (i, t), c in gold.items()]),
+        Dataset.build(scale, [(i, t, c) for (i, t), c in pred]),
+    )
+
+
+class TestReferenceJoin:
+    """confusion_tables and topic_class_counts against per-row references."""
+
+    @given(gold_and_pred())
+    def test_confusion_tables(self, data):
+        gold, pred = data
+        assert confusion_tables(gold, pred) == reference_join(gold, pred)
+
+    @given(gold_and_pred())
+    def test_topic_class_counts(self, data):
+        gold, _ = data
+        if gold.has_topics:
+            assert topic_class_counts(gold) == reference_class_counts(gold)
+        else:
+            with pytest.raises(NoTopics):
+                topic_class_counts(gold)
 
 
 class TestPrevalence:

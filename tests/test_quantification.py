@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 try:
@@ -46,16 +46,20 @@ class TestSmooth:
         assert s.fractions[0] == pytest.approx(0.255 / 1.01)
         assert s.fractions[1] == pytest.approx(0.755 / 1.01)
 
+    # Smoothing is strictly increasing in exact arithmetic, but rounding can
+    # merge fractions a few ulps apart (this example ties 0.01 and its
+    # successor), so the rounded result keeps the order only weakly.
+    @example(raw=[1.0, 1.0, 1.0, 0.010000000000000002, 0.01])
     @given(st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5))
     def test_preserves_order_and_argmax(self, raw):
         total = sum(raw)
         p = prev5(*(x / total for x in raw))
         s = smooth(p, EPS)
-        order = sorted(range(5), key=lambda i: p.fractions[i])
-        assert order == sorted(range(5), key=lambda i: s.fractions[i])
-        assert max(range(5), key=lambda i: p.fractions[i]) == max(
-            range(5), key=lambda i: s.fractions[i]
-        )
+        for i in range(5):
+            for j in range(5):
+                if p.fractions[i] <= p.fractions[j]:
+                    assert s.fractions[i] <= s.fractions[j]
+        assert s.fractions[max(range(5), key=lambda i: p.fractions[i])] == max(s.fractions)
         assert abs(sum(s.fractions) - 1.0) < 1e-12
         assert all(f > 0 for f in s.fractions)
 
