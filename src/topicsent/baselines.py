@@ -5,7 +5,6 @@ class distribution."""
 from __future__ import annotations
 
 from enum import Enum
-from types import MappingProxyType
 from typing import Iterable
 
 from .errors import EmptyInput, ScaleMismatch
@@ -21,7 +20,7 @@ def constant_classifier(gold: Dataset, c: int) -> Dataset:
     """Predictions labeling every gold item as class c."""
     if c not in gold.scale.classes:
         raise ScaleMismatch(f"class {c!r} not in scale {gold.scale.name}")
-    return Dataset(gold.scale, MappingProxyType(dict.fromkeys(gold.labels, c)))
+    return Dataset(gold.scale, dict.fromkeys(gold.labels, c))
 
 
 def constant_quantifier(topics: Iterable[str], p: Prevalence) -> dict[str, Prevalence]:

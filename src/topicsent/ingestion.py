@@ -16,7 +16,6 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import IO, Iterable, Iterator
 
 from .annotation import CrowdAnnotation
@@ -81,7 +80,7 @@ def parse_dataset(stream: IO[str], spec: SubtaskSpec) -> Dataset:
             raise DuplicateKey(f"duplicate (id, topic) pair {key}", line=n)
         labels[key] = label
     # every row passed the scale, topic-rule and uniqueness checks above
-    return Dataset(spec.scale, MappingProxyType(labels))
+    return Dataset(spec.scale, labels)
 
 
 def serialize_dataset(d: Dataset, stream: IO[str]) -> None:
@@ -252,7 +251,7 @@ def topic_filter(d: Dataset, min_size: int = 100) -> Dataset:
         raise NoTopics("topic filtering requires topics")
     sizes = Counter(topic for _, topic in d.labels)
     labels = {key: label for key, label in d.labels.items() if sizes[key[1]] >= min_size}
-    return Dataset(d.scale, MappingProxyType(labels))
+    return Dataset(d.scale, labels)
 
 
 @dataclass

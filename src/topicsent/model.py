@@ -85,6 +85,9 @@ class Dataset:
     scale: Scale
     labels: Mapping[tuple[str, str | None], int]
 
+    def __post_init__(self):
+        object.__setattr__(self, "labels", MappingProxyType(self.labels))
+
     @classmethod
     def build(cls, scale: Scale, rows: Iterable[tuple[str, str | None, int]]) -> "Dataset":
         """Builds a dataset from (id, topic, label) rows."""
@@ -99,7 +102,7 @@ class Dataset:
             labels[key] = label
         if len({topic is None for _, topic in labels}) > 1:
             raise NoTopics("items must either all carry a topic or none")
-        return cls(scale, MappingProxyType(labels))
+        return cls(scale, labels)
 
     @property
     def has_topics(self) -> bool:
@@ -193,15 +196,14 @@ def confusion_tables(
         )
     index = {c: i for i, c in enumerate(gold.scale.classes)}
     k = len(index)
-    predicted = pred.labels
     cells: dict[str | None, list[list[int]]] = defaultdict(lambda: [[0] * k for _ in range(k)])
     for key, label in gold.labels.items():
-        if key not in predicted:
+        if key not in pred.labels:
             raise MissingPrediction(*key)
-        cells[key[1]][index[label]][index[predicted[key]]] += 1
+        cells[key[1]][index[label]][index[pred.labels[key]]] += 1
     tables = {t: ConfusionMatrix(gold.scale, tuple(map(tuple, cells[t]))) for t in sorted(cells)}
     # (id, topic) keys are unique on both sides and every gold key matched
-    return tables, len(predicted) - len(gold.labels)
+    return tables, len(pred.labels) - len(gold.labels)
 
 
 def topic_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:

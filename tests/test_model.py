@@ -77,6 +77,11 @@ class TestDataset:
         with pytest.raises(TypeError):
             d.labels["t3", "x"] = 1
 
+    def test_direct_construction_is_read_only(self):
+        d = Dataset(Scale.TWO_POINT, {("t1", None): 1})
+        with pytest.raises(TypeError):
+            d.labels["t2", None] = -1
+
 
 class TestAlign:
     """Joining predictions onto gold by (id, topic) into confusion matrices."""
