@@ -6,7 +6,7 @@ from .baselines import Averaging, constant_classifier, constant_quantifier, ml_q
 from .classification import accuracy, avg_rec, class_f1, class_recall, f1_pn
 from .errors import ScoringError
 from .evaluate import SUBTASKS, Mode, ScoreReport, SubtaskSpec, evaluate, macroaverage
-from .ingestion import bow_cosine, dedup, parse_dataset, stats, topic_filter
+from .ingestion import dedup, parse_dataset, stats, topic_filter
 from .model import (
     ConfusionMatrix,
     Dataset,

@@ -17,6 +17,7 @@ values on imbalanced data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -66,10 +67,11 @@ class ScoreReport:
 
 
 def macroaverage(values: Mapping[str, float]) -> float:
-    """Unweighted arithmetic mean over topics."""
+    """Unweighted arithmetic mean over topics; the sum is correctly rounded,
+    so topic order cannot change it."""
     if not values:
         raise EmptyInput("cannot macroaverage an empty topic map")
-    return sum(values.values()) / len(values)
+    return math.fsum(values.values()) / len(values)
 
 
 def _macroaverage_metrics(per_topic: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
@@ -192,7 +194,7 @@ def _evaluate_quantification(
         n_total = len(gold)
         weights = {t: sum(c) / n_total for t, c in counts_by_topic.items()}
         mixed = tuple(
-            sum(weights[t] * pred_prevalences[t].fractions[i] for t in counts_by_topic)
+            math.fsum(weights[t] * pred_prevalences[t].fractions[i] for t in counts_by_topic)
             for i in range(len(gold.scale.classes))
         )
         pooled_pred = Prevalence(gold.scale, mixed)

@@ -197,47 +197,60 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def bow(text: str) -> Counter:
-    return Counter(tokenize(text))
-
-
-def bow_cosine(a: str, b: str) -> float:
-    """Cosine similarity of term-frequency vectors."""
-    va, vb = bow(a), bow(b)
-    if not va or not vb:
-        raise EmptyText("text has no tokens")
-    dot = sum(va[t] * vb[t] for t in va.keys() & vb.keys())
-    norm = math.sqrt(sum(c * c for c in va.values())) * math.sqrt(
-        sum(c * c for c in vb.values())
-    )
-    return dot / norm
-
-
 def dedup(
     records: list[RawTweetRecord], threshold: float = 0.6
 ) -> tuple[list[RawTweetRecord], list[tuple[RawTweetRecord, RawTweetRecord]]]:
-    """Greedy near-duplicate scan in input order: a record is dropped iff its
-    bag-of-words cosine to some already-kept record strictly exceeds the
-    threshold, which must lie in [0, 1]. Returns (kept, removed-with-collision)."""
+    """Greedy near-duplicate scan in input order: a record is dropped iff the
+    bag-of-words cosine ``dot / (norm * onorm)`` to some already-kept record
+    strictly exceeds the threshold, which must lie in [0, 1]; its collider is
+    the earliest such kept record. Returns (kept, removed-with-collision).
+
+    Exact symmetric prefix filter (Bayardo, Ma & Srikant 2007): tokens are
+    ranked rarest first, and a record's prefix is its leading tokens up to the
+    point where the rest holds less than ``threshold`` of its norm. If two
+    prefixes share no token, every shared token lies in one record's rest, so
+    by Cauchy-Schwarz their cosine is below the threshold; only kept records
+    sharing a prefix token are compared."""
     if not 0.0 <= threshold <= 1.0:  # also rejects NaN
         raise InvalidArgument(f"threshold must be in [0, 1], got {threshold!r}")
+    df: Counter = Counter()
+    for rec in records:
+        tokens = set(tokenize(rec.text))
+        if not tokens:
+            raise EmptyText(f"record {rec.id} has no tokens")
+        df.update(tokens)
+    rank = {tok: i for i, tok in enumerate(sorted(df, key=lambda t: (df[t], t)))}
+    del df
+    # the slack keeps float rounding in the cut from dropping a true collider
+    cut = (threshold * (1 - 1e-9)) ** 2
     kept: list[RawTweetRecord] = []
-    kept_vecs: list[tuple[Counter, float]] = []
+    kept_vecs: list[tuple[Counter, float, bool]] = []
+    index: dict[int, list[int]] = {}  # prefix token rank -> kept indices, ascending
     removed: list[tuple[RawTweetRecord, RawTweetRecord]] = []
     for rec in records:
-        vec = bow(rec.text)
-        if not vec:
-            raise EmptyText(f"record {rec.id} has no tokens")
-        norm = math.sqrt(sum(c * c for c in vec.values()))
+        vec = Counter(map(rank.__getitem__, tokenize(rec.text)))
+        sq = sum(c * c for c in vec.values())
+        norm, binary = math.sqrt(sq), len(vec) == sq
+        prefix, rest, bound = [], sq, cut * sq
+        for tok in sorted(vec):
+            if rest < bound:
+                break
+            prefix.append(tok)
+            rest -= vec[tok] ** 2
+        j = len(kept)
         collided = None
-        for other, (ovec, onorm) in zip(kept, kept_vecs):
-            dot = sum(vec[t] * ovec[t] for t in vec.keys() & ovec.keys())
+        for k in sorted(set().union(*(index.get(tok, ()) for tok in prefix))):
+            ovec, onorm, obinary = kept_vecs[k]
+            shared = vec.keys() & ovec.keys()
+            dot = len(shared) if binary and obinary else sum(vec[t] * ovec[t] for t in shared)
             if dot / (norm * onorm) > threshold:
-                collided = other
+                collided = kept[k]
                 break
         if collided is None:
             kept.append(rec)
-            kept_vecs.append((vec, norm))
+            kept_vecs.append((vec, norm, binary))
+            for tok in prefix:
+                index.setdefault(tok, []).append(j)
         else:
             removed.append((rec, collided))
     return kept, removed

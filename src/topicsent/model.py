@@ -35,6 +35,8 @@ _NAME_TO_INT = {
     "HIGHLYNEGATIVE": -2,
 }
 _INT_TO_NAME = {v: k for k, v in _NAME_TO_INT.items()}
+# The usual surface forms, uppercased, so that parsing them raises nothing.
+_SURFACE_FORMS = {**_NAME_TO_INT, **{str(v): v for v in _NAME_TO_INT.values()}}
 
 
 class Scale(Enum):
@@ -57,11 +59,11 @@ class Scale(Enum):
     def parse_label(self, raw: str, *, line: int | None = None) -> int:
         """Accepts integer surface forms and canonical names, case-insensitive."""
         text = raw.strip()
-        try:
-            label = int(text)
-        except ValueError:
-            label = _NAME_TO_INT.get(text.upper())
-            if label is None:
+        label = _SURFACE_FORMS.get(text.upper())
+        if label is None:
+            try:
+                label = int(text)
+            except ValueError:
                 raise InvalidLabel(f"unrecognized label {raw!r}", line=line) from None
         if label not in self.value:
             raise InvalidLabel(

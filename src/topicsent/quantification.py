@@ -51,7 +51,9 @@ def kld(pred: Prevalence, true_p: Prevalence, cfg: SmoothingConfig) -> float:
     _check_scales(pred, true_p)
     ps = smooth(true_p, cfg).fractions
     qs = smooth(pred, cfg).fractions
-    return sum(p * math.log(p / q) for p, q in zip(ps, qs))
+    # smoothed fractions need not sum to exactly 1 in floats, which can push
+    # the sum of two near-equal distributions a few ulps below zero
+    return max(0.0, sum(p * math.log(p / q) for p, q in zip(ps, qs)))
 
 
 def ae(pred: Prevalence, true_p: Prevalence) -> float:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import count
 from typing import Iterable, Mapping
 
+from topicsent.errors import EmptyText
+from topicsent.ingestion import RawTweetRecord, tokenize
 from topicsent.model import ConfusionMatrix, Dataset, Scale, confusion_tables
 
 _ids = count()
@@ -71,3 +74,43 @@ def reference_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:
         )
         for topic in topics
     }
+
+
+def bow_cosine(a: str, b: str) -> float:
+    """Cosine similarity of two texts' term-frequency vectors."""
+    va, vb = Counter(tokenize(a)), Counter(tokenize(b))
+    if not va or not vb:
+        raise EmptyText("text has no tokens")
+    dot = sum(va[t] * vb[t] for t in va.keys() & vb.keys())
+    norm = math.sqrt(sum(c * c for c in va.values())) * math.sqrt(
+        sum(c * c for c in vb.values())
+    )
+    return dot / norm
+
+
+def reference_dedup(
+    records: list[RawTweetRecord], threshold: float = 0.6
+) -> tuple[list[RawTweetRecord], list[tuple[RawTweetRecord, RawTweetRecord]]]:
+    """Pairwise reference for dedup: each record is compared with every kept
+    record in order, and is removed with the first one whose cosine strictly
+    exceeds the threshold."""
+    kept: list[RawTweetRecord] = []
+    kept_vecs: list[tuple[Counter, float]] = []
+    removed: list[tuple[RawTweetRecord, RawTweetRecord]] = []
+    for rec in records:
+        vec = Counter(tokenize(rec.text))
+        if not vec:
+            raise EmptyText(f"record {rec.id} has no tokens")
+        norm = math.sqrt(sum(c * c for c in vec.values()))
+        collided = None
+        for other, (ovec, onorm) in zip(kept, kept_vecs):
+            dot = sum(vec[t] * ovec[t] for t in vec.keys() & ovec.keys())
+            if dot / (norm * onorm) > threshold:
+                collided = other
+                break
+        if collided is None:
+            kept.append(rec)
+            kept_vecs.append((vec, norm))
+        else:
+            removed.append((rec, collided))
+    return kept, removed

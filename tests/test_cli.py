@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -320,6 +321,35 @@ def test_score_arbitrary_bytes_exits_0_or_1(subtask, gold, pred):
         assert "error" in json.loads(lines[0])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dedup", "--removed", "{tmp}/removed"],
+        ["dedup", "--threshold", "0"],
+        ["dedup", "--threshold", "1"],
+        ["consolidate"],
+        *(["stats", "--subtask", subtask] for subtask in sorted(SUBTASKS)),
+        ["stats", "--subtask", "C", "--min-size", "2", "--format", "tsv"],
+    ],
+    ids=lambda argv: "-".join(argv).replace("{tmp}/", ""),
+)
+@settings(deadline=None)
+@given(data=_files)
+def test_other_commands_arbitrary_bytes_exit_0_or_1(argv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        in_path, out_path = Path(tmp, "in"), Path(tmp, "out")
+        in_path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([a.replace("{tmp}", tmp) for a in argv]
+                        + ["--input", str(in_path), "--output", str(out_path)])
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])
+
+
 @st.composite
 def _scored_files(draw, subtask):
     """Valid gold and prediction rows for one subtask, as text lines."""
@@ -360,3 +390,49 @@ def test_row_order_does_not_change_report(subtask, data):
             assert code == 0
             reports.append(paths[2].read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("subtask", ["C", "E"])
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_reversed_topic_names_do_not_change_report(subtask, data):
+    """Renaming the topics so that their sorted order reverses gives the same
+    report once the names are mapped back: macro means are exact sums."""
+    spec = SUBTASKS[subtask]
+    classes = spec.scale.classes
+    n = data.draw(st.integers(2, 30))
+    label = st.sampled_from(classes)
+    topics = [data.draw(st.lists(st.tuples(label, label), min_size=1, max_size=6))
+              for _ in range(n)]
+    weights = [data.draw(st.lists(st.integers(0, 9), min_size=len(classes),
+                                  max_size=len(classes)).filter(any)) for _ in range(n)]
+    names = [f"t{i:02d}" for i in range(n)]
+    reversed_names = names[::-1]
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, name in enumerate([names, reversed_names]):
+            gold = [f"id{i}.{j}\t{name[i]}\t{g}"
+                    for i, pairs in enumerate(topics) for j, (g, _) in enumerate(pairs)]
+            if spec.mode is Mode.CLASSIFICATION:
+                pred = [f"id{i}.{j}\t{name[i]}\t{p}"
+                        for i, pairs in enumerate(topics) for j, (_, p) in enumerate(pairs)]
+            else:
+                pred = [f"{name[i]}\t{c}\t{w / sum(ws)!r}"
+                        for i, ws in enumerate(weights) for c, w in zip(classes, ws)]
+            paths = [Path(tmp, f"{kind}{k}") for kind in ("gold", "pred", "out")]
+            paths[0].write_text("".join(line + "\n" for line in gold), encoding="utf-8")
+            paths[1].write_text("".join(line + "\n" for line in pred), encoding="utf-8")
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["score", "--subtask", subtask, "--gold", str(paths[0]),
+                             "--pred", str(paths[1]), "--pooled", "--format", "json",
+                             "--output", str(paths[2])])
+            assert code == 0
+            reports.append(paths[2].read_text(encoding="utf-8"))
+    back = dict(zip(reversed_names, names))
+    payload = json.loads(reports[1])
+    payload["per_topic"] = {back[t]: m for t, m in payload["per_topic"].items()}
+    # warnings name topics and come in topic order: "topic t07: ..."
+    payload["warnings"] = sorted(
+        re.sub(r"t\d\d", lambda m: back[m.group()], w) for w in payload["warnings"]
+    )
+    assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == reports[0]

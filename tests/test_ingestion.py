@@ -1,10 +1,11 @@
 import io
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts, rows
+from conftest import bow_cosine, dataset_from_counts, reference_dedup, rows
 from topicsent.errors import (
     DuplicateKey,
     EmptyText,
@@ -16,7 +17,6 @@ from topicsent.errors import (
 from topicsent.evaluate import SUBTASKS
 from topicsent.ingestion import (
     RawTweetRecord,
-    bow_cosine,
     dedup,
     parse_annotations,
     parse_dataset,
@@ -164,6 +164,66 @@ class TestDedup:
         kept, _ = dedup(records)
         kept2, removed2 = dedup(kept)
         assert kept2 == kept and not removed2
+
+
+def assert_matches_reference(records, threshold):
+    kept, removed = dedup(records, threshold)
+    ref_kept, ref_removed = reference_dedup(records, threshold)
+    assert [r.id for r in kept] == [r.id for r in ref_kept]
+    assert [(r.id, hit.id) for r, hit in removed] == [(r.id, hit.id) for r, hit in ref_removed]
+
+
+_TEXT = st.lists(st.sampled_from("a b c d e f".split()), min_size=1, max_size=8).map(" ".join)
+_THRESHOLD = st.sampled_from([0.0, 1.0, 2**-0.5, 0.6]) | st.floats(0.0, 1.0)
+
+# The second text is the first without its three rare tokens. Their cosine,
+# sqrt(18/21), lies just below this threshold, but the float expression
+# rounds above it, so only a prefix cut with slack finds the pair.
+_SHARED = " ".join(f"s{i}" for i in range(18))
+_SLACK_CASE = dict(
+    pool=[f"r0 r1 r2 {_SHARED}", _SHARED], picks=[0, 1], threshold=0.9258200997725515
+)
+
+
+class TestDedupMatchesReference:
+    @settings(max_examples=300)
+    @given(
+        pool=st.lists(_TEXT, min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), max_size=30),
+        threshold=_THRESHOLD,
+    )
+    @example(**_SLACK_CASE)
+    @example(pool=["a b c", "a"], picks=[0, 0, 1, 1], threshold=1.0)
+    def test_small_corpora(self, pool, picks, threshold):
+        # picks index the pool, so exact duplicate texts are common
+        records = [record(i, pool[p % len(pool)]) for i, p in enumerate(picks)]
+        assert_matches_reference(records, threshold)
+
+    def test_slack_case_removes_the_pair(self):
+        records = [record(i, text) for i, text in enumerate(_SLACK_CASE["pool"])]
+        kept, removed = dedup(records, _SLACK_CASE["threshold"])
+        assert [r.id for r in kept] == ["t0"]
+        assert [(r.id, hit.id) for r, hit in removed] == [("t1", "t0")]
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.6, 0.9])
+    def test_seeded_corpus(self, threshold):
+        rng = random.Random(2007)
+        vocab = [f"w{i}" for i in range(300)]
+        weights = [1 / (rank + 1) for rank in range(len(vocab))]
+        texts: list[list[str]] = []
+        for _ in range(1_500):
+            if texts and rng.random() < 0.15:
+                # an edited copy of an earlier record
+                words = list(rng.choice(texts))
+                if rng.random() < 0.5 and len(words) > 1:
+                    del words[rng.randrange(len(words))]
+                else:
+                    words.insert(rng.randrange(len(words) + 1), rng.choice(vocab))
+            else:
+                words = rng.choices(vocab, weights, k=rng.randint(3, 14))
+            texts.append(words)
+        records = [record(i, " ".join(words)) for i, words in enumerate(texts)]
+        assert_matches_reference(records, threshold)
 
 
 class TestTopicFilter:

@@ -46,6 +46,29 @@ class TestScale:
         with pytest.raises(InvalidLabel):
             Scale.THREE_POINT.parse_label("great")
 
+    @pytest.mark.parametrize("scale", list(Scale))
+    def test_parse_label_names_and_integers_agree(self, scale):
+        for c in scale.classes:
+            name = scale.class_name(c)
+            forms = [str(c), f" {c} ", name, name.lower(), f" {name.title()}\t"]
+            assert [scale.parse_label(raw) for raw in forms] == [c] * len(forms)
+
+    @pytest.mark.parametrize(
+        "scale,raw,message",
+        [
+            (Scale.THREE_POINT, "great", "line 7: unrecognized label 'great'"),
+            (Scale.FIVE_POINT, "", "line 7: unrecognized label ''"),
+            (Scale.TWO_POINT, "neutral", "line 7: label 'neutral' invalid on scale TWO_POINT"),
+            (Scale.THREE_POINT, " 2 ", "line 7: label ' 2 ' invalid on scale THREE_POINT"),
+            (Scale.THREE_POINT, "HighlyPositive",
+             "line 7: label 'HighlyPositive' invalid on scale THREE_POINT"),
+        ],
+    )
+    def test_parse_label_errors(self, scale, raw, message):
+        with pytest.raises(InvalidLabel) as exc:
+            scale.parse_label(raw, line=7)
+        assert str(exc.value) == message and exc.value.line == 7
+
 
 class TestDataset:
     def test_duplicate_key_is_hard_error(self):

@@ -96,6 +96,14 @@ class TestKld:
         p, q = random_prev5(rng), random_prev5(rng)
         assert kld(q, p, EPS) >= 0.0
 
+    def test_near_equal_distributions_not_negative(self):
+        # the unclamped sum is -9.2e-17 here
+        pred = prev5(0.33333333303703705, 4.4444444345679015e-10, 0.33333333303703705,
+                     0.33333333303703705, 4.4444444345679015e-10)
+        true_p = prev5(0.3333333328888889, 6.666666644444445e-10, 0.3333333328888889,
+                       0.3333333328888889, 6.666666644444445e-10)
+        assert kld(pred, true_p, EPS) == 0.0
+
 
 class TestAe:
     def test_identity(self):
