@@ -18,8 +18,8 @@ from typing import IO
 from . import baselines, ingestion
 from .annotation import consolidate
 from .errors import InvalidArgument, InvalidLabel, ScoringError
-from .evaluate import SUBTASKS, Mode, ScoreReport, SubtaskSpec, evaluate
-from .model import Prevalence, Scale
+from .evaluate import SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report, evaluate
+from .model import Prevalence, Scale, join_rows
 
 
 def round_display(x: float, digits: int = 3) -> float:
@@ -93,19 +93,24 @@ def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _load_predictions(spec: SubtaskSpec, path: str):
-    with _open_in(path) as f:
-        if spec.mode is Mode.CLASSIFICATION:
-            return {"pred_labels": ingestion.parse_dataset(f, spec)}
-        return {"pred_prevalences": ingestion.parse_prevalence_file(f, spec.scale)}
-
-
 def cmd_score(args) -> int:
+    """Holds the gold file in memory; for classification, streams the
+    prediction file through the join, so its rows never form a map. Errors
+    come from the gold file first, then the prediction file, then missing
+    predictions."""
     spec = SUBTASKS[args.subtask]
-    with _open_in(args.gold) as f:
-        gold = ingestion.parse_dataset(f, spec)
-    preds = _load_predictions(spec, args.pred)
-    report = evaluate(spec, gold, pooled=args.pooled, **preds)
+    if spec.mode is Mode.CLASSIFICATION:
+        with _open_in(args.gold) as f:
+            gold = ingestion.parse_labels(f, spec)
+        with _open_in(args.pred) as f:
+            tables, n_ignored = join_rows(spec.scale, gold, ingestion.label_rows(f, spec))
+        report = classification_report(spec, tables, n_ignored, args.pooled)
+    else:
+        with _open_in(args.gold) as f:
+            gold = ingestion.parse_dataset(f, spec)
+        with _open_in(args.pred) as f:
+            pred = ingestion.parse_prevalence_file(f, spec.scale)
+        report = evaluate(spec, gold, pred_prevalences=pred, pooled=args.pooled)
     with _open_out(args.output) as out:
         _emit_report(report, args.format, out)
     return 0

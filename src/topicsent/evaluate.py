@@ -118,17 +118,21 @@ def evaluate(
     if spec.mode is Mode.CLASSIFICATION:
         if pred_labels is None:
             raise EmptyInput(f"subtask {spec.id} requires predicted labels")
-        return _evaluate_classification(spec, gold, pred_labels, pooled)
+        return classification_report(spec, *confusion_tables(gold, pred_labels), pooled)
     if pred_prevalences is None:
         raise EmptyInput(f"subtask {spec.id} requires predicted prevalences")
     return _evaluate_quantification(spec, gold, pred_prevalences, pooled)
 
 
-def _evaluate_classification(
-    spec: SubtaskSpec, gold: Dataset, pred: Dataset, pooled: bool
+def classification_report(
+    spec: SubtaskSpec,
+    tables: Mapping[str | None, ConfusionMatrix],
+    n_ignored: int,
+    pooled: bool,
 ) -> ScoreReport:
+    """Scores a classification subtask from the per-topic confusion tables
+    of a join and its count of ignored prediction rows."""
     warnings: list[str] = []
-    tables, n_ignored = confusion_tables(gold, pred)
     if n_ignored:
         warnings.append(f"{n_ignored} prediction rows not in gold were ignored")
     # the integer sum of the per-topic tables is exactly the pooled table
@@ -141,7 +145,8 @@ def _evaluate_classification(
         _warn_absent_classes(spec, table, None, warnings)
         return report
 
-    if not gold.has_topics:
+    # topics are all-or-none: a topicless gold set gives one table under None
+    if not tables or None in tables:
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
     per_topic: dict[str, dict[str, float]] = {}
     for topic, table in tables.items():

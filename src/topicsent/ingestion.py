@@ -48,7 +48,7 @@ class RawTweetRecord:
 
 def _lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
     for n, line in enumerate(stream, start=1):
-        line = line.rstrip("\n").rstrip("\r")
+        line = line.rstrip("\r\n")  # a line holds no "\n" before its end
         if line:
             yield n, line
 
@@ -58,29 +58,57 @@ def _parse_topic(raw: str) -> str | None:
     return None if topic == NO_TOPIC else topic
 
 
-def parse_dataset(stream: IO[str], spec: SubtaskSpec) -> Dataset:
-    """Parses a gold or prediction label file; every error carries its line
-    number. Duplicate (id, topic) rows are a hard error."""
-    labels: dict[tuple[str, str | None], int] = {}
+def label_rows(
+    stream: IO[str], spec: SubtaskSpec
+) -> Iterator[tuple[int, tuple[str, str | None], int]]:
+    """Yields each row of a gold or prediction label file as
+    ``(line, (id, topic), label)``; every error carries its line number.
+
+    Each distinct raw topic and label field is parsed and checked once, on
+    the first line that carries it, so an error names the same line as a
+    check of every row would, and rows share one string per topic."""
+    topics: dict[str, str | None] = {}
+    labels: dict[str, int] = {}
     for n, line in _lines(stream):
         fields = line.split("\t")
         if len(fields) < 3:
-            raise MalformedLine(f"expected at least 3 tab-separated fields", line=n)
+            raise MalformedLine("expected at least 3 tab-separated fields", line=n)
         item_id = fields[0].strip()
         if not item_id:
             raise MalformedLine("empty id field", line=n)
-        topic = _parse_topic(fields[1])
-        if spec.topic_based and topic is None:
-            raise MalformedLine(f"subtask {spec.id} requires a topic, got NA", line=n)
-        if not spec.topic_based and topic is not None:
-            raise MalformedLine(f"subtask {spec.id} expects topic NA", line=n)
-        label = spec.scale.parse_label(fields[2], line=n)
-        key = (item_id, topic)
+        raw_topic, raw_label = fields[1], fields[2]
+        try:
+            topic = topics[raw_topic]
+        except KeyError:
+            topic = _parse_topic(raw_topic)
+            if spec.topic_based and topic is None:
+                raise MalformedLine(f"subtask {spec.id} requires a topic, got NA", line=n) from None
+            if not spec.topic_based and topic is not None:
+                raise MalformedLine(f"subtask {spec.id} expects topic NA", line=n) from None
+            topics[raw_topic] = topic
+        try:
+            label = labels[raw_label]
+        except KeyError:
+            label = labels[raw_label] = spec.scale.parse_label(raw_label, line=n)
+        yield n, (item_id, topic), label
+
+
+def parse_labels(stream: IO[str], spec: SubtaskSpec) -> dict[tuple[str, str | None], int]:
+    """The (id, topic) -> label map of a label file, in file order; a
+    repeated (id, topic) pair is a hard error."""
+    labels: dict[tuple[str, str | None], int] = {}
+    for n, key, label in label_rows(stream, spec):
         if key in labels:
             raise DuplicateKey(f"duplicate (id, topic) pair {key}", line=n)
         labels[key] = label
-    # every row passed the scale, topic-rule and uniqueness checks above
-    return Dataset(spec.scale, labels)
+    return labels
+
+
+def parse_dataset(stream: IO[str], spec: SubtaskSpec) -> Dataset:
+    """Parses a gold or prediction label file; every error carries its line
+    number. Duplicate (id, topic) rows are a hard error."""
+    # every row passed the scale, topic-rule and uniqueness checks
+    return Dataset(spec.scale, parse_labels(stream, spec))
 
 
 def serialize_dataset(d: Dataset, stream: IO[str]) -> None:

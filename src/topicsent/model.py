@@ -3,7 +3,8 @@
 
 Labels are plain integers validated against a :class:`Scale`:
 two-point {-1, +1}, three-point {-1, 0, +1}, five-point {-2 .. +2}.
-All types are immutable after construction; operations are pure functions.
+All types are immutable after construction; operations are pure functions,
+except that :func:`join_rows` consumes the gold dict it is handed.
 """
 
 from __future__ import annotations
@@ -175,37 +176,58 @@ class Prevalence:
             raise EmptyInput("cannot compute prevalence of an empty label list")
         return cls(scale, tuple(c / n for c in counts))
 
-    def __getitem__(self, c: int) -> float:
-        return self.fractions[self.scale.classes.index(c)]
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(zip(self.scale.classes, self.fractions))
+_ABSENT = object()  # join_rows: key not in gold; None marks a matched gold key
 
 
 def confusion_tables(
     gold: Dataset, pred: Dataset
 ) -> tuple[dict[str | None, ConfusionMatrix], int]:
     """Joins predictions onto gold by (id, topic) and counts each topic's
-    gold/prediction class pairs. Topics come out sorted; data without topics
-    gives one table under the key None.
-
-    Also returns the number of prediction rows absent from gold, which are
-    ignored. A gold item without a prediction is an error.
-    """
+    gold/prediction class pairs; see :func:`join_rows`."""
     if gold.scale is not pred.scale:
         raise ScaleMismatch(
             f"gold scale {gold.scale.name} != prediction scale {pred.scale.name}"
         )
-    index = {c: i for i, c in enumerate(gold.scale.classes)}
+    return join_rows(
+        gold.scale, dict(gold.labels), ((None, key, label) for key, label in pred.labels.items())
+    )
+
+
+def join_rows(
+    scale: Scale,
+    gold: dict[tuple[str, str | None], int | None],
+    pred_rows: Iterable[tuple[int | None, tuple[str, str | None], int]],
+) -> tuple[dict[str | None, ConfusionMatrix], int]:
+    """Joins ``(line, (id, topic), label)`` prediction rows onto the gold
+    labels and counts each topic's gold/prediction class pairs. Topics come
+    out sorted; data without topics gives one table under the key None.
+    Also returns the number of prediction rows absent from gold, which are
+    ignored.
+
+    The join consumes ``gold``: a matched entry is set to None, so a repeated
+    prediction key raises DuplicateKey at its line without a second map.
+    After the rows, the first gold key without a prediction, in gold order,
+    raises MissingPrediction.
+    """
+    index = {c: i for i, c in enumerate(scale.classes)}
     k = len(index)
     cells: dict[str | None, list[list[int]]] = defaultdict(lambda: [[0] * k for _ in range(k)])
-    for key, label in gold.labels.items():
-        if key not in pred.labels:
+    ignored: set[tuple[str, str | None]] = set()
+    for n, key, label in pred_rows:
+        gold_label = gold.get(key, _ABSENT)
+        if gold_label is None or gold_label is _ABSENT and key in ignored:
+            raise DuplicateKey(f"duplicate (id, topic) pair {key}", line=n)
+        if gold_label is _ABSENT:
+            ignored.add(key)
+        else:
+            cells[key[1]][index[gold_label]][index[label]] += 1
+            gold[key] = None
+    for key, gold_label in gold.items():
+        if gold_label is not None:
             raise MissingPrediction(*key)
-        cells[key[1]][index[label]][index[pred.labels[key]]] += 1
-    tables = {t: ConfusionMatrix(gold.scale, tuple(map(tuple, cells[t]))) for t in sorted(cells)}
-    # (id, topic) keys are unique on both sides and every gold key matched
-    return tables, len(pred.labels) - len(gold.labels)
+    tables = {t: ConfusionMatrix(scale, tuple(map(tuple, cells[t]))) for t in sorted(cells)}
+    return tables, len(ignored)
 
 
 def topic_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:

@@ -5,7 +5,7 @@ from collections import Counter
 from itertools import count
 from typing import Iterable, Mapping
 
-from topicsent.errors import EmptyText
+from topicsent.errors import EmptyText, MissingPrediction
 from topicsent.ingestion import RawTweetRecord, tokenize
 from topicsent.model import ConfusionMatrix, Dataset, Scale, confusion_tables
 
@@ -53,10 +53,14 @@ def reference_join(
     """Per-row reference for confusion_tables: each gold row finds its
     prediction by a scan over the prediction rows, and each topic's (gold,
     pred) pairs make its table. Also counts the prediction rows whose
-    (id, topic) no gold row has. Every gold row must have one prediction."""
+    (id, topic) no gold row has. The first gold row, in input order,
+    without a prediction raises MissingPrediction."""
     pairs: dict[str | None, list[tuple[int, int]]] = {}
     for gold_id, gold_topic, gold_label in rows(gold):
-        (pred_label,) = [p for i, t, p in rows(pred) if (i, t) == (gold_id, gold_topic)]
+        matches = [p for i, t, p in rows(pred) if (i, t) == (gold_id, gold_topic)]
+        if not matches:
+            raise MissingPrediction(gold_id, gold_topic)
+        (pred_label,) = matches
         pairs.setdefault(gold_topic, []).append((gold_label, pred_label))
     gold_keys = [(i, t) for i, t, _ in rows(gold)]
     ignored = sum((i, t) not in gold_keys for i, t, _ in rows(pred))

@@ -7,6 +7,7 @@ half away from zero).
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from itertools import product
 
 import pytest
 
+import topicsent
 from conftest import bow_cosine, constant_table, dataset_from_counts, rows, table
 from topicsent.annotation import consolidate_labels
 from topicsent.baselines import constant_classifier
@@ -275,8 +277,12 @@ def test_criterion_9_cli_determinism(tmp_path):
         "--gold", str(gold_path), "--pred", str(pred_path),
         "--format", "json", "--pooled",
     ]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    # the child imports the package this test imported, however it is on sys.path
+    src = os.path.dirname(os.path.dirname(topicsent.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    first = subprocess.run(argv, capture_output=True, check=True, env=env)
+    second = subprocess.run(argv, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     json.loads(first.stdout)  # well-formed report
     print("ACCEPTANCE 9 PASS: byte-identical CLI reports")

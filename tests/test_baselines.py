@@ -71,8 +71,9 @@ class TestMlQuantifier:
     def test_published_training_counts(self):
         train = dataset_from_counts(Scale.TWO_POINT, {1: 885, -1: 771}, topic="x")
         p = ml_quantifier(train, Averaging.MICRO)
-        assert round(p[1], 4) == 0.5344
-        assert round(p[-1], 4) == 0.4656
+        negative, positive = p.fractions
+        assert round(positive, 4) == 0.5344
+        assert round(negative, 4) == 0.4656
 
     def test_micro_equals_pooled_prevalence(self):
         a = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 4}, topic="a")

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts, rows
+from conftest import dataset_from_counts, reference_join, rows
 from topicsent.cli import main, round_display
+from topicsent.errors import ScoringError
 from topicsent.evaluate import SUBTASKS, Mode
-from topicsent.ingestion import serialize_dataset
+from topicsent.ingestion import parse_dataset, serialize_dataset
 from topicsent.model import Dataset, Scale
 
 
@@ -370,6 +371,26 @@ def test_other_commands_arbitrary_bytes_exit_0_or_1(argv, data):
                             + ["--input", str(in_path), "--output", str(out_path)])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["--subtask", subtask, "--kind", "constant:0"] for subtask in sorted(SUBTASKS)),
+        *(["--subtask", subtask, "--kind", "ml:micro", "--train", "{tmp}/train"]
+          for subtask in ["D", "E"]),
+    ],
+    ids=lambda argv: "-".join(argv).replace("{tmp}/", ""),
+)
+@settings(deadline=None)
+@given(gold=_other_files, train=_other_files)
+def test_baseline_arbitrary_bytes_exit_0_or_1(argv, gold, train):
+    with tempfile.TemporaryDirectory() as tmp:
+        gold_path, out_path = Path(tmp, "gold"), Path(tmp, "out")
+        gold_path.write_bytes(gold)
+        Path(tmp, "train").write_bytes(train)
+        assert_exits_0_or_1(["baseline", *(a.replace("{tmp}", tmp) for a in argv),
+                             "--gold", str(gold_path), "--output", str(out_path)])
+
+
 @st.composite
 def _scored_files(draw, subtask):
     """Valid gold and prediction rows for one subtask, as text lines."""
@@ -456,3 +477,119 @@ def test_reversed_topic_names_do_not_change_report(subtask, data):
         re.sub(r"t\d\d", lambda m: back[m.group()], w) for w in payload["warnings"]
     )
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == reports[0]
+
+
+@st.composite
+def _faulty_label_files(draw, subtask):
+    """Gold and prediction label rows for a classification subtask, with
+    faults injected: a missing prediction, a repeated gold key, a repeated
+    prediction key in gold or not in gold, an off-scale label, or a
+    malformed line, each at any position of either file."""
+    spec = SUBTASKS[subtask]
+    topics = ["a", "b"] if spec.topic_based else ["NA"]
+    label = st.sampled_from([str(c) for c in spec.scale.classes] + ["positive"])
+    keys = draw(st.lists(st.tuples(st.sampled_from(["t1", "t2", "t3", "t4", "t5"]),
+                                   st.sampled_from(topics)), min_size=1, max_size=6, unique=True))
+    gold = [[i, t, draw(label)] for i, t in keys]
+    extras = [[f"x{k}", topics[0], draw(label)] for k in range(draw(st.integers(0, 2)))]
+    pred = draw(st.permutations([[i, t, draw(label)] for i, t in keys] + extras))
+    files = {"gold": gold, "pred": pred}
+    malformed = ["t9", "\ta\t1", "t9\ta", f"t9\t{'NA' if spec.topic_based else 'a'}\t1"]
+    for fault in draw(st.lists(st.sampled_from(["missing", "gold repeat", "pred repeat",
+                                                "extra repeat", "bad label", "malformed"]),
+                               max_size=3)):
+        which = files[draw(st.sampled_from(["gold", "pred"]))]
+        at = draw(st.integers(0, len(which)))
+        if fault == "missing":
+            in_gold = [r for r in pred if tuple(r[:2]) in keys and len(r) == 3]
+            if in_gold:
+                pred.remove(draw(st.sampled_from(in_gold)))
+        elif fault == "gold repeat":
+            i, t = draw(st.sampled_from(keys))
+            gold.insert(draw(st.integers(0, len(gold))), [i, t, draw(label)])
+        elif fault == "pred repeat":
+            i, t = draw(st.sampled_from(keys))
+            pred.insert(draw(st.integers(0, len(pred))), [i, t, draw(label)])
+        elif fault == "extra repeat":
+            for _ in range(2):
+                pred.insert(draw(st.integers(0, len(pred))), ["x9", topics[0], draw(label)])
+        elif fault == "bad label":
+            which.insert(at, [f"t{at}", topics[0], draw(st.sampled_from(["3", "x", "", "2"]))])
+        else:
+            which.insert(at, [draw(st.sampled_from(malformed))])
+    return ["\t".join(r) for r in gold], ["\t".join(r) for r in pred]
+
+
+def _reference_outcome(spec, gold_text, pred_text):
+    """Exit code and diagnostic of scoring with both files parsed in full,
+    gold first, then joined by the per-row reference."""
+    try:
+        gold = parse_dataset(io.StringIO(gold_text), spec)
+        pred = parse_dataset(io.StringIO(pred_text), spec)
+        reference_join(gold, pred)
+    except ScoringError as exc:
+        return 1, {"error": exc.code, "message": str(exc)}
+    return 0, None
+
+
+@pytest.mark.parametrize("subtask", ["A", "B", "C"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_errors_keep_their_order(subtask, data):
+    """The streamed join reports the error that parsing gold, then the
+    predictions, then joining them would: gold file errors first, then
+    prediction file errors, then the first gold key without a prediction."""
+    gold, pred = data.draw(_faulty_label_files(subtask))
+    gold_text = "".join(line + "\n" for line in gold)
+    pred_text = "".join(line + "\n" for line in pred)
+    with tempfile.TemporaryDirectory() as tmp:
+        gold_path, pred_path = Path(tmp, "gold"), Path(tmp, "pred")
+        gold_path.write_text(gold_text, encoding="utf-8")
+        pred_path.write_text(pred_text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["score", "--subtask", subtask, "--gold", str(gold_path),
+                         "--pred", str(pred_path)])
+    want_code, want_diag = _reference_outcome(SUBTASKS[subtask], gold_text, pred_text)
+    assert code == want_code
+    if code == 1:
+        assert json.loads(err.getvalue()) == want_diag
+
+
+@pytest.mark.parametrize("subtask", ["C", "E"])
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_doubled_topics_do_not_change_metrics(subtask, data):
+    """Copying every topic under a fresh name and fresh ids leaves the macro
+    and pooled metrics byte-identical: fsum is exact, so doubling every term
+    and count cancels. Subtask D is left out, because its pooled smoothing
+    epsilon depends on the total test size."""
+    spec = SUBTASKS[subtask]
+    classes = spec.scale.classes
+    label = st.sampled_from(classes)
+    topics = data.draw(st.lists(st.lists(st.tuples(label, label), min_size=1, max_size=6),
+                                min_size=1, max_size=8))
+    weights = [data.draw(st.lists(st.integers(0, 9), min_size=len(classes),
+                                  max_size=len(classes)).filter(any)) for _ in topics]
+    payloads = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for copies in (1, 2):
+            gold, pred = [], []
+            for k in range(copies):
+                for i, (pairs, ws) in enumerate(zip(topics, weights)):
+                    name = f"t{i}.{k}"
+                    gold += [f"id{i}.{j}.{k}\t{name}\t{g}" for j, (g, _) in enumerate(pairs)]
+                    if spec.mode is Mode.CLASSIFICATION:
+                        pred += [f"id{i}.{j}.{k}\t{name}\t{p}" for j, (_, p) in enumerate(pairs)]
+                    else:
+                        pred += [f"{name}\t{c}\t{w / sum(ws)!r}" for c, w in zip(classes, ws)]
+            paths = [Path(tmp, f"{kind}{copies}") for kind in ("gold", "pred", "out")]
+            paths[0].write_text("".join(line + "\n" for line in gold), encoding="utf-8")
+            paths[1].write_text("".join(line + "\n" for line in pred), encoding="utf-8")
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["score", "--subtask", subtask, "--gold", str(paths[0]),
+                             "--pred", str(paths[1]), "--pooled", "--output", str(paths[2])])
+            assert code == 0
+            payload = json.loads(paths[2].read_text(encoding="utf-8"))
+            payloads.append(json.dumps([payload["metrics"], payload["pooled"]]))
+    assert payloads[0] == payloads[1]

@@ -42,6 +42,9 @@ class TestParseDataset:
         with pytest.raises(InvalidLabel) as exc:
             parse("t1\tNA\t-3\ttext\n", "A")
         assert exc.value.line == 1
+        with pytest.raises(InvalidLabel) as exc:
+            parse("t1\tNA\tpositive\nt2\tNA\tpositve\nt3\tNA\tpositve\n", "A")
+        assert exc.value.line == 2
 
     def test_duplicate_key(self):
         with pytest.raises(DuplicateKey):
@@ -50,6 +53,11 @@ class TestParseDataset:
     def test_malformed_line(self):
         with pytest.raises(MalformedLine):
             parse("t1\tTOPIC\n", "B")
+
+    def test_rows_share_topic_strings(self):
+        d = parse("t1\tTOPIC\tpositive\nt2\tTOPIC\tnegative\nt3\tTOPIC \t1\n", "B")
+        (_, first), (_, second), (_, third) = d.labels
+        assert first is second and third == first
 
     def test_topic_rules_per_subtask(self):
         with pytest.raises(MalformedLine):

@@ -19,6 +19,7 @@ from topicsent.model import (
     Prevalence,
     Scale,
     confusion_tables,
+    join_rows,
     prevalence_of,
     topic_class_counts,
 )
@@ -139,6 +140,21 @@ class TestAlign:
         assert tables[None].total == 1
         assert ignored == 1
 
+    def test_streamed_rows(self):
+        """join_rows takes gold over and catches a repeated prediction key,
+        in gold or not, at its row's line."""
+        gold = {("t1", "a"): 1, ("t2", "a"): -1, ("t3", "a"): 1}
+        rows_in = [(1, ("t3", "a"), 1), (2, ("t9", "a"), 1), (3, ("t1", "a"), -1)]
+        with pytest.raises(MissingPrediction, match="t2"):
+            join_rows(Scale.TWO_POINT, dict(gold), rows_in)
+        with pytest.raises(DuplicateKey, match="line 5"):
+            join_rows(Scale.TWO_POINT, dict(gold), rows_in + [(5, ("t3", "a"), 1)])
+        with pytest.raises(DuplicateKey, match="line 6"):
+            join_rows(Scale.TWO_POINT, dict(gold), rows_in + [(6, ("t9", "a"), -1)])
+        tables, ignored = join_rows(Scale.TWO_POINT, gold, rows_in + [(7, ("t2", "a"), 1)])
+        assert tables["a"].counts == ((0, 1), (1, 1)) and ignored == 1
+        assert set(gold.values()) == {None}
+
     def test_scale_mismatch(self):
         gold = Dataset.build(Scale.TWO_POINT, [("t1", None, 1)])
         pred = Dataset.build(Scale.THREE_POINT, [("t1", None, 1)])
@@ -236,19 +252,21 @@ class TestReferenceJoin:
 class TestPrevalence:
     def test_symmetric(self):
         p = prevalence_of([1, 1, -1, -1], Scale.TWO_POINT)
-        assert p.as_dict() == {-1: 0.5, 1: 0.5}
+        assert p.fractions == (0.5, 0.5)
 
     def test_point_mass(self):
         p = prevalence_of([0, 0, 0], Scale.FIVE_POINT)
-        assert p[0] == 1.0 and sum(p.fractions) == 1.0
+        # classes -2, -1, 0, 1, 2
+        assert p.fractions[2] == 1.0 and sum(p.fractions) == 1.0
 
     def test_published_test_set_shares(self):
         # class counts 2375 positive / 5937 neutral / 3972 negative
         labels = [1] * 2375 + [0] * 5937 + [-1] * 3972
         p = prevalence_of(labels, Scale.THREE_POINT)
-        assert round(p[1], 4) == 0.1933
-        assert round(p[0], 4) == 0.4833
-        assert round(p[-1], 4) == 0.3233
+        negative, neutral, positive = p.fractions
+        assert round(positive, 4) == 0.1933
+        assert round(neutral, 4) == 0.4833
+        assert round(negative, 4) == 0.3233
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
