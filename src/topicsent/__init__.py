@@ -12,11 +12,11 @@ from .model import (
     Dataset,
     Prevalence,
     Scale,
+    class_fractions,
     confusion_tables,
-    prevalence_of,
     topic_class_counts,
 )
 from .ordinal import mae_macro, mae_micro
-from .quantification import SmoothingConfig, ae, emd, kld, rae, smooth
+from .quantification import ae, emd, kld, rae, smooth
 
 __version__ = "0.1.0"

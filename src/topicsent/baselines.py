@@ -4,11 +4,12 @@ class distribution."""
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from typing import Iterable
 
 from .errors import EmptyInput, ScaleMismatch
-from .model import Dataset, Prevalence, prevalence_of, topic_class_counts
+from .model import Dataset, Prevalence, class_fractions, topic_class_counts
 
 
 class Averaging(Enum):
@@ -40,11 +41,9 @@ def ml_quantifier(train: Dataset, averaging: Averaging = Averaging.MICRO) -> Pre
     if not train.labels:
         raise EmptyInput("cannot estimate a prevalence from an empty training set")
     if averaging is Averaging.MICRO:
-        return prevalence_of(train.labels.values(), train.scale)
-    per_topic = [
-        Prevalence.from_counts(train.scale, counts).fractions
-        for counts in topic_class_counts(train).values()
-    ]
+        counts = Counter(train.labels.values())  # topics may be absent here
+        return Prevalence(train.scale, class_fractions([counts[c] for c in train.scale.classes]))
+    per_topic = [class_fractions(counts) for counts in topic_class_counts(train).values()]
     means = [sum(col) / len(per_topic) for col in zip(*per_topic)]
     total = sum(means)  # renormalize to guard against rounding drift
     return Prevalence(train.scale, tuple(m / total for m in means))

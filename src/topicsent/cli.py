@@ -118,9 +118,10 @@ def cmd_score(args) -> int:
 
 def _parse_prevalence_arg(scale: Scale, raw: str) -> Prevalence:
     try:
-        return Prevalence(scale, tuple(float(v) for v in raw.split(",")))
+        fractions = [float(v) for v in raw.split(",")]
     except ValueError:
         raise InvalidLabel(f"bad prevalence list {raw!r}") from None
+    return ingestion.normalized_prevalence(scale, fractions)
 
 
 def _baseline_predictions(spec: SubtaskSpec, gold, args):

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from . import classification, ordinal, quantification
+from . import classification, model, ordinal, quantification
 from .errors import EmptyInput, MissingPrediction, TopicRequired
 from .model import ConfusionMatrix, Dataset, Prevalence, Scale, confusion_tables, topic_class_counts
 
@@ -96,15 +96,17 @@ def _classification_metrics(spec: SubtaskSpec, cm: ConfusionMatrix) -> dict[str,
 
 
 def _quantification_metrics(
-    spec: SubtaskSpec, pred: Prevalence, true_p: Prevalence, n_test: int
+    spec: SubtaskSpec, pred: Sequence[float], counts: Sequence[int]
 ) -> dict[str, float]:
+    """Scores predicted fractions against gold class counts."""
+    true_p = model.class_fractions(counts)
     if spec.scale is Scale.FIVE_POINT:
         return {"emd": quantification.emd(pred, true_p)}
-    cfg = quantification.SmoothingConfig.for_test_size(n_test)
+    eps = 1.0 / (2 * sum(counts))  # the conventional 1 / (2 * |test set|)
     return {
-        "kld": quantification.kld(pred, true_p, cfg),
+        "kld": quantification.kld(pred, true_p, eps),
         "ae": quantification.ae(pred, true_p),
-        "rae": quantification.rae(pred, true_p, cfg),
+        "rae": quantification.rae(pred, true_p, eps),
     }
 
 
@@ -187,23 +189,18 @@ def _evaluate_quantification(
     for topic, counts in counts_by_topic.items():
         if topic not in pred_prevalences:
             raise MissingPrediction(None, topic)
-        true_p = Prevalence.from_counts(gold.scale, counts)
-        per_topic[topic] = _quantification_metrics(
-            spec, pred_prevalences[topic], true_p, sum(counts)
-        )
+        per_topic[topic] = _quantification_metrics(spec, pred_prevalences[topic].fractions, counts)
     metrics = _macroaverage_metrics(per_topic)
     report = ScoreReport(spec, metrics, per_topic, len(per_topic), warnings)
     if pooled:
         # pooled view: item-weighted mix of per-topic predictions vs. the
-        # pooled gold prevalence, epsilon from the total test size
+        # summed gold counts, epsilon from the total test size
         n_total = len(gold)
         weights = {t: sum(c) / n_total for t, c in counts_by_topic.items()}
-        mixed = tuple(
+        mixed = [
             math.fsum(weights[t] * pred_prevalences[t].fractions[i] for t in counts_by_topic)
             for i in range(len(gold.scale.classes))
-        )
-        pooled_pred = Prevalence(gold.scale, mixed)
+        ]
         totals = [sum(col) for col in zip(*counts_by_topic.values())]
-        pooled_true = Prevalence.from_counts(gold.scale, totals)
-        report.pooled = _quantification_metrics(spec, pooled_pred, pooled_true, n_total)
+        report.pooled = _quantification_metrics(spec, mixed, totals)
     return report

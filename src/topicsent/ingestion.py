@@ -16,7 +16,7 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .annotation import CrowdAnnotation
 from .errors import (
@@ -26,6 +26,7 @@ from .errors import (
     InvalidLabel,
     MalformedLine,
     NoTopics,
+    ScoringError,
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
@@ -141,19 +142,39 @@ def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence
             raise DuplicateKey(f"class {fields[1]} repeated for topic {topic}", line=n)
         bucket[cls] = frac
         lines_of[topic] = n
-    result = {}
-    for topic in sorted(by_topic):
-        total = math.fsum(by_topic[topic].values())  # exact, so line order cannot matter
-        if abs(total - 1.0) > PREVALENCE_SUM_TOL:
-            raise MalformedLine(
+    return {
+        topic: normalized_prevalence(
+            scale,
+            [by_topic[topic].get(c, 0.0) for c in scale.classes],
+            lambda total: MalformedLine(
                 f"prevalences for topic {topic} sum to {total!r}, expected 1",
                 line=lines_of[topic],
-            )
-        # renormalize residual float error so Prevalence's stricter check passes
-        result[topic] = Prevalence.from_mapping(
-            scale, {c: f / total for c, f in by_topic[topic].items()}
+            ),
         )
-    return result
+        for topic in sorted(by_topic)
+    }
+
+
+def normalized_prevalence(
+    scale: Scale,
+    fractions: Sequence[float],
+    off_sum: Callable[[float], ScoringError] | None = None,
+) -> Prevalence:
+    """The Prevalence of ``fractions`` (scale.classes order), divided by their
+    exact sum when it lies within PREVALENCE_SUM_TOL of 1, so that rounding in
+    stated values is forgiven. A sum outside raises ``off_sum(sum)`` or, if
+    that is None, Prevalence's own error, as a wrong count or a negative or
+    non-finite value does."""
+    if all(map(math.isfinite, fractions)):
+        try:
+            total = math.fsum(fractions)  # exact, so the order of the values cannot matter
+        except OverflowError:
+            total = math.inf
+        if abs(total - 1.0) <= PREVALENCE_SUM_TOL:
+            fractions = [f / total for f in fractions]
+        elif off_sum is not None:
+            raise off_sum(total)
+    return Prevalence(scale, tuple(fractions))
 
 
 def parse_annotations(stream: IO[str]) -> list[CrowdAnnotation]:

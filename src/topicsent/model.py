@@ -1,5 +1,6 @@
 """Core data model: sentiment scales, datasets, per-topic count tables
-(confusion matrices and gold class counts), and class-prevalence extraction.
+(confusion matrices and gold class counts), class fractions from counts, and
+:class:`Prevalence`, the validated distribution type of prediction inputs.
 
 Labels are plain integers validated against a :class:`Scale`:
 two-point {-1, +1}, three-point {-1, 0, +1}, five-point {-2 .. +2}.
@@ -10,7 +11,7 @@ except that :func:`join_rows` consumes the gold dict it is handed.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
@@ -142,8 +143,9 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class Prevalence:
-    """A class -> fraction distribution on a scale; fractions follow
-    scale.classes order and sum to 1."""
+    """A validated class -> fraction distribution on a scale, as a user or a
+    file states it: fractions follow scale.classes order, are finite and
+    nonnegative, and sum to 1. Scoring works on plain fraction tuples."""
 
     scale: Scale
     fractions: tuple[float, ...]
@@ -161,20 +163,6 @@ class Prevalence:
             raise InvalidLabel(
                 f"prevalence fractions sum to {sum(self.fractions)!r}, expected 1"
             )
-
-    @classmethod
-    def from_mapping(cls, scale: Scale, p: Mapping[int, float]) -> "Prevalence":
-        for c in p:
-            scale.validate(c)
-        return cls(scale, tuple(float(p.get(c, 0.0)) for c in scale.classes))
-
-    @classmethod
-    def from_counts(cls, scale: Scale, counts: Sequence[int]) -> "Prevalence":
-        """Relative class frequencies from class counts in scale.classes order."""
-        n = sum(counts)
-        if not n:
-            raise EmptyInput("cannot compute prevalence of an empty label list")
-        return cls(scale, tuple(c / n for c in counts))
 
 
 _ABSENT = object()  # join_rows: key not in gold; None marks a matched gold key
@@ -241,7 +229,9 @@ def topic_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:
     return {t: tuple(counts[t]) for t in sorted(counts)}
 
 
-def prevalence_of(labels: Iterable[int], scale: Scale) -> Prevalence:
-    """Relative frequency of every scale class among the given labels."""
-    counts = Counter(scale.validate(lab) for lab in labels)
-    return Prevalence.from_counts(scale, [counts[c] for c in scale.classes])
+def class_fractions(counts: Sequence[int]) -> tuple[float, ...]:
+    """Relative class frequencies from class counts."""
+    n = sum(counts)
+    if not n:
+        raise EmptyInput("cannot compute prevalence of an empty label list")
+    return tuple(c / n for c in counts)

@@ -10,8 +10,8 @@ from topicsent.baselines import (
 )
 from topicsent.classification import avg_rec
 from topicsent.errors import EmptyInput, NoTopics, ScaleMismatch
-from topicsent.model import Dataset, Scale, prevalence_of
-from topicsent.quantification import SmoothingConfig, emd, kld
+from topicsent.model import Dataset, Scale, class_fractions, topic_class_counts
+from topicsent.quantification import emd, kld
 
 
 class TestConstantClassifier:
@@ -49,9 +49,9 @@ class TestConstantQuantifier:
         assert p.fractions == (0.0, 0.0, 0.0, 1.0, 0.0)
 
     def test_perfect_quantifier_scores_zero(self):
-        p = point_mass(Scale.FIVE_POINT, 0)
+        p = point_mass(Scale.FIVE_POINT, 0).fractions
         assert emd(p, p) == 0.0
-        assert kld(p, p, SmoothingConfig(0.005)) == pytest.approx(0.0, abs=1e-15)
+        assert kld(p, p, 0.005) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestMlQuantifier:
@@ -79,9 +79,12 @@ class TestMlQuantifier:
         a = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 4}, topic="a")
         b = dataset_from_counts(Scale.TWO_POINT, {1: 6}, topic="b")
         train = Dataset.build(Scale.TWO_POINT, rows(a, b))
-        assert ml_quantifier(train, Averaging.MICRO).fractions == prevalence_of(
-            train.labels.values(), train.scale
-        ).fractions
+        totals = [sum(col) for col in zip(*topic_class_counts(train).values())]
+        assert ml_quantifier(train, Averaging.MICRO).fractions == class_fractions(totals)
+
+    def test_micro_needs_no_topics(self):
+        train = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 1})
+        assert ml_quantifier(train, Averaging.MICRO).fractions == (0.25, 0.75)
 
     def test_errors(self):
         with pytest.raises(EmptyInput):

@@ -143,6 +143,26 @@ class TestBaseline:
         assert code == 0
         assert json.loads(out)["metrics"]["kld"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("fractions", [("0.3333333", "0.6666666"), ("0.3", "0.7000000001")])
+    def test_prevalence_list_sum_rule_matches_prevalence_files(self, fractions, tmp_path, capsys):
+        """A --kind prevalence: list gets the sum rule of prevalence files:
+        within 1e-6 of 1, then renormalized; so it scores as score does."""
+        gold = tmp_path / "gold.tsv"
+        write_dataset(gold, Scale.TWO_POINT, {1: 3, -1: 1}, topic="x")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(f"x\t-1\t{fractions[0]}\nx\t1\t{fractions[1]}\n")
+        for pooled in ([], ["--pooled"]):
+            code, want, _ = run(["score", "--subtask", "D", "--gold", str(gold),
+                                 "--pred", str(pred), *pooled], capsys)
+            assert code == 0
+            code, out, _ = run(["baseline", "--subtask", "D", "--gold", str(gold),
+                                "--kind", "prevalence:" + ",".join(fractions), *pooled], capsys)
+            assert code == 0 and out == want
+        code, out, err = run(["baseline", "--subtask", "D", "--gold", str(gold),
+                              "--kind", "prevalence:0.5,0.6"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "INVALID_LABEL"
+
 
 class TestConsolidateCommand:
     def test_tsv_round_trip(self, tmp_path, capsys):
@@ -556,14 +576,14 @@ def test_errors_keep_their_order(subtask, data):
         assert json.loads(err.getvalue()) == want_diag
 
 
-@pytest.mark.parametrize("subtask", ["C", "E"])
+@pytest.mark.parametrize("subtask", ["C", "D", "E"])
 @settings(deadline=None, max_examples=50)
 @given(data=st.data())
 def test_doubled_topics_do_not_change_metrics(subtask, data):
     """Copying every topic under a fresh name and fresh ids leaves the macro
-    and pooled metrics byte-identical: fsum is exact, so doubling every term
-    and count cancels. Subtask D is left out, because its pooled smoothing
-    epsilon depends on the total test size."""
+    metrics byte-identical, and the pooled ones too except on subtask D:
+    fsum is exact, so doubling every term and count cancels, but D's pooled
+    smoothing epsilon depends on the total test size."""
     spec = SUBTASKS[subtask]
     classes = spec.scale.classes
     label = st.sampled_from(classes)
@@ -591,5 +611,31 @@ def test_doubled_topics_do_not_change_metrics(subtask, data):
                              "--pred", str(paths[1]), "--pooled", "--output", str(paths[2])])
             assert code == 0
             payload = json.loads(paths[2].read_text(encoding="utf-8"))
-            payloads.append(json.dumps([payload["metrics"], payload["pooled"]]))
+            pooled = payload["pooled"] if subtask != "D" else None
+            payloads.append(json.dumps([payload["metrics"], pooled]))
+    assert payloads[0] == payloads[1]
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_swapped_polarity_does_not_change_subtask_b(data):
+    """Mapping 1 to -1 and -1 to 1 in gold and predictions together leaves
+    every subtask B value exactly as it was: AvgRec, F1_PN and accuracy treat
+    the two classes alike."""
+    gold, pred = data.draw(_scored_files("B"))
+    swap = {"1": "-1", "-1": "1"}
+    swapped = [[re.sub(r"[^\t]+$", lambda m: swap[m.group()], line) for line in lines]
+               for lines in (gold, pred)]
+    payloads = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (gold_lines, pred_lines) in enumerate([(gold, pred), swapped]):
+            paths = [Path(tmp, f"{kind}{k}") for kind in ("gold", "pred", "out")]
+            paths[0].write_text("".join(line + "\n" for line in gold_lines), encoding="utf-8")
+            paths[1].write_text("".join(line + "\n" for line in pred_lines), encoding="utf-8")
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["score", "--subtask", "B", "--gold", str(paths[0]),
+                             "--pred", str(paths[1]), "--pooled", "--output", str(paths[2])])
+            assert code == 0
+            payload = json.loads(paths[2].read_text(encoding="utf-8"))
+            payloads.append([payload[key] for key in ("metrics", "per_topic", "pooled")])
     assert payloads[0] == payloads[1]

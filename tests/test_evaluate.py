@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from conftest import dataset_from_counts, rows
 from topicsent.baselines import constant_classifier, constant_quantifier, point_mass
 from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
 from topicsent.evaluate import SUBTASKS, Mode, evaluate, macroaverage
-from topicsent.model import Dataset, Prevalence, Scale, prevalence_of
+from topicsent.model import Dataset, Prevalence, Scale, class_fractions, topic_class_counts
 
 
 class TestSubtaskTable:
@@ -113,7 +115,7 @@ class TestQuantification:
 
     def test_perfect_quantifier(self):
         gold = dataset_from_counts(Scale.FIVE_POINT, {0: 5, 1: 5}, topic="x")
-        true_p = prevalence_of(gold.labels.values(), gold.scale)
+        true_p = Prevalence(gold.scale, class_fractions(topic_class_counts(gold)["x"]))
         report = evaluate(SUBTASKS["E"], gold, pred_prevalences={"x": true_p})
         assert report.metrics["emd"] == 0.0
 
@@ -128,6 +130,44 @@ class TestQuantification:
         report = evaluate(SUBTASKS["D"], gold, pred_prevalences=preds)
         assert any("ghost" in w for w in report.warnings)
         assert list(report.per_topic) == ["x"]
+
+    def test_hand_computed_subtask_d(self):
+        # Topic p: gold (-1, 1) predicted (0.5, 0.5) exactly, all zero. Topic
+        # q: gold (1, 1) predicted (0.5, 0.5); eps = 1/(2*2) smooths the true
+        # prevalence to (1/6, 5/6) and leaves the prediction at (0.5, 0.5).
+        # Pooled: true (1/4, 3/4), predicted (0.5, 0.5), eps = 1/8 gives true
+        # (0.3, 0.7).
+        gold = Dataset.build(Scale.TWO_POINT, [("1", "p", -1), ("2", "p", 1),
+                                               ("3", "q", 1), ("4", "q", 1)])
+        half = Prevalence(Scale.TWO_POINT, (0.5, 0.5))
+        report = evaluate(SUBTASKS["D"], gold, pred_prevalences={"p": half, "q": half},
+                          pooled=True)
+        kld_q = math.log(1 / 3) / 6 + 5 * math.log(5 / 3) / 6
+        assert report.per_topic == {
+            "p": {"kld": 0.0, "ae": 0.0, "rae": 0.0},
+            "q": pytest.approx({"kld": kld_q, "ae": 0.5, "rae": 1.2}, abs=1e-12),
+        }
+        assert report.metrics == pytest.approx({"kld": kld_q / 2, "ae": 0.25, "rae": 0.6},
+                                               abs=1e-12)
+        assert report.pooled == pytest.approx(
+            {"kld": 0.3 * math.log(0.6) + 0.7 * math.log(1.4), "ae": 0.25, "rae": 10 / 21},
+            abs=1e-12,
+        )
+
+    def test_hand_computed_subtask_e(self):
+        # Topic u: gold (-2, 0), all mass predicted on 0; the cumulative
+        # distributions differ by 1/2 at -2 and -1, so EMD 1. Topic v: gold
+        # (1, 2, 2, 2) predicted half on 1, half on 2; they differ by 1/4 at 1.
+        # Pooled: the item-weighted prediction 1/3 each on 0, 1 and 2 against
+        # gold shares (1/6, 0, 1/6, 1/6, 1/2) differs by 1/6 at -2, -1 and 1.
+        gold = Dataset.build(Scale.FIVE_POINT, [("1", "u", -2), ("2", "u", 0), ("3", "v", 1),
+                                                ("4", "v", 2), ("5", "v", 2), ("6", "v", 2)])
+        preds = {"u": Prevalence(Scale.FIVE_POINT, (0.0, 0.0, 1.0, 0.0, 0.0)),
+                 "v": Prevalence(Scale.FIVE_POINT, (0.0, 0.0, 0.0, 0.5, 0.5))}
+        report = evaluate(SUBTASKS["E"], gold, pred_prevalences=preds, pooled=True)
+        assert report.per_topic == {"u": {"emd": 1.0}, "v": {"emd": 0.25}}
+        assert report.metrics == {"emd": 0.625}
+        assert report.pooled == pytest.approx({"emd": 0.5}, abs=1e-12)
 
     def test_topic_order_does_not_matter(self):
         gold_a = dataset_from_counts(Scale.TWO_POINT, {1: 5, -1: 5}, topic="a")

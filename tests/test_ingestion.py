@@ -90,6 +90,12 @@ class TestParsePrevalenceFile:
         with pytest.raises(MalformedLine):
             parse_prevalence_file(io.StringIO(text), Scale.TWO_POINT)
 
+    def test_sum_beyond_float_range(self):
+        text = "a\tpositive\t1e308\na\tnegative\t1e308\n"
+        with pytest.raises(MalformedLine) as exc:
+            parse_prevalence_file(io.StringIO(text), Scale.TWO_POINT)
+        assert exc.value.line == 2
+
     def test_repeated_class(self):
         text = "a\tpositive\t0.5\na\tpositive\t0.5\n"
         with pytest.raises(DuplicateKey):

@@ -18,9 +18,9 @@ from topicsent.model import (
     Dataset,
     Prevalence,
     Scale,
+    class_fractions,
     confusion_tables,
     join_rows,
-    prevalence_of,
     topic_class_counts,
 )
 
@@ -249,28 +249,34 @@ class TestReferenceJoin:
                 topic_class_counts(gold)
 
 
+def label_fractions(labels, scale):
+    """class_fractions of a one-topic dataset with the given labels."""
+    d = Dataset.build(scale, [(f"t{i}", "x", label) for i, label in enumerate(labels)])
+    return class_fractions(topic_class_counts(d)["x"])
+
+
 class TestPrevalence:
     def test_symmetric(self):
-        p = prevalence_of([1, 1, -1, -1], Scale.TWO_POINT)
-        assert p.fractions == (0.5, 0.5)
+        p = label_fractions([1, 1, -1, -1], Scale.TWO_POINT)
+        assert p == (0.5, 0.5)
 
     def test_point_mass(self):
-        p = prevalence_of([0, 0, 0], Scale.FIVE_POINT)
+        p = label_fractions([0, 0, 0], Scale.FIVE_POINT)
         # classes -2, -1, 0, 1, 2
-        assert p.fractions[2] == 1.0 and sum(p.fractions) == 1.0
+        assert p[2] == 1.0 and sum(p) == 1.0
 
     def test_published_test_set_shares(self):
         # class counts 2375 positive / 5937 neutral / 3972 negative
         labels = [1] * 2375 + [0] * 5937 + [-1] * 3972
-        p = prevalence_of(labels, Scale.THREE_POINT)
-        negative, neutral, positive = p.fractions
+        p = label_fractions(labels, Scale.THREE_POINT)
+        negative, neutral, positive = p
         assert round(positive, 4) == 0.1933
         assert round(neutral, 4) == 0.4833
         assert round(negative, 4) == 0.3233
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            prevalence_of([], Scale.TWO_POINT)
+            class_fractions((0, 0))
 
     def test_invalid_fractions_rejected(self):
         with pytest.raises(InvalidLabel):
@@ -285,7 +291,7 @@ class TestPrevalence:
     def test_permutation_invariant_and_sums_to_one(self, labels, rng):
         shuffled = labels[:]
         rng.shuffle(shuffled)
-        p1 = prevalence_of(labels, Scale.THREE_POINT)
-        p2 = prevalence_of(shuffled, Scale.THREE_POINT)
-        assert p1.fractions == p2.fractions
-        assert abs(sum(p1.fractions) - 1.0) < 1e-12
+        p1 = label_fractions(labels, Scale.THREE_POINT)
+        p2 = label_fractions(shuffled, Scale.THREE_POINT)
+        assert p1 == p2
+        assert abs(sum(p1) - 1.0) < 1e-12

@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 try:
@@ -11,18 +11,17 @@ except ImportError:
     linprog = None
 
 from topicsent.errors import ScaleMismatch
-from topicsent.model import Prevalence, Scale
-from topicsent.quantification import SmoothingConfig, ae, emd, kld, rae, smooth
+from topicsent.quantification import ae, emd, kld, rae, smooth
 
-EPS = SmoothingConfig(0.005)  # test size 100
+EPS = 0.005  # test size 100
 
 
 def prev2(p_neg, p_pos):
-    return Prevalence(Scale.TWO_POINT, (p_neg, p_pos))
+    return (p_neg, p_pos)
 
 
 def prev5(*fractions):
-    return Prevalence(Scale.FIVE_POINT, fractions)
+    return fractions
 
 
 def random_prev5(rng):
@@ -34,18 +33,18 @@ def random_prev5(rng):
 class TestSmooth:
     def test_uniform_fixed_point(self):
         s = smooth(prev2(0.5, 0.5), EPS)
-        assert s.fractions == (0.5, 0.5)
+        assert s == (0.5, 0.5)
 
     def test_point_mass(self):
         s = smooth(prev2(1.0, 0.0), EPS)
-        assert s.fractions[0] == pytest.approx(1.005 / 1.01)
-        assert s.fractions[1] == pytest.approx(0.005 / 1.01)
-        assert sum(s.fractions) == pytest.approx(1.0, abs=1e-12)
+        assert s[0] == pytest.approx(1.005 / 1.01)
+        assert s[1] == pytest.approx(0.005 / 1.01)
+        assert sum(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter(self):
         s = smooth(prev2(0.25, 0.75), EPS)
-        assert s.fractions[0] == pytest.approx(0.255 / 1.01)
-        assert s.fractions[1] == pytest.approx(0.755 / 1.01)
+        assert s[0] == pytest.approx(0.255 / 1.01)
+        assert s[1] == pytest.approx(0.755 / 1.01)
 
     # Smoothing is strictly increasing in exact arithmetic. Rounding is
     # monotone, so the computed order never flips, but it can merge fractions
@@ -60,18 +59,16 @@ class TestSmooth:
         gap = 8 * sys.float_info.epsilon  # rounding error of (p + eps) / denom is < 2 ulps of 1
         for i in range(5):
             for j in range(5):
-                if p.fractions[i] <= p.fractions[j]:
-                    assert s.fractions[i] <= s.fractions[j]
-                if p.fractions[j] - p.fractions[i] > gap:
-                    assert s.fractions[i] < s.fractions[j]
-        top = sorted(p.fractions)
+                if p[i] <= p[j]:
+                    assert s[i] <= s[j]
+                if p[j] - p[i] > gap:
+                    assert s[i] < s[j]
+        top = sorted(p)
         if top[-1] - top[-2] > gap:
-            assert max(range(5), key=lambda i: p.fractions[i]) == max(
-                range(5), key=lambda i: s.fractions[i]
-            )
-        assert s.fractions[max(range(5), key=lambda i: p.fractions[i])] == max(s.fractions)
-        assert abs(sum(s.fractions) - 1.0) < 1e-12
-        assert all(f > 0 for f in s.fractions)
+            assert max(range(5), key=lambda i: p[i]) == max(range(5), key=lambda i: s[i])
+        assert s[max(range(5), key=lambda i: p[i])] == max(s)
+        assert abs(sum(s) - 1.0) < 1e-12
+        assert all(f > 0 for f in s)
 
 
 class TestKld:
@@ -133,8 +130,8 @@ class TestRae:
 
     def test_point_mass_vs_uniform(self):
         # oracle: smoothed values computed directly from the formula
-        ps = smooth(prev2(1.0, 0.0), EPS).fractions
-        qs = smooth(prev2(0.5, 0.5), EPS).fractions
+        ps = smooth(prev2(1.0, 0.0), EPS)
+        qs = smooth(prev2(0.5, 0.5), EPS)
         expected = sum(abs(q - p) / p for q, p in zip(qs, ps)) / 2
         assert rae(prev2(0.5, 0.5), prev2(1.0, 0.0), EPS) == pytest.approx(expected)
 
@@ -163,8 +160,8 @@ class TestEmd:
     def test_reversal_invariance(self):
         p = prev5(0.05, 0.15, 0.3, 0.4, 0.1)
         q = prev5(0.2, 0.1, 0.3, 0.1, 0.3)
-        pr = prev5(*reversed(p.fractions))
-        qr = prev5(*reversed(q.fractions))
+        pr = prev5(*reversed(p))
+        qr = prev5(*reversed(q))
         assert emd(q, p) == pytest.approx(emd(qr, pr), abs=1e-12)
         assert ae(q, p) == pytest.approx(ae(qr, pr), abs=1e-12)
 
@@ -180,7 +177,7 @@ class TestEmd:
             a_eq.append([1 if k // 5 == i else 0 for k in range(25)])
         for j in range(5):  # column sums = p
             a_eq.append([1 if k % 5 == j else 0 for k in range(25)])
-        b_eq = list(q.fractions) + list(p.fractions)
+        b_eq = list(q) + list(p)
         res = linprog(
             cost,
             A_eq=a_eq,
@@ -199,3 +196,74 @@ class TestEmd:
         # LP solver feasibility tolerance dominates the residual here; the
         # exact greedy-transport cross-check lives in the acceptance suite
         assert emd(q, p) == pytest.approx(res.fun, abs=1e-7)
+
+
+def distributions(k):
+    """Random distributions over k classes."""
+    weights = st.lists(st.floats(0, 1), min_size=k, max_size=k).filter(lambda w: sum(w) > 0)
+    return weights.map(lambda w: tuple(x / sum(w) for x in w))
+
+
+def dyadic_distributions(k):
+    """Distributions over k classes in steps of 1/64: sums and differences of
+    such fractions are exact in floats."""
+    cuts = st.lists(st.integers(0, 64), min_size=k - 1, max_size=k - 1).map(sorted)
+    return cuts.map(lambda c: tuple((b - a) / 64 for a, b in zip([0, *c], [*c, 64])))
+
+
+pairs_on_any_scale = st.sampled_from([2, 3, 5]).flatmap(
+    lambda k: st.tuples(distributions(k), distributions(k))
+)
+
+
+class TestAxioms:
+    """Properties of quantification error measures from Sebastiani 2020,
+    "Evaluation measures for quantification: an axiomatic approach"."""
+
+    @given(pairs_on_any_scale)
+    def test_non_negativity(self, pair):
+        pred, true_p = pair
+        assert kld(pred, true_p, EPS) >= 0.0
+        assert ae(pred, true_p) >= 0.0
+        assert rae(pred, true_p, EPS) >= 0.0
+        assert emd(pred, true_p) >= 0.0
+
+    @given(pairs_on_any_scale)
+    def test_identity_of_indiscernibles(self, pair):
+        pred, true_p = pair
+        for p in pair:
+            assert kld(p, p, EPS) == ae(p, p) == rae(p, p, EPS) == emd(p, p) == 0.0
+        # beyond rounding, different distributions score above zero
+        if max(abs(q - p) for q, p in zip(pred, true_p)) > 1e-6:
+            assert kld(pred, true_p, EPS) > 0.0
+            assert ae(pred, true_p) > 0.0
+            assert rae(pred, true_p, EPS) > 0.0
+            assert emd(pred, true_p) > 0.0
+
+    @given(st.integers(0, 64), st.integers(0, 64))
+    def test_impartiality_of_ae_and_emd_on_two_classes(self, a, d):
+        """Over- and underestimating a class by the same amount costs the same."""
+        assume(d <= a <= 64 - d)
+        true_p = (a / 64, (64 - a) / 64)
+        over = ((a + d) / 64, (64 - a - d) / 64)
+        under = ((a - d) / 64, (64 - a + d) / 64)
+        assert ae(over, true_p) == ae(under, true_p)
+        assert emd(over, true_p) == emd(under, true_p)
+
+    @given(st.data())
+    def test_emd_grows_with_transport_distance_from_a_point_mass(self, data):
+        """Against a point-mass truth at class c, moving delta of predicted
+        mass one class farther from c raises EMD by exactly delta."""
+        c = data.draw(st.integers(0, 4))
+        pred = data.draw(dyadic_distributions(5))
+        true_p = tuple(1.0 if i == c else 0.0 for i in range(5))
+        # class i can move mass away from c to class j
+        moves = [(i, j) for i in range(5) for j in (i - 1, i + 1)
+                 if 0 <= j < 5 and abs(j - c) > abs(i - c) and pred[i] > 0]
+        assume(moves)
+        i, j = data.draw(st.sampled_from(moves))
+        delta = data.draw(st.integers(1, round(pred[i] * 64))) / 64
+        moved = list(pred)
+        moved[i] -= delta
+        moved[j] += delta
+        assert emd(tuple(moved), true_p) == emd(pred, true_p) + delta
