@@ -5,9 +5,10 @@ counts of the English and Arabic datasets, using the library's metric stack.
 Run: PYTHONPATH=src python3 scripts/reproduce_baselines.py
 """
 
+from topicsent.baselines import constant_classifier
 from topicsent.classification import accuracy, avg_rec, f1_pn
 from topicsent.cli import round_display
-from topicsent.model import ConfusionMatrix, Scale
+from topicsent.model import Scale
 from topicsent.ordinal import mae_macro, mae_micro
 
 COUNTS = {
@@ -25,27 +26,19 @@ COUNTS = {
 SCALES = {"A": Scale.THREE_POINT, "B": Scale.TWO_POINT, "C": Scale.FIVE_POINT}
 
 
-def constant_table(scale, counts, c):
-    """The confusion matrix of a classifier that predicts c for every item
-    of a test set with the given per-class counts."""
-    return ConfusionMatrix(
-        scale,
-        tuple(tuple(counts[g] if p == c else 0 for p in scale.classes) for g in scale.classes),
-    )
-
-
 def fmt(x):
     return f"{round_display(x):.3f}"
 
 
 def main():
-    for language, tables in COUNTS.items():
+    for language, counts in COUNTS.items():
         for subtask in ("A", "B"):
             scale = SCALES[subtask]
             print(f"\n{language}, subtask {subtask} (constant classifiers, pooled)")
             print(f"{'baseline':<16} {'AvgRec':>7} {'F1_PN':>7} {'Acc':>7}")
+            gold = {None: tuple(counts[subtask][g] for g in scale.classes)}
             for c in scale.classes:
-                cm = constant_table(scale, tables[subtask], c)
+                (cm,) = constant_classifier(scale, gold, c).values()
                 name = f"All {scale.class_name(c).title()}"
                 print(
                     f"{name:<16} {fmt(avg_rec(cm)):>7} {fmt(f1_pn(cm)):>7} "
@@ -54,8 +47,10 @@ def main():
 
         print(f"\n{language}, subtask C (constant classifiers, pooled)")
         print(f"{'baseline':<16} {'MAE_M':>7} {'MAE_mu':>7}")
-        for c in SCALES["C"].classes:
-            cm = constant_table(SCALES["C"], tables["C"], c)
+        scale = SCALES["C"]
+        gold = {None: tuple(counts["C"][g] for g in scale.classes)}
+        for c in scale.classes:
+            (cm,) = constant_classifier(scale, gold, c).values()
             print(f"{'All ' + str(c):<16} {fmt(mae_macro(cm)):>7} {fmt(mae_micro(cm)):>7}")
 
 

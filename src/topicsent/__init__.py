@@ -2,7 +2,7 @@
 and quantification on 2-, 3- and 5-point scales."""
 
 from .annotation import CrowdAnnotation, consolidate, consolidate_labels
-from .baselines import Averaging, constant_classifier, constant_quantifier, ml_quantifier, point_mass
+from .baselines import Averaging, constant_classifier, ml_quantifier, point_mass
 from .classification import accuracy, avg_rec, class_f1, class_recall, f1_pn
 from .errors import ScoringError
 from .evaluate import SUBTASKS, Mode, ScoreReport, SubtaskSpec, evaluate, macroaverage

@@ -1,15 +1,14 @@
-"""Trivial baseline systems: constant-class classifiers, constant-prevalence
-quantifiers, and the maximum-likelihood quantifier that predicts the training
-class distribution."""
+"""Trivial baseline systems: constant-class classifiers, as confusion tables
+built from gold class counts, point-mass prevalences, and the maximum-likelihood
+quantifier that predicts the training class distribution."""
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
-from typing import Iterable
+from typing import Mapping, Sequence
 
-from .errors import EmptyInput, ScaleMismatch
-from .model import Dataset, Prevalence, class_fractions, topic_class_counts
+from .errors import EmptyInput, NoTopics, ScaleMismatch
+from .model import ConfusionMatrix, Dataset, Prevalence, Scale, class_fractions, topic_class_counts
 
 
 class Averaging(Enum):
@@ -17,16 +16,19 @@ class Averaging(Enum):
     MACRO = "macro"
 
 
-def constant_classifier(gold: Dataset, c: int) -> Dataset:
-    """Predictions labeling every gold item as class c."""
-    if c not in gold.scale.classes:
-        raise ScaleMismatch(f"class {c!r} not in scale {gold.scale.name}")
-    return Dataset(gold.scale, dict.fromkeys(gold.labels, c))
-
-
-def constant_quantifier(topics: Iterable[str], p: Prevalence) -> dict[str, Prevalence]:
-    """The same predicted distribution for every topic."""
-    return {t: p for t in topics}
+def constant_classifier(
+    scale: Scale, counts: Mapping[str | None, Sequence[int]], c: int
+) -> dict[str | None, ConfusionMatrix]:
+    """Each topic's confusion table when every item is predicted as class c:
+    the topic's gold class counts, all in the column of c."""
+    if c not in scale.classes:
+        raise ScaleMismatch(f"class {c!r} not in scale {scale.name}")
+    return {
+        topic: ConfusionMatrix(
+            scale, tuple(tuple(n if p == c else 0 for p in scale.classes) for n in row)
+        )
+        for topic, row in counts.items()
+    }
 
 
 def point_mass(scale, c: int) -> Prevalence:
@@ -40,10 +42,12 @@ def ml_quantifier(train: Dataset, averaging: Averaging = Averaging.MICRO) -> Pre
     unweighted mean of per-topic distributions (macro)."""
     if not train.labels:
         raise EmptyInput("cannot estimate a prevalence from an empty training set")
-    if averaging is Averaging.MICRO:
-        counts = Counter(train.labels.values())  # topics may be absent here
-        return Prevalence(train.scale, class_fractions([counts[c] for c in train.scale.classes]))
-    per_topic = [class_fractions(counts) for counts in topic_class_counts(train).values()]
+    counts = topic_class_counts(train)
+    if averaging is Averaging.MICRO:  # topics may be absent here
+        return Prevalence(train.scale, class_fractions([sum(col) for col in zip(*counts.values())]))
+    if None in counts:
+        raise NoTopics("dataset has no topics")
+    per_topic = [class_fractions(row) for row in counts.values()]
     means = [sum(col) / len(per_topic) for col in zip(*per_topic)]
     total = sum(means)  # renormalize to guard against rounding drift
     return Prevalence(train.scale, tuple(m / total for m in means))

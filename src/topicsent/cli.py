@@ -18,8 +18,9 @@ from typing import IO
 from . import baselines, ingestion
 from .annotation import consolidate
 from .errors import InvalidArgument, InvalidLabel, ScoringError
-from .evaluate import SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report, evaluate
-from .model import Prevalence, Scale, join_rows
+from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
+                       quantification_report)
+from .model import join_rows, topic_class_counts
 
 
 def round_display(x: float, digits: int = 3) -> float:
@@ -95,9 +96,10 @@ def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
 
 def cmd_score(args) -> int:
     """Holds the gold file in memory; for classification, streams the
-    prediction file through the join, so its rows never form a map. Errors
-    come from the gold file first, then the prediction file, then missing
-    predictions."""
+    prediction file through the join, so its rows never form a map, and for
+    quantification, reduces gold to class counts before the prediction file
+    is read. Errors come from the gold file first, then the prediction file,
+    then missing predictions."""
     spec = SUBTASKS[args.subtask]
     if spec.mode is Mode.CLASSIFICATION:
         with _open_in(args.gold) as f:
@@ -107,34 +109,31 @@ def cmd_score(args) -> int:
         report = classification_report(spec, tables, n_ignored, args.pooled)
     else:
         with _open_in(args.gold) as f:
-            gold = ingestion.parse_dataset(f, spec)
+            counts = topic_class_counts(ingestion.parse_dataset(f, spec))
         with _open_in(args.pred) as f:
             pred = ingestion.parse_prevalence_file(f, spec.scale)
-        report = evaluate(spec, gold, pred_prevalences=pred, pooled=args.pooled)
+        report = quantification_report(spec, counts, pred, args.pooled)
     with _open_out(args.output) as out:
         _emit_report(report, args.format, out)
     return 0
 
 
-def _parse_prevalence_arg(scale: Scale, raw: str) -> Prevalence:
-    try:
-        fractions = [float(v) for v in raw.split(",")]
-    except ValueError:
-        raise InvalidLabel(f"bad prevalence list {raw!r}") from None
-    return ingestion.normalized_prevalence(scale, fractions)
-
-
-def _baseline_predictions(spec: SubtaskSpec, gold, args):
+def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
     kind, _, arg = args.kind.partition(":")
     if kind == "constant":
         c = spec.scale.parse_label(arg)
         if spec.mode is Mode.CLASSIFICATION:
-            return {"pred_labels": baselines.constant_classifier(gold, c)}
+            tables = baselines.constant_classifier(spec.scale, counts, c)
+            return classification_report(spec, tables, 0, args.pooled)
         p = baselines.point_mass(spec.scale, c)
     elif kind == "prevalence":
         if spec.mode is not Mode.QUANTIFICATION:
             raise ScoringError("prevalence baselines apply to subtasks D and E only")
-        p = _parse_prevalence_arg(spec.scale, arg)
+        try:
+            fractions = [float(v) for v in arg.split(",")]
+        except ValueError:
+            raise InvalidLabel(f"bad prevalence list {arg!r}") from None
+        p = ingestion.normalized_prevalence(spec.scale, fractions)
     elif kind == "ml":
         if spec.mode is not Mode.QUANTIFICATION:
             raise ScoringError("the ML baseline applies to subtasks D and E only")
@@ -149,16 +148,14 @@ def _baseline_predictions(spec: SubtaskSpec, gold, args):
         p = baselines.ml_quantifier(train, averaging)
     else:
         raise ScoringError(f"unknown baseline kind {args.kind!r}")
-    topics = sorted({topic for _, topic in gold.labels})
-    return {"pred_prevalences": baselines.constant_quantifier(topics, p)}
+    return quantification_report(spec, counts, dict.fromkeys(counts, p), args.pooled)
 
 
 def cmd_baseline(args) -> int:
     spec = SUBTASKS[args.subtask]
     with _open_in(args.gold) as f:
-        gold = ingestion.parse_dataset(f, spec)
-    preds = _baseline_predictions(spec, gold, args)
-    report = evaluate(spec, gold, pooled=args.pooled, **preds)
+        counts = topic_class_counts(ingestion.parse_dataset(f, spec))
+    report = _baseline_report(spec, counts, args)
     with _open_out(args.output) as out:
         _emit_report(report, args.format, out)
     return 0
@@ -235,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_subtask=True):
-        if needs_subtask:
-            p.add_argument("--subtask", required=True, choices=sorted(SUBTASKS))
+    def add_common(p):
+        p.add_argument("--subtask", required=True, choices=sorted(SUBTASKS))
         p.add_argument("--format", choices=["json", "tsv", "table"], default="json")
         p.add_argument("--output", default="-", help="output path or - for stdout")
 

@@ -8,11 +8,13 @@ Subtasks:
   D - 2-point quantification, per topic
   E - 5-point ordinal quantification, per topic
 
-Classification subtasks take predicted label datasets; quantification
-subtasks take a topic -> predicted Prevalence map. Macroaveraging is the
-unweighted mean across topics. The optional pooled report treats the whole
-test set as a single group, which is what reproduces constant-baseline table
-values on imbalanced data.
+Every score is a function of per-topic counts: ``classification_report``
+takes each topic's gold-by-prediction table, and ``quantification_report``
+each topic's gold class counts and a topic -> predicted Prevalence map;
+``evaluate`` reduces a gold Dataset, and predicted labels, to those counts.
+Macroaveraging is the unweighted mean across topics. The optional pooled
+report treats the whole test set as a single group, which is what
+reproduces constant-baseline table values on imbalanced data.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def evaluate(
         return classification_report(spec, *confusion_tables(gold, pred_labels), pooled)
     if pred_prevalences is None:
         raise EmptyInput(f"subtask {spec.id} requires predicted prevalences")
-    return _evaluate_quantification(spec, gold, pred_prevalences, pooled)
+    return quantification_report(spec, topic_class_counts(gold), pred_prevalences, pooled)
 
 
 def classification_report(
@@ -171,36 +173,38 @@ def _warn_absent_classes(
         warnings.append(f"{where}: classes absent from gold excluded from macro means: {names}")
 
 
-def _evaluate_quantification(
+def quantification_report(
     spec: SubtaskSpec,
-    gold: Dataset,
+    counts: Mapping[str | None, Sequence[int]],
     pred_prevalences: Mapping[str, Prevalence],
     pooled: bool,
 ) -> ScoreReport:
-    if not gold.has_topics:
+    """Scores a quantification subtask from each topic's gold class counts
+    and a topic -> predicted Prevalence map."""
+    # topics are all-or-none: topicless gold gives one count vector under None
+    if not counts or None in counts:
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
     warnings: list[str] = []
-    counts_by_topic = topic_class_counts(gold)
-    extra = sorted(set(pred_prevalences) - set(counts_by_topic))
+    extra = sorted(set(pred_prevalences) - set(counts))
     if extra:
         warnings.append(f"predicted topics not in gold were ignored: {', '.join(extra)}")
 
     per_topic: dict[str, dict[str, float]] = {}
-    for topic, counts in counts_by_topic.items():
+    for topic, row in counts.items():
         if topic not in pred_prevalences:
             raise MissingPrediction(None, topic)
-        per_topic[topic] = _quantification_metrics(spec, pred_prevalences[topic].fractions, counts)
+        per_topic[topic] = _quantification_metrics(spec, pred_prevalences[topic].fractions, row)
     metrics = _macroaverage_metrics(per_topic)
     report = ScoreReport(spec, metrics, per_topic, len(per_topic), warnings)
     if pooled:
         # pooled view: item-weighted mix of per-topic predictions vs. the
         # summed gold counts, epsilon from the total test size
-        n_total = len(gold)
-        weights = {t: sum(c) / n_total for t, c in counts_by_topic.items()}
+        totals = [sum(col) for col in zip(*counts.values())]
+        n_total = sum(totals)
+        weights = {t: sum(row) / n_total for t, row in counts.items()}
         mixed = [
-            math.fsum(weights[t] * pred_prevalences[t].fractions[i] for t in counts_by_topic)
-            for i in range(len(gold.scale.classes))
+            math.fsum(weights[t] * pred_prevalences[t].fractions[i] for t in counts)
+            for i in range(len(totals))
         ]
-        totals = [sum(col) for col in zip(*counts_by_topic.values())]
         report.pooled = _quantification_metrics(spec, mixed, totals)
     return report

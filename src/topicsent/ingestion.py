@@ -30,7 +30,7 @@ from .errors import (
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
-from .model import Dataset, Prevalence, Scale
+from .model import Dataset, Prevalence, Scale, exact_sum, topic_class_counts
 
 NO_TOPIC = "NA"
 PREVALENCE_SUM_TOL = 1e-6
@@ -166,10 +166,7 @@ def normalized_prevalence(
     that is None, Prevalence's own error, as a wrong count or a negative or
     non-finite value does."""
     if all(map(math.isfinite, fractions)):
-        try:
-            total = math.fsum(fractions)  # exact, so the order of the values cannot matter
-        except OverflowError:
-            total = math.inf
+        total = exact_sum(fractions)
         if abs(total - 1.0) <= PREVALENCE_SUM_TOL:
             fractions = [f / total for f in fractions]
         elif off_sum is not None:
@@ -309,9 +306,9 @@ def topic_filter(d: Dataset, min_size: int = 100) -> Dataset:
     """Retains only the topics holding at least min_size items."""
     if min_size < 0:
         raise InvalidArgument(f"min_size must be nonnegative, got {min_size!r}")
-    if not d.has_topics:
+    sizes = {topic: sum(counts) for topic, counts in topic_class_counts(d).items()}
+    if not sizes or None in sizes:
         raise NoTopics("topic filtering requires topics")
-    sizes = Counter(topic for _, topic in d.labels)
     labels = {key: label for key, label in d.labels.items() if sizes[key[1]] >= min_size}
     return Dataset(d.scale, labels)
 
@@ -332,11 +329,11 @@ class DatasetStats:
 
 
 def stats(d: Dataset) -> DatasetStats:
-    per_class = Counter(d.labels.values())
-    per_topic = Counter(topic for _, topic in d.labels) if d.has_topics else Counter()
+    counts = topic_class_counts(d)
+    totals = [sum(col) for col in zip(*counts.values())] or [0] * len(d.scale.classes)
     return DatasetStats(
         scale=d.scale,
-        per_class={c: per_class.get(c, 0) for c in reversed(d.scale.classes)},
-        per_topic=dict(sorted(per_topic.items())),
+        per_class=dict(zip(d.scale.classes[::-1], totals[::-1])),
+        per_topic={topic: sum(c) for topic, c in counts.items() if topic is not None},
         total=len(d),
     )

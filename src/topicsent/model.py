@@ -108,11 +108,6 @@ class Dataset:
             raise NoTopics("items must either all carry a topic or none")
         return cls(scale, labels)
 
-    @property
-    def has_topics(self) -> bool:
-        # topics are all-or-none, so the first key speaks for every key
-        return next(iter(self.labels), (None, None))[1] is not None
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -159,10 +154,17 @@ class Prevalence:
             )
         if not all(math.isfinite(f) and f >= 0 for f in self.fractions):
             raise InvalidLabel("prevalence fractions must be finite and nonnegative")
-        if abs(sum(self.fractions) - 1.0) > self._SUM_TOL:
-            raise InvalidLabel(
-                f"prevalence fractions sum to {sum(self.fractions)!r}, expected 1"
-            )
+        total = exact_sum(self.fractions)
+        if abs(total - 1.0) > self._SUM_TOL:
+            raise InvalidLabel(f"prevalence fractions sum to {total!r}, expected 1")
+
+
+def exact_sum(values: Iterable[float]) -> float:
+    """math.fsum, which no order of the values can change; inf on overflow."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 _ABSENT = object()  # join_rows: key not in gold; None marks a matched gold key
@@ -218,12 +220,11 @@ def join_rows(
     return tables, len(ignored)
 
 
-def topic_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:
-    """Each topic's class counts in scale.classes order; topics sorted."""
-    if not data.has_topics:
-        raise NoTopics("dataset has no topics")
+def topic_class_counts(data: Dataset) -> dict[str | None, tuple[int, ...]]:
+    """Each topic's class counts in scale.classes order; topics sorted. Data
+    without topics gives one count vector under the key None."""
     index = {c: i for i, c in enumerate(data.scale.classes)}
-    counts: dict[str, list[int]] = defaultdict(lambda: [0] * len(index))
+    counts: dict[str | None, list[int]] = defaultdict(lambda: [0] * len(index))
     for (_, topic), label in data.labels.items():
         counts[topic][index[label]] += 1
     return {t: tuple(counts[t]) for t in sorted(counts)}

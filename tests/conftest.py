@@ -40,11 +40,15 @@ def joined(gold: Dataset, pred: Dataset) -> ConfusionMatrix:
     return cm
 
 
+def constant_predictions(gold: Dataset, pred_class: int) -> Dataset:
+    """Per-row reference for constant_classifier: a prediction of pred_class
+    for every gold item."""
+    return Dataset(gold.scale, dict.fromkeys(gold.labels, pred_class))
+
+
 def constant_table(gold: Dataset, pred_class: int) -> ConfusionMatrix:
     """Gold joined with an all-pred_class prediction."""
-    from topicsent.baselines import constant_classifier
-
-    return joined(gold, constant_classifier(gold, pred_class))
+    return joined(gold, constant_predictions(gold, pred_class))
 
 
 def reference_join(
@@ -69,7 +73,7 @@ def reference_join(
 
 def reference_class_counts(data: Dataset) -> dict[str, tuple[int, ...]]:
     """Per-row reference for topic_class_counts: each topic's count of every
-    scale class, topics sorted."""
+    scale class, topics sorted; data without topics is keyed under None."""
     topics = sorted({t for _, t, _ in rows(data)})
     return {
         topic: tuple(

@@ -17,9 +17,15 @@ from itertools import product
 import pytest
 
 import topicsent
-from conftest import bow_cosine, constant_table, dataset_from_counts, rows, table
+from conftest import (
+    bow_cosine,
+    constant_predictions,
+    constant_table,
+    dataset_from_counts,
+    rows,
+    table,
+)
 from topicsent.annotation import consolidate_labels
-from topicsent.baselines import constant_classifier
 from topicsent.classification import avg_rec, class_f1
 from topicsent.cli import round_display
 from topicsent.evaluate import SUBTASKS, evaluate
@@ -37,7 +43,7 @@ AR_TEST_C = {2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21}
 
 def score_a(counts, pred_class):
     gold = dataset_from_counts(Scale.THREE_POINT, counts)
-    r = evaluate(SUBTASKS["A"], gold, pred_labels=constant_classifier(gold, pred_class))
+    r = evaluate(SUBTASKS["A"], gold, pred_labels=constant_predictions(gold, pred_class))
     return tuple(round_display(r.metrics[k]) for k in ("avgrec", "f1_pn", "accuracy"))
 
 

@@ -1,30 +1,43 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import constant_table, dataset_from_counts, rows
-from topicsent.baselines import (
-    Averaging,
-    constant_classifier,
-    constant_quantifier,
-    ml_quantifier,
-    point_mass,
-)
+from conftest import constant_predictions, constant_table, dataset_from_counts, rows
+from topicsent.baselines import Averaging, constant_classifier, ml_quantifier, point_mass
 from topicsent.classification import avg_rec
 from topicsent.errors import EmptyInput, NoTopics, ScaleMismatch
-from topicsent.model import Dataset, Scale, class_fractions, topic_class_counts
+from topicsent.model import Dataset, Scale, class_fractions, confusion_tables, topic_class_counts
 from topicsent.quantification import emd, kld
+
+
+@st.composite
+def gold_sets(draw):
+    """A gold dataset on any scale, topicless or over several topics, and
+    possibly empty."""
+    scale = draw(st.sampled_from(list(Scale)))
+    topic = st.sampled_from(draw(st.sampled_from([[None], ["a", "b", "c"]])))
+    keys = st.tuples(st.sampled_from(["t1", "t2", "t3", "t4", "t5", "t6"]), topic)
+    gold = draw(st.dictionaries(keys, st.sampled_from(scale.classes)))
+    return Dataset.build(scale, [(i, t, c) for (i, t), c in gold.items()])
 
 
 class TestConstantClassifier:
     def test_predicts_one_label_everywhere(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, {1: 3, 0: 2, -1: 1})
-        pred = constant_classifier(gold, 0)
-        assert len(pred) == len(gold)
-        assert all(label == 0 for label in pred.labels.values())
+        gold = dataset_from_counts(Scale.THREE_POINT, {1: 3, 0: 2, -1: 1}, topic="x")
+        tables = constant_classifier(Scale.THREE_POINT, topic_class_counts(gold), 0)
+        assert list(tables) == ["x"]
+        assert tables["x"].counts == ((0, 1, 0), (0, 2, 0), (0, 3, 0))
 
     def test_rejects_out_of_scale_class(self):
-        gold = dataset_from_counts(Scale.TWO_POINT, {1: 1})
         with pytest.raises(ScaleMismatch):
-            constant_classifier(gold, 2)
+            constant_classifier(Scale.TWO_POINT, {None: (0, 1)}, 2)
+
+    @given(gold_sets())
+    def test_equals_join_with_per_row_predictions(self, gold):
+        counts = topic_class_counts(gold)
+        for c in gold.scale.classes:
+            tables = constant_classifier(gold.scale, counts, c)
+            assert tables == confusion_tables(gold, constant_predictions(gold, c))[0]
 
     def test_avg_rec_is_one_over_k(self):
         for scale, counts in [
@@ -38,12 +51,6 @@ class TestConstantClassifier:
 
 
 class TestConstantQuantifier:
-    def test_same_prevalence_everywhere(self):
-        p = point_mass(Scale.TWO_POINT, 1)
-        out = constant_quantifier(["a", "b", "c"], p)
-        assert set(out) == {"a", "b", "c"}
-        assert all(v is p for v in out.values())
-
     def test_point_mass_five_point(self):
         p = point_mass(Scale.FIVE_POINT, 1)
         assert p.fractions == (0.0, 0.0, 0.0, 1.0, 0.0)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import dataset_from_counts, reference_join, rows
 from topicsent.cli import main, round_display
-from topicsent.errors import ScoringError
+from topicsent.errors import MissingPrediction, ScoringError, TopicRequired
 from topicsent.evaluate import SUBTASKS, Mode
-from topicsent.ingestion import parse_dataset, serialize_dataset
+from topicsent.ingestion import parse_dataset, parse_prevalence_file, serialize_dataset
 from topicsent.model import Dataset, Scale
 
 
@@ -163,6 +163,24 @@ class TestBaseline:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "INVALID_LABEL"
 
+    def test_off_sum_list_names_the_sum_a_prevalence_file_would(self, tmp_path, capsys):
+        """Both messages state the exact sum of the values (a plain float sum
+        of this list gives 0.9989999999999999)."""
+        gold = tmp_path / "gold.tsv"
+        write_dataset(gold, Scale.FIVE_POINT, {1: 3, -1: 1}, topic="x")
+        values = ["0.000", "0.259", "0.296", "0.148", "0.296"]
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("".join(f"x\t{c}\t{v}\n" for c, v in zip(range(-2, 3), values)))
+        code, _, err = run(["score", "--subtask", "E", "--gold", str(gold),
+                            "--pred", str(pred)], capsys)
+        assert code == 1
+        assert json.loads(err)["message"] == "line 5: prevalences for topic x sum to 0.999, expected 1"
+        code, out, err = run(["baseline", "--subtask", "E", "--gold", str(gold),
+                              "--kind", "prevalence:" + ",".join(values)], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "INVALID_LABEL",
+                                   "message": "prevalence fractions sum to 0.999, expected 1"}
+
 
 class TestConsolidateCommand:
     def test_tsv_round_trip(self, tmp_path, capsys):
@@ -222,6 +240,17 @@ class TestStatsCommand:
         payload = json.loads(out)
         assert payload["per_topic"] == {"b": 12}
         assert payload["total"] == 12
+
+    @pytest.mark.parametrize("subtask,text", [("B", ""), ("A", "t1\tNA\t1\n")])
+    def test_min_size_needs_topics(self, subtask, text, tmp_path, capsys):
+        """An empty or topicless file has no topics to filter."""
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(text)
+        argv = ["stats", "--subtask", subtask, "--input", str(gold)]
+        assert run(argv, capsys)[0] == 0
+        code, out, err = run([*argv, "--min-size", "1"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "NO_TOPICS"
 
 
 class TestDeterminism:
@@ -453,7 +482,7 @@ def test_row_order_does_not_change_report(subtask, data):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("subtask", ["C", "E"])
+@pytest.mark.parametrize("subtask", ["B", "C", "D", "E"])
 @settings(deadline=None, max_examples=50)
 @given(data=st.data())
 def test_reversed_topic_names_do_not_change_report(subtask, data):
@@ -540,26 +569,84 @@ def _faulty_label_files(draw, subtask):
     return ["\t".join(r) for r in gold], ["\t".join(r) for r in pred]
 
 
+@st.composite
+def _faulty_prevalence_files(draw, subtask):
+    """Gold label rows and prevalence file rows for a quantification
+    subtask, with faults injected: in gold, a repeated key, an off-scale
+    label, an NA topic or a malformed line; in the prevalence file, a
+    malformed line, a bad class or value, a repeated class or a sum off 1;
+    and often some topics left out."""
+    spec = SUBTASKS[subtask]
+    classes = [str(c) for c in spec.scale.classes]
+    label = st.sampled_from(classes + ["positive"])
+    keys = draw(st.lists(st.tuples(st.sampled_from(["t1", "t2", "t3", "t4"]),
+                                   st.sampled_from(["a", "b", "c"])), max_size=6, unique=True))
+    gold = [[i, t, draw(label)] for i, t in keys]
+    topics = sorted({t for _, t in keys} | set(draw(st.lists(st.just("x"), max_size=1))))
+    pred = [[t, c, "1" if c == classes[0] else "0"] for t in topics for c in classes]
+    for fault in draw(st.lists(st.sampled_from(["gold repeat", "bad label", "NA topic",
+                                                "gold malformed", "pred malformed", "bad class",
+                                                "bad value", "class repeat", "off sum"]),
+                               max_size=3)):
+        at_gold, at_pred = draw(st.integers(0, len(gold))), draw(st.integers(0, len(pred)))
+        if fault == "gold repeat" and keys:
+            i, t = draw(st.sampled_from(keys))
+            gold.insert(at_gold, [i, t, draw(label)])
+        elif fault == "bad label":
+            gold.insert(at_gold, ["t9", "a", draw(st.sampled_from(["3", "x", ""]))])
+        elif fault == "NA topic":
+            gold.insert(at_gold, ["t9", "NA", classes[0]])
+        elif fault == "gold malformed":
+            gold.insert(at_gold, [draw(st.sampled_from(["t9", "t9\ta"]))])
+        elif fault == "pred malformed":
+            pred.insert(at_pred, [draw(st.sampled_from(["a", "a\t1"]))])
+        elif fault == "bad class":
+            pred.insert(at_pred, ["a", "7", "0"])
+        elif fault == "bad value":
+            pred.insert(at_pred, ["y", classes[0], draw(st.sampled_from(["x", "-0.5", "nan"]))])
+        elif fault == "class repeat" and pred:
+            pred.insert(at_pred, list(draw(st.sampled_from(pred))))
+        elif fault == "off sum":
+            pred.append(["z", classes[-1], "0.5"])
+    if topics:
+        gone = draw(st.sets(st.sampled_from(topics)))
+        pred = [r for r in pred if r[0] not in gone]
+    return ["\t".join(r) for r in gold], ["\t".join(r) for r in pred]
+
+
 def _reference_outcome(spec, gold_text, pred_text):
     """Exit code and diagnostic of scoring with both files parsed in full,
-    gold first, then joined by the per-row reference."""
+    gold first, then joined by the per-row reference or, for
+    quantification, checked for a gold topic without a prediction."""
     try:
         gold = parse_dataset(io.StringIO(gold_text), spec)
-        pred = parse_dataset(io.StringIO(pred_text), spec)
-        reference_join(gold, pred)
+        if spec.mode is Mode.CLASSIFICATION:
+            reference_join(gold, parse_dataset(io.StringIO(pred_text), spec))
+        else:
+            pred = parse_prevalence_file(io.StringIO(pred_text), spec.scale)
+            topics = sorted({t for _, t in gold.labels})
+            if not topics:
+                raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
+            missing = [t for t in topics if t not in pred]
+            if missing:
+                raise MissingPrediction(None, missing[0])
     except ScoringError as exc:
         return 1, {"error": exc.code, "message": str(exc)}
     return 0, None
 
 
-@pytest.mark.parametrize("subtask", ["A", "B", "C"])
+@pytest.mark.parametrize("subtask", ["A", "B", "C", "D", "E"])
 @settings(deadline=None)
 @given(data=st.data())
 def test_errors_keep_their_order(subtask, data):
-    """The streamed join reports the error that parsing gold, then the
-    predictions, then joining them would: gold file errors first, then
-    prediction file errors, then the first gold key without a prediction."""
-    gold, pred = data.draw(_faulty_label_files(subtask))
+    """Scoring reports the error that parsing gold, then the predictions,
+    then matching them would: gold file errors first, then prediction file
+    errors, then the first gold key (A-C) or topic (D, E) without a
+    prediction."""
+    if SUBTASKS[subtask].mode is Mode.CLASSIFICATION:
+        gold, pred = data.draw(_faulty_label_files(subtask))
+    else:
+        gold, pred = data.draw(_faulty_prevalence_files(subtask))
     gold_text = "".join(line + "\n" for line in gold)
     pred_text = "".join(line + "\n" for line in pred)
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts, rows
-from topicsent.baselines import constant_classifier, constant_quantifier, point_mass
+from conftest import constant_predictions, dataset_from_counts, rows
+from topicsent.baselines import point_mass
 from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
 from topicsent.evaluate import SUBTASKS, Mode, evaluate, macroaverage
 from topicsent.model import Dataset, Prevalence, Scale, class_fractions, topic_class_counts
@@ -53,7 +53,7 @@ class TestMacroaverage:
 class TestSubtaskA:
     def test_constant_neutral_english_counts(self):
         gold = dataset_from_counts(Scale.THREE_POINT, {1: 2375, 0: 5937, -1: 3972})
-        report = evaluate(SUBTASKS["A"], gold, pred_labels=constant_classifier(gold, 0))
+        report = evaluate(SUBTASKS["A"], gold, pred_labels=constant_predictions(gold, 0))
         assert round(report.metrics["avgrec"], 3) == 0.333
         assert round(report.metrics["f1_pn"], 3) == 0.000
         assert round(report.metrics["accuracy"], 3) == 0.483
@@ -69,7 +69,7 @@ class TestSubtaskBC:
     def test_topics_required(self):
         gold = dataset_from_counts(Scale.TWO_POINT, {1: 2, -1: 2})
         with pytest.raises(TopicRequired):
-            evaluate(SUBTASKS["B"], gold, pred_labels=constant_classifier(gold, 1))
+            evaluate(SUBTASKS["B"], gold, pred_labels=constant_predictions(gold, 1))
 
     def test_perfect_subtask_c(self):
         gold = self._two_topic_gold(Scale.FIVE_POINT, {0: 3, 1: 2}, {-1: 4})
@@ -79,7 +79,7 @@ class TestSubtaskBC:
 
     def test_aggregate_is_mean_of_topics(self):
         gold = self._two_topic_gold(Scale.TWO_POINT, {1: 4, -1: 4}, {1: 2, -1: 6})
-        report = evaluate(SUBTASKS["B"], gold, pred_labels=constant_classifier(gold, 1))
+        report = evaluate(SUBTASKS["B"], gold, pred_labels=constant_predictions(gold, 1))
         for name, value in report.metrics.items():
             per_topic = {t: m[name] for t, m in report.per_topic.items()}
             assert value == pytest.approx(macroaverage(per_topic), abs=1e-12)
@@ -87,13 +87,13 @@ class TestSubtaskBC:
     def test_single_topic_macro_equals_pooled(self):
         gold = dataset_from_counts(Scale.TWO_POINT, {1: 6, -1: 4}, topic="only")
         report = evaluate(
-            SUBTASKS["B"], gold, pred_labels=constant_classifier(gold, 1), pooled=True
+            SUBTASKS["B"], gold, pred_labels=constant_predictions(gold, 1), pooled=True
         )
         assert report.metrics == pytest.approx(report.pooled)
 
     def test_absent_class_flagged_per_topic(self):
         gold = self._two_topic_gold(Scale.TWO_POINT, {1: 3}, {1: 2, -1: 2})
-        report = evaluate(SUBTASKS["B"], gold, pred_labels=constant_classifier(gold, 1))
+        report = evaluate(SUBTASKS["B"], gold, pred_labels=constant_predictions(gold, 1))
         assert any("topic a" in w and "NEGATIVE" in w for w in report.warnings)
 
 
@@ -126,7 +126,7 @@ class TestQuantification:
 
     def test_extra_topic_warned_and_excluded(self):
         gold = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 2}, topic="x")
-        preds = constant_quantifier(["x", "ghost"], point_mass(Scale.TWO_POINT, 1))
+        preds = dict.fromkeys(["x", "ghost"], point_mass(Scale.TWO_POINT, 1))
         report = evaluate(SUBTASKS["D"], gold, pred_prevalences=preds)
         assert any("ghost" in w for w in report.warnings)
         assert list(report.per_topic) == ["x"]
@@ -174,7 +174,7 @@ class TestQuantification:
         gold_b = dataset_from_counts(Scale.TWO_POINT, {1: 9, -1: 1}, topic="b")
         fwd = Dataset.build(Scale.TWO_POINT, rows(gold_a, gold_b))
         rev = Dataset.build(Scale.TWO_POINT, rows(gold_b, gold_a))
-        preds = constant_quantifier(["a", "b"], Prevalence(Scale.TWO_POINT, (0.4, 0.6)))
+        preds = dict.fromkeys(["a", "b"], Prevalence(Scale.TWO_POINT, (0.4, 0.6)))
         r1 = evaluate(SUBTASKS["D"], fwd, pred_prevalences=preds)
         r2 = evaluate(SUBTASKS["D"], rev, pred_prevalences=preds)
         assert r1.metrics == r2.metrics

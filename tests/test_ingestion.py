@@ -253,6 +253,8 @@ class TestTopicFilter:
         d = dataset_from_counts(Scale.TWO_POINT, {1: 3})
         with pytest.raises(NoTopics):
             topic_filter(d)
+        with pytest.raises(NoTopics):
+            topic_filter(Dataset.build(Scale.TWO_POINT, []), min_size=0)
 
 
 class TestStats:
@@ -270,3 +272,8 @@ class TestStats:
     def test_empty(self):
         s = stats(Dataset.build(Scale.THREE_POINT, []))
         assert s.total == 0 and all(v == 0 for v in s.per_class.values())
+
+    def test_no_topics(self):
+        s = stats(dataset_from_counts(Scale.THREE_POINT, {1: 2, -1: 1}))
+        assert s.per_class == {1: 2, 0: 0, -1: 1}
+        assert s.per_topic == {} and s.n_topics == 0 and s.total == 3

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts, reference_class_counts, reference_join, rows
+from conftest import (
+    constant_predictions,
+    dataset_from_counts,
+    reference_class_counts,
+    reference_join,
+    rows,
+)
 from topicsent.errors import (
     DuplicateKey,
     EmptyInput,
@@ -80,7 +86,7 @@ class TestDataset:
     def test_same_id_different_topic_allowed(self):
         items = [("t1", "x", 1), ("t1", "y", -1)]
         d = Dataset.build(Scale.TWO_POINT, items)
-        assert len(d) == 2 and d.has_topics
+        assert list(d.labels) == [("t1", "x"), ("t1", "y")]
 
     def test_mixed_topic_presence_rejected(self):
         items = [("t1", "x", 1), ("t2", None, -1)]
@@ -195,18 +201,16 @@ class TestGroupByTopic:
         tables, _ = confusion_tables(d, d)
         assert tables == {"only": ConfusionMatrix(Scale.TWO_POINT, ((2, 0), (0, 3)))}
 
-    def test_no_topics_raises(self):
-        d = dataset_from_counts(Scale.TWO_POINT, {1: 1})
-        with pytest.raises(NoTopics):
-            topic_class_counts(d)
+    def test_no_topics_keyed_under_none(self):
+        d = dataset_from_counts(Scale.THREE_POINT, {1: 1, -1: 2})
+        assert topic_class_counts(d) == {None: (2, 0, 1)}
+        assert topic_class_counts(Dataset.build(Scale.THREE_POINT, [])) == {}
 
     def test_group_counts_sum_to_total_after_align(self):
-        from topicsent.baselines import constant_classifier
-
         gold = dataset_from_counts(Scale.TWO_POINT, {1: 4, -1: 3}, topic="a")
         gold2 = dataset_from_counts(Scale.TWO_POINT, {1: 2}, topic="b")
         merged = Dataset.build(Scale.TWO_POINT, rows(gold, gold2))
-        tables, _ = confusion_tables(merged, constant_classifier(merged, 1))
+        tables, _ = confusion_tables(merged, constant_predictions(merged, 1))
         assert sum(t.total for t in tables.values()) == len(merged)
         pooled = tables["a"] + tables["b"]
         assert pooled.counts == ((0, 3), (0, 6))
@@ -242,11 +246,7 @@ class TestReferenceJoin:
     @given(gold_and_pred())
     def test_topic_class_counts(self, data):
         gold, _ = data
-        if gold.has_topics:
-            assert topic_class_counts(gold) == reference_class_counts(gold)
-        else:
-            with pytest.raises(NoTopics):
-                topic_class_counts(gold)
+        assert topic_class_counts(gold) == reference_class_counts(gold)
 
 
 def label_fractions(labels, scale):
@@ -285,6 +285,13 @@ class TestPrevalence:
             Prevalence(Scale.TWO_POINT, (-0.1, 1.1))
         with pytest.raises(InvalidLabel):
             Prevalence(Scale.TWO_POINT, (math.nan, math.nan))
+
+    def test_off_sum_message_states_the_exact_sum(self):
+        # a plain left-to-right sum of these values gives 0.9989999999999999
+        with pytest.raises(InvalidLabel, match=r"sum to 0\.999, expected 1"):
+            Prevalence(Scale.FIVE_POINT, (0.000, 0.259, 0.296, 0.148, 0.296))
+        with pytest.raises(InvalidLabel, match=r"sum to inf, expected 1"):
+            Prevalence(Scale.TWO_POINT, (1e308, 1e308))
 
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=50),
            st.randoms())
