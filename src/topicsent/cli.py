@@ -188,10 +188,7 @@ def cmd_dedup(args) -> int:
 def cmd_stats(args) -> int:
     spec = SUBTASKS[args.subtask]
     with _open_in(args.input) as f:
-        d = ingestion.parse_dataset(f, spec)
-    if args.min_size:
-        d = ingestion.topic_filter(d, args.min_size)
-    s = ingestion.stats(d)
+        s = ingestion.stats(ingestion.parse_dataset(f, spec), args.min_size)
     payload = {
         "per_class": {str(c): n for c, n in s.per_class.items()},
         "per_topic": s.per_topic,
@@ -269,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="per-class and per-topic count summary")
     add_common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--min-size", type=int, default=0, dest="min_size",
+    p.add_argument("--min-size", type=int, dest="min_size",
                    help="drop topics with fewer items before counting")
     p.set_defaults(func=cmd_stats)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -256,7 +257,13 @@ def dedup(
     point where the rest holds less than ``threshold`` of its norm. If two
     prefixes share no token, every shared token lies in one record's rest, so
     by Cauchy-Schwarz their cosine is below the threshold; only kept records
-    sharing a prefix token are compared."""
+    sharing a prefix token are candidates.
+
+    Weighted positional filter (PPJoin, Xiao et al. 2008): at a shared prefix
+    token, the normalized dot so far plus the product of both normalized rest
+    norms bounds the cosine (shared tokens ranked earlier lie in both prefixes,
+    later ones in both rests), so a candidate is verified only if that bound
+    never fell below the threshold."""
     if not 0.0 <= threshold <= 1.0:  # also rejects NaN
         raise InvalidArgument(f"threshold must be in [0, 1], got {threshold!r}")
     df: Counter = Counter()
@@ -267,50 +274,55 @@ def dedup(
         df.update(tokens)
     rank = {tok: i for i, tok in enumerate(sorted(df, key=lambda t: (df[t], t)))}
     del df
-    # the slack keeps float rounding in the cut from dropping a true collider
-    cut = (threshold * (1 - 1e-9)) ** 2
+    # the slack keeps float rounding in the cut and the bound from dropping a true collider
+    low = threshold * (1 - 1e-9)
     kept: list[RawTweetRecord] = []
     kept_vecs: list[tuple[Counter, float, bool]] = []
-    index: dict[int, list[int]] = {}  # prefix token rank -> kept indices, ascending
+    index: dict[int, array] = {}  # prefix token rank -> flat (k, w/norm, rest/norm) triples
     removed: list[tuple[RawTweetRecord, RawTweetRecord]] = []
     for rec in records:
         vec = Counter(map(rank.__getitem__, tokenize(rec.text)))
         sq = sum(c * c for c in vec.values())
         norm, binary = math.sqrt(sq), len(vec) == sq
-        prefix, rest, bound = [], sq, cut * sq
+        prefix, rest, bound = [], sq, low * low * sq
         for tok in sorted(vec):
             if rest < bound:
                 break
-            prefix.append(tok)
             rest -= vec[tok] ** 2
-        j = len(kept)
-        collided = None
-        for k in sorted(set().union(*(index.get(tok, ()) for tok in prefix))):
+            prefix.append((tok, vec[tok] / norm, math.sqrt(rest) / norm))
+        acc: dict[float, float] = {}  # candidate -> normalized dot so far, -inf once pruned
+        for tok, w, r in prefix:
+            postings = iter(index.get(tok, ()))
+            for k, ow, orest in zip(postings, postings, postings):
+                dot = acc.get(k, 0.0) + w * ow
+                acc[k] = dot if dot + r * orest >= low else -math.inf
+        for k in sorted(int(k) for k, dot in acc.items() if dot != -math.inf):
             ovec, onorm, obinary = kept_vecs[k]
             shared = vec.keys() & ovec.keys()
             dot = len(shared) if binary and obinary else sum(vec[t] * ovec[t] for t in shared)
             if dot / (norm * onorm) > threshold:
-                collided = kept[k]
+                removed.append((rec, kept[k]))
                 break
-        if collided is None:
+        else:
+            for tok, w, r in prefix:
+                index.setdefault(tok, array("d")).extend((len(kept), w, r))
             kept.append(rec)
             kept_vecs.append((vec, norm, binary))
-            for tok in prefix:
-                index.setdefault(tok, []).append(j)
-        else:
-            removed.append((rec, collided))
     return kept, removed
 
 
 def topic_filter(d: Dataset, min_size: int = 100) -> Dataset:
     """Retains only the topics holding at least min_size items."""
+    large = _large_topics(topic_class_counts(d), min_size)
+    return Dataset(d.scale, {key: label for key, label in d.labels.items() if key[1] in large})
+
+
+def _large_topics(counts: dict, min_size: int) -> dict:
     if min_size < 0:
         raise InvalidArgument(f"min_size must be nonnegative, got {min_size!r}")
-    sizes = {topic: sum(counts) for topic, counts in topic_class_counts(d).items()}
-    if not sizes or None in sizes:
+    if not counts or None in counts:
         raise NoTopics("topic filtering requires topics")
-    labels = {key: label for key, label in d.labels.items() if sizes[key[1]] >= min_size}
-    return Dataset(d.scale, labels)
+    return {topic: c for topic, c in counts.items() if sum(c) >= min_size}
 
 
 @dataclass
@@ -328,12 +340,15 @@ class DatasetStats:
         return len(self.per_topic)
 
 
-def stats(d: Dataset) -> DatasetStats:
+def stats(d: Dataset, min_size: int | None = None) -> DatasetStats:
+    """Counts d, or with min_size only the topics topic_filter would retain."""
     counts = topic_class_counts(d)
+    if min_size is not None:
+        counts = _large_topics(counts, min_size)
     totals = [sum(col) for col in zip(*counts.values())] or [0] * len(d.scale.classes)
     return DatasetStats(
         scale=d.scale,
         per_class=dict(zip(d.scale.classes[::-1], totals[::-1])),
         per_topic={topic: sum(c) for topic, c in counts.items() if topic is not None},
-        total=len(d),
+        total=sum(totals),
     )

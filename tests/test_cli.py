@@ -241,14 +241,15 @@ class TestStatsCommand:
         assert payload["per_topic"] == {"b": 12}
         assert payload["total"] == 12
 
+    @pytest.mark.parametrize("min_size", ["0", "1"])
     @pytest.mark.parametrize("subtask,text", [("B", ""), ("A", "t1\tNA\t1\n")])
-    def test_min_size_needs_topics(self, subtask, text, tmp_path, capsys):
+    def test_min_size_needs_topics(self, subtask, text, min_size, tmp_path, capsys):
         """An empty or topicless file has no topics to filter."""
         gold = tmp_path / "gold.tsv"
         gold.write_text(text)
         argv = ["stats", "--subtask", subtask, "--input", str(gold)]
         assert run(argv, capsys)[0] == 0
-        code, out, err = run([*argv, "--min-size", "1"], capsys)
+        code, out, err = run([*argv, "--min-size", min_size], capsys)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "NO_TOPICS"
 

@@ -172,6 +172,14 @@ class TestDedup:
         with pytest.raises(InvalidArgument):
             dedup([record(1, "a b")], threshold=threshold)
 
+    def test_first_empty_record_reported(self):
+        # t2 would be removed as a copy of t1, and t4 is empty too; the error
+        # names the first record without tokens in input order
+        records = [record(1, "a b"), record(2, "a b"), record(3, "..."), record(4, "!")]
+        with pytest.raises(EmptyText) as info:
+            dedup(records)
+        assert str(info.value) == "record t3 has no tokens"
+
     @given(st.lists(st.text(alphabet="abcdef ", min_size=1).filter(str.strip), max_size=25))
     def test_idempotent(self, texts):
         records = [record(i, t) for i, t in enumerate(texts)]
@@ -188,8 +196,13 @@ def assert_matches_reference(records, threshold):
 
 
 _TEXT = st.lists(st.sampled_from("a b c d e f".split()), min_size=1, max_size=8).map(" ".join)
+# each token repeated up to 5 times, so most pairs have TF > 1 on both sides
+_REPEATED_TEXT = st.lists(
+    st.tuples(st.sampled_from("a b c d e f".split()), st.integers(1, 5)), min_size=1, max_size=5
+).map(lambda words: " ".join(" ".join([w] * n) for w, n in words))
 _THRESHOLD = st.sampled_from([0.0, 1.0, 2**-0.5, 0.6]) | st.floats(0.0, 1.0)
 _SHARED = " ".join(f"s{i}" for i in range(18))
+_SHARED_TF = "s0 s0 s1 s2 s3 s4 s5 s6"
 
 
 class TestDedupMatchesReference:
@@ -205,8 +218,23 @@ class TestDedupMatchesReference:
     # cut with slack finds the pair.
     @example(pool=[f"r0 r1 r2 {_SHARED}", _SHARED], picks=[0, 1], threshold=0.9258200997725515)
     @example(pool=["a b c", "a"], picks=[0, 0, 1, 1], threshold=1.0)
+    # The pair meets first at s0, the kept record's second prefix token. Both
+    # rests are s1..s6, so the positional bound there is the cosine itself,
+    # sqrt(10/11); it computes one ulp below this threshold and the cosine
+    # expression above it, so only the slack in the bound keeps the pair.
+    @example(pool=[f"r0 {_SHARED_TF}", _SHARED_TF], picks=[0, 1], threshold=0.9534625892455922)
     def test_small_corpora(self, pool, picks, threshold):
         # picks index the pool, so exact duplicate texts are common
+        records = [record(i, pool[p % len(pool)]) for i, p in enumerate(picks)]
+        assert_matches_reference(records, threshold)
+
+    @settings(max_examples=300)
+    @given(
+        pool=st.lists(_REPEATED_TEXT, min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), max_size=30),
+        threshold=_THRESHOLD,
+    )
+    def test_repeated_tokens(self, pool, picks, threshold):
         records = [record(i, pool[p % len(pool)]) for i, p in enumerate(picks)]
         assert_matches_reference(records, threshold)
 
