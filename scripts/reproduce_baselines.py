@@ -8,7 +8,7 @@ Run: PYTHONPATH=src python3 scripts/reproduce_baselines.py
 from topicsent.baselines import constant_classifier
 from topicsent.classification import accuracy, avg_rec, f1_pn
 from topicsent.cli import round_display
-from topicsent.model import Scale
+from topicsent.evaluate import SUBTASKS
 from topicsent.ordinal import mae_macro, mae_micro
 
 COUNTS = {
@@ -23,35 +23,23 @@ COUNTS = {
         "C": {2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21},
     },
 }
-SCALES = {"A": Scale.THREE_POINT, "B": Scale.TWO_POINT, "C": Scale.FIVE_POINT}
-
-
-def fmt(x):
-    return f"{round_display(x):.3f}"
+CLASSIFICATION = {"AvgRec": avg_rec, "F1_PN": f1_pn, "Acc": accuracy}
+COLUMNS = {"A": CLASSIFICATION, "B": CLASSIFICATION, "C": {"MAE_M": mae_macro, "MAE_mu": mae_micro}}
 
 
 def main():
     for language, counts in COUNTS.items():
-        for subtask in ("A", "B"):
-            scale = SCALES[subtask]
+        for subtask, columns in COLUMNS.items():
+            scale = SUBTASKS[subtask].scale
             print(f"\n{language}, subtask {subtask} (constant classifiers, pooled)")
-            print(f"{'baseline':<16} {'AvgRec':>7} {'F1_PN':>7} {'Acc':>7}")
+            print(f"{'baseline':<16}" + "".join(f" {name:>7}" for name in columns))
             gold = {None: tuple(counts[subtask][g] for g in scale.classes)}
             for c in scale.classes:
                 (cm,) = constant_classifier(scale, gold, c).values()
-                name = f"All {scale.class_name(c).title()}"
-                print(
-                    f"{name:<16} {fmt(avg_rec(cm)):>7} {fmt(f1_pn(cm)):>7} "
-                    f"{fmt(accuracy(cm)):>7}"
-                )
-
-        print(f"\n{language}, subtask C (constant classifiers, pooled)")
-        print(f"{'baseline':<16} {'MAE_M':>7} {'MAE_mu':>7}")
-        scale = SCALES["C"]
-        gold = {None: tuple(counts["C"][g] for g in scale.classes)}
-        for c in scale.classes:
-            (cm,) = constant_classifier(scale, gold, c).values()
-            print(f"{'All ' + str(c):<16} {fmt(mae_macro(cm)):>7} {fmt(mae_micro(cm)):>7}")
+                # as in the published tables, subtask C rows name the integer label
+                name = f"All {c}" if subtask == "C" else f"All {scale.class_name(c).title()}"
+                values = "".join(f" {round_display(m(cm)):>7.3f}" for m in columns.values())
+                print(f"{name:<16}{values}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Scoring and evaluation toolkit for topic-based sentiment classification
 and quantification on 2-, 3- and 5-point scales."""
 
-from .annotation import CrowdAnnotation, consolidate, consolidate_labels
+from .annotation import CrowdAnnotation, consolidate_labels
 from .baselines import Averaging, constant_classifier, ml_quantifier, point_mass
 from .classification import accuracy, avg_rec, class_f1, class_recall, f1_pn
 from .errors import ScoringError

@@ -53,7 +53,3 @@ def consolidate_labels(labels: Sequence[int]) -> int:
     if 5 * s > -7 * n:
         return -1
     return -2
-
-
-def consolidate(a: CrowdAnnotation) -> int:
-    return consolidate_labels(a.labels)

@@ -16,17 +16,17 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import IO
 
 from . import baselines, ingestion
-from .annotation import consolidate
+from .annotation import consolidate_labels
 from .errors import InvalidArgument, InvalidLabel, ScoringError
 from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
                        quantification_report)
 from .model import join_rows, topic_class_counts
 
 
-def round_display(x: float, digits: int = 3) -> float:
-    """Rounds half away from zero, the convention the score tables use."""
-    q = Decimal(1).scaleb(-digits)
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+def round_display(x: float) -> float:
+    """Rounds to 3 decimals half away from zero, the convention the score
+    tables use."""
+    return float(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
 @contextmanager
@@ -49,28 +49,28 @@ def _open_out(path: str):
             yield f
 
 
-def _report_payload(report: ScoreReport) -> dict:
-    payload = {
-        "subtask": report.subtask.id,
-        "primary_metric": report.subtask.primary_metric,
-        "higher_is_better": report.subtask.higher_is_better,
-        "metrics": report.metrics,
-        "metrics_display": {k: round_display(v) for k, v in report.metrics.items()},
-        "per_topic": report.per_topic,
-        "n_topics": report.n_topics,
-        "warnings": report.warnings,
-    }
-    if report.pooled is not None:
-        payload["pooled"] = report.pooled
-        payload["pooled_display"] = {k: round_display(v) for k, v in report.pooled.items()}
-    return payload
+def _write_json(payload: dict, out: IO[str]) -> None:
+    """Streams the payload, so a large report is never held as one string."""
+    json.dump(payload, out, sort_keys=True, indent=2, allow_nan=False)
+    out.write("\n")
 
 
 def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
-    payload = _report_payload(report)
     if fmt == "json":
-        json.dump(payload, out, sort_keys=True, indent=2, allow_nan=False)
-        out.write("\n")
+        payload = {
+            "subtask": report.subtask.id,
+            "primary_metric": report.subtask.primary_metric,
+            "higher_is_better": report.subtask.higher_is_better,
+            "metrics": report.metrics,
+            "metrics_display": {k: round_display(v) for k, v in report.metrics.items()},
+            "per_topic": report.per_topic,
+            "n_topics": len(report.per_topic),
+            "warnings": report.warnings,
+        }
+        if report.pooled is not None:
+            payload["pooled"] = report.pooled
+            payload["pooled_display"] = {k: round_display(v) for k, v in report.pooled.items()}
+        _write_json(payload, out)
     elif fmt == "tsv":
         for name in sorted(report.metrics):
             out.write(f"{name}\t{report.metrics[name]!r}\n")
@@ -88,8 +88,8 @@ def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
             out.write("  pooled:\n")
             for name in sorted(report.pooled):
                 out.write(f"    {name:<10} {round_display(report.pooled[name]):.3f}\n")
-        if report.n_topics:
-            out.write(f"  topics: {report.n_topics}\n")
+        if report.per_topic:
+            out.write(f"  topics: {len(report.per_topic)}\n")
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
@@ -167,7 +167,7 @@ def cmd_consolidate(args) -> int:
     with _open_out(args.output) as out:
         for a in annotations:
             topic = a.topic if a.topic is not None else ingestion.NO_TOPIC
-            out.write(f"{a.item_id}\t{topic}\t{consolidate(a)}\n")
+            out.write(f"{a.item_id}\t{topic}\t{consolidate_labels(a.labels)}\n")
     return 0
 
 
@@ -189,16 +189,14 @@ def cmd_stats(args) -> int:
     spec = SUBTASKS[args.subtask]
     with _open_in(args.input) as f:
         s = ingestion.stats(ingestion.parse_dataset(f, spec), args.min_size)
-    payload = {
-        "per_class": {str(c): n for c, n in s.per_class.items()},
-        "per_topic": s.per_topic,
-        "n_topics": s.n_topics,
-        "total": s.total,
-    }
     with _open_out(args.output) as out:
         if args.format == "json":
-            json.dump(payload, out, sort_keys=True, indent=2, allow_nan=False)
-            out.write("\n")
+            _write_json({
+                "per_class": {str(c): n for c, n in s.per_class.items()},
+                "per_topic": s.per_topic,
+                "n_topics": len(s.per_topic),
+                "total": s.total,
+            }, out)
         elif args.format == "tsv":
             for c, n in s.per_class.items():
                 out.write(f"class\t{c}\t{n}\n")
@@ -209,7 +207,7 @@ def cmd_stats(args) -> int:
             cols = "\t".join(str(c) for c in s.per_class)
             vals = "\t".join(str(n) for n in s.per_class.values())
             out.write(f"classes:\t{cols}\ncounts:\t{vals}\n")
-            out.write(f"topics: {s.n_topics}\ntotal: {s.total}\n")
+            out.write(f"topics: {len(s.per_topic)}\ntotal: {s.total}\n")
     return 0
 
 

@@ -41,7 +41,7 @@ class SubtaskSpec:
     mode: Mode
     topic_based: bool
     primary_metric: str
-    # higher_is_better drives ranking direction in reports
+    # reported with each score; nothing in the scorer ranks by it
     higher_is_better: bool
 
 
@@ -59,13 +59,8 @@ class ScoreReport:
     subtask: SubtaskSpec
     metrics: dict[str, float]
     per_topic: dict[str, dict[str, float]] = field(default_factory=dict)
-    n_topics: int = 0
     warnings: list[str] = field(default_factory=list)
     pooled: dict[str, float] | None = None
-
-    @property
-    def primary_value(self) -> float:
-        return self.metrics[self.subtask.primary_metric]
 
 
 def macroaverage(values: Mapping[str, float]) -> float:
@@ -157,7 +152,7 @@ def classification_report(
         per_topic[topic] = _classification_metrics(spec, table)
         _warn_absent_classes(spec, table, topic, warnings)
     metrics = _macroaverage_metrics(per_topic)
-    report = ScoreReport(spec, metrics, per_topic, len(per_topic), warnings)
+    report = ScoreReport(spec, metrics, per_topic, warnings)
     if pooled:
         report.pooled = _classification_metrics(spec, sum(tables.values(), zero))
     return report
@@ -195,7 +190,7 @@ def quantification_report(
             raise MissingPrediction(None, topic)
         per_topic[topic] = _quantification_metrics(spec, pred_prevalences[topic].fractions, row)
     metrics = _macroaverage_metrics(per_topic)
-    report = ScoreReport(spec, metrics, per_topic, len(per_topic), warnings)
+    report = ScoreReport(spec, metrics, per_topic, warnings)
     if pooled:
         # pooled view: item-weighted mix of per-topic predictions vs. the
         # summed gold counts, epsilon from the total test size

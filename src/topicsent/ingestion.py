@@ -330,14 +330,9 @@ class DatasetStats:
     """Count summary shaped like the published dataset tables: class columns
     most positive first."""
 
-    scale: Scale
     per_class: dict[int, int]
     per_topic: dict[str, int]
     total: int
-
-    @property
-    def n_topics(self) -> int:
-        return len(self.per_topic)
 
 
 def stats(d: Dataset, min_size: int | None = None) -> DatasetStats:
@@ -347,7 +342,6 @@ def stats(d: Dataset, min_size: int | None = None) -> DatasetStats:
         counts = _large_topics(counts, min_size)
     totals = [sum(col) for col in zip(*counts.values())] or [0] * len(d.scale.classes)
     return DatasetStats(
-        scale=d.scale,
         per_class=dict(zip(d.scale.classes[::-1], totals[::-1])),
         per_topic={topic: sum(c) for topic, c in counts.items() if topic is not None},
         total=sum(totals),

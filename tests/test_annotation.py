@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topicsent.annotation import CrowdAnnotation, consolidate, consolidate_labels
+from topicsent.annotation import CrowdAnnotation, consolidate_labels
 from topicsent.errors import InvalidLabel, TooFewAnnotators
 
 labels5 = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=5, max_size=9)
@@ -52,7 +52,7 @@ class TestConsolidate:
 
     def test_consolidate_annotation(self):
         a = CrowdAnnotation("t1", "x", (2, 2, 2, -1, 0))
-        assert consolidate(a) == 2
+        assert consolidate_labels(a.labels) == 2
 
     def test_exhaustive_against_reference(self):
         for labels in product([-2, -1, 0, 1, 2], repeat=5):

@@ -120,6 +120,17 @@ class TestBaseline:
         payload = json.loads(out)
         assert payload["pooled_display"]["mae_macro"] == 1.2
         assert payload["n_topics"] == 2
+        # n_topics is the number of scored topics: 0, and no table line, without topics
+        topicless = tmp_path / "topicless.tsv"
+        write_dataset(topicless, Scale.THREE_POINT, {1: 2, 0: 1, -1: 1})
+        for path, subtask, n_topics in ((gold, "C", 2), (topicless, "A", 0)):
+            baseline = ["baseline", "--subtask", subtask, "--gold", str(path), "--kind", "constant:0"]
+            for argv in (baseline, ["stats", "--subtask", subtask, "--input", str(path)]):
+                code, out, _ = run(argv, capsys)
+                assert code == 0 and json.loads(out)["n_topics"] == n_topics
+            code, out, _ = run(baseline + ["--format", "table"], capsys)
+            topic_lines = [line for line in out.splitlines() if "topics:" in line]
+            assert code == 0 and topic_lines == ([f"  topics: {n_topics}"] if n_topics else [])
 
     def test_ml_baseline_requires_train(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
@@ -707,23 +718,50 @@ def test_doubled_topics_do_not_change_metrics(subtask, data):
 @settings(deadline=None, max_examples=50)
 @given(data=st.data())
 def test_swapped_polarity_does_not_change_subtask_b(data):
-    """Mapping 1 to -1 and -1 to 1 in gold and predictions together leaves
-    every subtask B value exactly as it was: AvgRec, F1_PN and accuracy treat
-    the two classes alike."""
-    gold, pred = data.draw(_scored_files("B"))
-    swap = {"1": "-1", "-1": "1"}
-    swapped = [[re.sub(r"[^\t]+$", lambda m: swap[m.group()], line) for line in lines]
-               for lines in (gold, pred)]
-    payloads = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for k, (gold_lines, pred_lines) in enumerate([(gold, pred), swapped]):
-            paths = [Path(tmp, f"{kind}{k}") for kind in ("gold", "pred", "out")]
-            paths[0].write_text("".join(line + "\n" for line in gold_lines), encoding="utf-8")
-            paths[1].write_text("".join(line + "\n" for line in pred_lines), encoding="utf-8")
-            with contextlib.redirect_stderr(io.StringIO()):
-                code = main(["score", "--subtask", "B", "--gold", str(paths[0]),
-                             "--pred", str(paths[1]), "--pooled", "--output", str(paths[2])])
-            assert code == 0
-            payload = json.loads(paths[2].read_text(encoding="utf-8"))
-            payloads.append([payload[key] for key in ("metrics", "per_topic", "pooled")])
-    assert payloads[0] == payloads[1]
+    """Mapping each class c to -c in gold and predictions together leaves the
+    subtask A, B and C scores as they were, since every metric treats the two
+    polarities alike. F1_PN, accuracy and MAE^mu stay exact. AvgRec and MAE^M
+    sum per-class terms, in reversed order after the swap, so above two
+    classes they may differ in the last bits; a sum of two terms does not.
+    The absent-class warnings name the swapped classes."""
+    for subtask in "ABC":
+        scale = SUBTASKS[subtask].scale
+        gold, pred = data.draw(_scored_files(subtask))
+        swapped = [[re.sub(r"[^\t]+$", lambda m: str(-int(m.group())), line) for line in lines]
+                   for lines in (gold, pred)]
+        payloads = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, (gold_lines, pred_lines) in enumerate([(gold, pred), swapped]):
+                paths = [Path(tmp, f"{kind}{k}") for kind in ("gold", "pred", "out")]
+                paths[0].write_text("".join(line + "\n" for line in gold_lines), encoding="utf-8")
+                paths[1].write_text("".join(line + "\n" for line in pred_lines), encoding="utf-8")
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["score", "--subtask", subtask, "--gold", str(paths[0]),
+                                 "--pred", str(paths[1]), "--pooled", "--output", str(paths[2])])
+                assert code == 0
+                payloads.append(json.loads(paths[2].read_text(encoding="utf-8")))
+        before, after = payloads
+        tol = 1e-12 if len(scale.classes) > 2 else 0.0
+        assert before.keys() == after.keys()
+        assert before["per_topic"].keys() == after["per_topic"].keys()
+        pairs = [(before[key], after[key]) for key in ("metrics", "pooled") if key in before]
+        pairs += [(m, after["per_topic"][t]) for t, m in before["per_topic"].items()]
+        for old, new in pairs:
+            assert old.keys() == new.keys()
+            for name, value in old.items():
+                if name in ("avgrec", "mae_macro"):
+                    assert abs(new[name] - value) <= tol, (subtask, name)
+                else:
+                    assert new[name] == value, (subtask, name)
+        rename = {scale.class_name(c): scale.class_name(-c) for c in scale.classes}
+        assert _warning_set(before["warnings"], rename) == _warning_set(after["warnings"], {})
+
+
+def _warning_set(warnings, rename):
+    """The warnings as a set; an absent-class warning's class names are
+    renamed and taken as a set."""
+    out = set()
+    for w in warnings:
+        head, sep, names = w.partition(" excluded from macro means: ")
+        out.add((head, frozenset(rename.get(n, n) for n in names.split(", ")) if sep else None))
+    return out

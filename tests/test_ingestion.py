@@ -1,5 +1,7 @@
 import io
+import itertools
 import random
+import string
 
 import pytest
 from hypothesis import example, given, settings
@@ -148,6 +150,27 @@ def record(i, text):
     return RawTweetRecord(id=f"t{i}", topic="x", label=None, text=text)
 
 
+def seeded_texts():
+    """1,500 Zipf-weighted word lists; about 15% are edited copies of an
+    earlier one."""
+    rng = random.Random(2007)
+    vocab = [f"w{i}" for i in range(300)]
+    weights = [1 / (rank + 1) for rank in range(len(vocab))]
+    texts: list[list[str]] = []
+    for _ in range(1_500):
+        if texts and rng.random() < 0.15:
+            # an edited copy of an earlier record
+            words = list(rng.choice(texts))
+            if rng.random() < 0.5 and len(words) > 1:
+                del words[rng.randrange(len(words))]
+            else:
+                words.insert(rng.randrange(len(words) + 1), rng.choice(vocab))
+        else:
+            words = rng.choices(vocab, weights, k=rng.randint(3, 14))
+        texts.append(words)
+    return texts
+
+
 class TestDedup:
     def test_near_duplicate_removed(self):
         kept, removed = dedup([record(1, "a b c"), record(2, "a b d")])
@@ -186,6 +209,22 @@ class TestDedup:
         kept, _ = dedup(records)
         kept2, removed2 = dedup(kept)
         assert kept2 == kept and not removed2
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.6, 0.9, 1.0])
+    def test_token_renaming_keeps_result(self, threshold):
+        """A one-to-one renaming of the tokens reorders the rarest-first ranks
+        on their (df, token) tie-break, and with them the prefixes; the
+        filters are exact, so kept and removed stay the same."""
+        texts = seeded_texts()
+        vocab = sorted({w for words in texts for w in words})
+        fresh = ["".join(w) for w in itertools.product(string.ascii_lowercase, repeat=3)]
+        rename = dict(zip(vocab, random.Random(1).sample(fresh, len(vocab))))
+        results = []
+        for corpus in (texts, [[rename[w] for w in words] for words in texts]):
+            kept, removed = dedup([record(i, " ".join(words)) for i, words in enumerate(corpus)],
+                                  threshold)
+            results.append(([r.id for r in kept], [(r.id, hit.id) for r, hit in removed]))
+        assert results[0] == results[1]
 
 
 def assert_matches_reference(records, threshold):
@@ -240,22 +279,7 @@ class TestDedupMatchesReference:
 
     @pytest.mark.parametrize("threshold", [0.3, 0.6, 0.9])
     def test_seeded_corpus(self, threshold):
-        rng = random.Random(2007)
-        vocab = [f"w{i}" for i in range(300)]
-        weights = [1 / (rank + 1) for rank in range(len(vocab))]
-        texts: list[list[str]] = []
-        for _ in range(1_500):
-            if texts and rng.random() < 0.15:
-                # an edited copy of an earlier record
-                words = list(rng.choice(texts))
-                if rng.random() < 0.5 and len(words) > 1:
-                    del words[rng.randrange(len(words))]
-                else:
-                    words.insert(rng.randrange(len(words) + 1), rng.choice(vocab))
-            else:
-                words = rng.choices(vocab, weights, k=rng.randint(3, 14))
-            texts.append(words)
-        records = [record(i, " ".join(words)) for i, words in enumerate(texts)]
+        records = [record(i, " ".join(words)) for i, words in enumerate(seeded_texts())]
         assert_matches_reference(records, threshold)
 
 
@@ -304,4 +328,4 @@ class TestStats:
     def test_no_topics(self):
         s = stats(dataset_from_counts(Scale.THREE_POINT, {1: 2, -1: 1}))
         assert s.per_class == {1: 2, 0: 0, -1: 1}
-        assert s.per_topic == {} and s.n_topics == 0 and s.total == 3
+        assert s.per_topic == {} and s.total == 3
