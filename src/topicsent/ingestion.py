@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 import unicodedata
 from array import array
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .annotation import CrowdAnnotation
@@ -83,6 +85,8 @@ def label_rows(
             topic = topics[raw_topic]
         except KeyError:
             topic = _parse_topic(raw_topic)
+            if topic == "":
+                raise MalformedLine("empty topic field", line=n) from None
             if spec.topic_based and topic is None:
                 raise MalformedLine(f"subtask {spec.id} requires a topic, got NA", line=n) from None
             if not spec.topic_based and topic is not None:
@@ -129,6 +133,8 @@ def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence
         if len(fields) != 3:
             raise MalformedLine("expected topic<TAB>class<TAB>prevalence", line=n)
         topic = fields[0].strip()
+        if not topic:
+            raise MalformedLine("empty topic field", line=n)
         cls = scale.parse_label(fields[1], line=n)
         try:
             frac = float(fields[2])
@@ -252,18 +258,17 @@ def dedup(
     strictly exceeds the threshold, which must lie in [0, 1]; its collider is
     the earliest such kept record. Returns (kept, removed-with-collision).
 
-    Exact symmetric prefix filter (Bayardo, Ma & Srikant 2007): tokens are
-    ranked rarest first, and a record's prefix is its leading tokens up to the
-    point where the rest holds less than ``threshold`` of its norm. If two
-    prefixes share no token, every shared token lies in one record's rest, so
-    by Cauchy-Schwarz their cosine is below the threshold; only kept records
-    sharing a prefix token are candidates.
-
-    Weighted positional filter (PPJoin, Xiao et al. 2008): at a shared prefix
-    token, the normalized dot so far plus the product of both normalized rest
-    norms bounds the cosine (shared tokens ranked earlier lie in both prefixes,
-    later ones in both rests), so a candidate is verified only if that bound
-    never fell below the threshold."""
+    Exact symmetric prefix filter (Bayardo, Ma & Srikant 2007) with an l2
+    prefix-norm cut (after L2AP, Anastasiu & Karypis 2014). Tokens rank rarest
+    first; a record's share ``s`` at a token is its norm from that token on
+    over its whole norm, and its prefix ends where ``s`` drops below
+    ``threshold``. Every shared token ranks at or after the first one, so by
+    Cauchy-Schwarz the product of both shares there bounds the cosine, and a
+    collider's first shared token lies in both prefixes. A prefix token's
+    postings hold kept records by descending ``s`` (arrays of ``-s`` and kept
+    index): a query of share ``rho`` takes the leading ``s >= threshold / rho``
+    in one bisection, with 1e-9 relative slack for float rounding, and
+    verifies them in ascending kept index by an integer dot over token ranks."""
     if not 0.0 <= threshold <= 1.0:  # also rejects NaN
         raise InvalidArgument(f"threshold must be in [0, 1], got {threshold!r}")
     df: Counter = Counter()
@@ -274,40 +279,39 @@ def dedup(
         df.update(tokens)
     rank = {tok: i for i, tok in enumerate(sorted(df, key=lambda t: (df[t], t)))}
     del df
-    # the slack keeps float rounding in the cut and the bound from dropping a true collider
     low = threshold * (1 - 1e-9)
     kept: list[RawTweetRecord] = []
-    kept_vecs: list[tuple[Counter, float, bool]] = []
-    index: dict[int, array] = {}  # prefix token rank -> flat (k, w/norm, rest/norm) triples
+    kept_vecs: list[tuple[tuple[int, ...], float]] = []  # token ranks, repeats included; norm
+    index: defaultdict[int, tuple[array, array]] = defaultdict(lambda: (array("d"), array("l")))
     removed: list[tuple[RawTweetRecord, RawTweetRecord]] = []
     for rec in records:
-        vec = Counter(map(rank.__getitem__, tokenize(rec.text)))
+        ranks = tuple(map(rank.__getitem__, tokenize(rec.text)))
+        vec = Counter(ranks)
         sq = sum(c * c for c in vec.values())
-        norm, binary = math.sqrt(sq), len(vec) == sq
+        norm = math.sqrt(sq)
         prefix, rest, bound = [], sq, low * low * sq
         for tok in sorted(vec):
             if rest < bound:
                 break
+            prefix.append((tok, math.sqrt(rest) / norm))
             rest -= vec[tok] ** 2
-            prefix.append((tok, vec[tok] / norm, math.sqrt(rest) / norm))
-        acc: dict[float, float] = {}  # candidate -> normalized dot so far, -inf once pruned
-        for tok, w, r in prefix:
-            postings = iter(index.get(tok, ()))
-            for k, ow, orest in zip(postings, postings, postings):
-                dot = acc.get(k, 0.0) + w * ow
-                acc[k] = dot if dot + r * orest >= low else -math.inf
-        for k in sorted(int(k) for k, dot in acc.items() if dot != -math.inf):
-            ovec, onorm, obinary = kept_vecs[k]
-            shared = vec.keys() & ovec.keys()
-            dot = len(shared) if binary and obinary else sum(vec[t] * ovec[t] for t in shared)
-            if dot / (norm * onorm) > threshold:
+        candidates: set[int] = set()
+        for tok, rho in prefix:
+            shares, ids = index.get(tok, ((), ()))
+            candidates.update(ids[: bisect_right(shares, -low / rho)])
+        for k in sorted(candidates):
+            oranks, onorm = kept_vecs[k]
+            if sum(map(vec.get, oranks, repeat(0))) / (norm * onorm) > threshold:
                 removed.append((rec, kept[k]))
                 break
         else:
-            for tok, w, r in prefix:
-                index.setdefault(tok, array("d")).extend((len(kept), w, r))
+            for tok, s in prefix:
+                shares, ids = index[tok]
+                at = bisect_right(shares, -s)
+                shares.insert(at, -s)
+                ids.insert(at, len(kept))
             kept.append(rec)
-            kept_vecs.append((vec, norm, binary))
+            kept_vecs.append((ranks, norm))
     return kept, removed
 
 

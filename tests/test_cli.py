@@ -294,6 +294,27 @@ class TestInputContract:
         diag = json.loads(err)
         assert diag["error"] == "MALFORMED_LINE" and "line 1" in diag["message"]
 
+    @pytest.mark.parametrize(
+        "subtask, gold, pred, line",
+        [
+            ("B", "1\tx\tpositive\n1\t\tpositive\n", "1\tx\t1\n", 2),
+            ("B", "1\tx\tpositive\n", "1\t \t1\n", 1),
+            ("D", "1\tx\tpositive\n", "x\tpositive\t1\n\tnegative\t0.5\n", 2),
+        ],
+        ids=["gold", "pred", "prevalence"],
+    )
+    def test_empty_topic_field_rejected(self, subtask, gold, pred, line, tmp_path, capsys):
+        (tmp_path / "gold.tsv").write_text(gold)
+        (tmp_path / "pred.tsv").write_text(pred)
+        code, out, err = run(
+            ["score", "--subtask", subtask, "--gold", str(tmp_path / "gold.tsv"),
+             "--pred", str(tmp_path / "pred.tsv")],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "MALFORMED_LINE", "message": f"line {line}: empty topic field"}
+
     @pytest.mark.parametrize("kind", ["prevalence:0.5,x", "ml:bogus"])
     def test_malformed_kind(self, kind, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"

@@ -254,13 +254,13 @@ class TestDedupMatchesReference:
     # The second text is the first without its three rare tokens. Their
     # cosine, sqrt(18/21), lies just below this threshold, but the float
     # expression rounds above it, so the second is removed, and only a prefix
-    # cut with slack finds the pair.
+    # and a cut that both have slack find the pair.
     @example(pool=[f"r0 r1 r2 {_SHARED}", _SHARED], picks=[0, 1], threshold=0.9258200997725515)
     @example(pool=["a b c", "a"], picks=[0, 0, 1, 1], threshold=1.0)
-    # The pair meets first at s0, the kept record's second prefix token. Both
-    # rests are s1..s6, so the positional bound there is the cosine itself,
-    # sqrt(10/11); it computes one ulp below this threshold and the cosine
-    # expression above it, so only the slack in the bound keeps the pair.
+    # The pair meets first at s0, the kept record's second prefix token. The
+    # query's share there is 1 and the kept record's, counting s0 itself, is
+    # sqrt(10/11), which is the cosine, so the cut at the first shared token
+    # has no room: a share that leaves out the token's own weight drops the pair.
     @example(pool=[f"r0 {_SHARED_TF}", _SHARED_TF], picks=[0, 1], threshold=0.9534625892455922)
     def test_small_corpora(self, pool, picks, threshold):
         # picks index the pool, so exact duplicate texts are common
@@ -277,7 +277,7 @@ class TestDedupMatchesReference:
         records = [record(i, pool[p % len(pool)]) for i, p in enumerate(picks)]
         assert_matches_reference(records, threshold)
 
-    @pytest.mark.parametrize("threshold", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.6, 0.9, 1.0])
     def test_seeded_corpus(self, threshold):
         records = [record(i, " ".join(words)) for i, words in enumerate(seeded_texts())]
         assert_matches_reference(records, threshold)
