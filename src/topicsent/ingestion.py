@@ -18,7 +18,8 @@ from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
+from operator import lt, mul, truediv
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .annotation import CrowdAnnotation
@@ -193,6 +194,8 @@ def parse_annotations(stream: IO[str]) -> list[CrowdAnnotation]:
         if not item_id:
             raise MalformedLine("empty id field", line=n)
         topic = _parse_topic(fields[1])
+        if topic == "":
+            raise MalformedLine("empty topic field", line=n)
         key = (item_id, topic)
         if key in seen:
             raise DuplicateKey(f"duplicate (id, topic) pair {key}", line=n)
@@ -236,18 +239,14 @@ def serialize_raw_records(records: Iterable[RawTweetRecord], stream: IO[str]) ->
         stream.write("\t".join(fields) + "\n")
 
 
+def _strip_punct(word: str) -> str:
+    """The word without leading and trailing punctuation; "" if it is all punctuation."""
+    return word.strip("".join([c for c in word if unicodedata.category(c)[0] == "P"]))
+
+
 def tokenize(text: str) -> list[str]:
     """Casefolds, splits on whitespace, strips leading/trailing punctuation."""
-    tokens = []
-    for raw in text.casefold().split():
-        start, end = 0, len(raw)
-        while start < end and unicodedata.category(raw[start]).startswith("P"):
-            start += 1
-        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
-            end -= 1
-        if end > start:
-            tokens.append(raw[start:end])
-    return tokens
+    return [tok for tok in map(_strip_punct, text.casefold().split()) if tok]
 
 
 def dedup(
@@ -267,43 +266,58 @@ def dedup(
     collider's first shared token lies in both prefixes. A prefix token's
     postings hold kept records by descending ``s`` (arrays of ``-s`` and kept
     index): a query of share ``rho`` takes the leading ``s >= threshold / rho``
-    in one bisection, with 1e-9 relative slack for float rounding, and
-    verifies them in ascending kept index by an integer dot over token ranks."""
+    in one bisection, with 1e-9 relative slack for float rounding, and one lazy
+    map chain verifies them in ascending kept index by an integer dot over
+    token ranks. Each text is split, and each distinct word stripped, once."""
     if not 0.0 <= threshold <= 1.0:  # also rejects NaN
         raise InvalidArgument(f"threshold must be in [0, 1], got {threshold!r}")
+    token_of: dict[str, str] = {}  # casefolded word -> token; equal tokens share one str
+    docs: list[list] = []  # each record's tokens, turned into ranks in place below
     df: Counter = Counter()
     for rec in records:
-        tokens = set(tokenize(rec.text))
-        if not tokens:
+        words = rec.text.casefold().split()
+        for word in set(words).difference(token_of):
+            tok = _strip_punct(word)
+            token_of[word] = token_of.setdefault(tok, tok)
+        docs.append(list(filter(None, map(token_of.__getitem__, words))))
+        if not docs[-1]:
             raise EmptyText(f"record {rec.id} has no tokens")
-        df.update(tokens)
+        df.update(set(docs[-1]))
+    del token_of
     rank = {tok: i for i, tok in enumerate(sorted(df, key=lambda t: (df[t], t)))}
     del df
     low = threshold * (1 - 1e-9)
+    tf = [0] * len(rank)  # the record's term frequency by rank; all 0 between records
     kept: list[RawTweetRecord] = []
-    kept_vecs: list[tuple[tuple[int, ...], float]] = []  # token ranks, repeats included; norm
+    kept_ranks: list[list[int]] = []  # token ranks, repeats included
+    kept_norms: list[float] = []
     index: defaultdict[int, tuple[array, array]] = defaultdict(lambda: (array("d"), array("l")))
     removed: list[tuple[RawTweetRecord, RawTweetRecord]] = []
-    for rec in records:
-        ranks = tuple(map(rank.__getitem__, tokenize(rec.text)))
-        vec = Counter(ranks)
-        sq = sum(c * c for c in vec.values())
+    for rec, ranks in zip(records, docs):
+        ranks[:] = map(rank.__getitem__, ranks)
+        for tok in ranks:
+            tf[tok] += 1
+        sq = sum(map(tf.__getitem__, ranks))  # the sum of tf**2: tf once per occurrence
         norm = math.sqrt(sq)
         prefix, rest, bound = [], sq, low * low * sq
-        for tok in sorted(vec):
+        for tok in sorted(set(ranks)):
             if rest < bound:
                 break
             prefix.append((tok, math.sqrt(rest) / norm))
-            rest -= vec[tok] ** 2
+            rest -= tf[tok] ** 2
         candidates: set[int] = set()
         for tok, rho in prefix:
             shares, ids = index.get(tok, ((), ()))
             candidates.update(ids[: bisect_right(shares, -low / rho)])
-        for k in sorted(candidates):
-            oranks, onorm = kept_vecs[k]
-            if sum(map(vec.get, oranks, repeat(0))) / (norm * onorm) > threshold:
-                removed.append((rec, kept[k]))
-                break
+        cands = sorted(candidates)
+        dots = map(sum, map(map, repeat(tf.__getitem__), map(kept_ranks.__getitem__, cands)))
+        cos = map(truediv, dots, map(mul, repeat(norm), map(kept_norms.__getitem__, cands)))
+        # lt, not threshold.__lt__: an int's __lt__(float) is NotImplemented, which is truthy
+        hit = next(compress(cands, map(lt, repeat(threshold), cos)), None)
+        for tok in ranks:
+            tf[tok] = 0
+        if hit is not None:
+            removed.append((rec, kept[hit]))
         else:
             for tok, s in prefix:
                 shares, ids = index[tok]
@@ -311,7 +325,8 @@ def dedup(
                 shares.insert(at, -s)
                 ids.insert(at, len(kept))
             kept.append(rec)
-            kept_vecs.append((ranks, norm))
+            kept_ranks.append(ranks)
+            kept_norms.append(norm)
     return kept, removed
 
 

@@ -204,6 +204,18 @@ class TestConsolidateCommand:
         assert code == 0
         assert out_path.read_text() == "t1\tx\t1\nt2\tx\t1\n"
 
+    @pytest.mark.parametrize("topic", ["", " "])
+    def test_empty_topic_field_rejected(self, topic, tmp_path, capsys):
+        # score would reject a gold file with this topic, so consolidate must not write one
+        src = tmp_path / "ann.tsv"
+        src.write_text(f"a0\tx\t1\t1\t1\t1\t1\na1\t{topic}\t1\t1\t1\t2\t1\n")
+        code, out, err = run(
+            ["consolidate", "--input", str(src), "--output", str(tmp_path / "out.tsv")], capsys
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "MALFORMED_LINE", "message": "line 2: empty topic field"}
+
 
 class TestDedupCommand:
     def test_removes_near_duplicates(self, tmp_path, capsys):

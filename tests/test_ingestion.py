@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import string
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from topicsent.ingestion import (
     parse_raw_records,
     serialize_dataset,
     stats,
+    tokenize,
     topic_filter,
 )
 from topicsent.model import Dataset, Scale
@@ -226,6 +228,28 @@ class TestDedup:
             results.append(([r.id for r in kept], [(r.id, hit.id) for r, hit in removed]))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("threshold", [0, 1])
+    def test_integer_threshold_equals_float(self, threshold):
+        # the verify compares with operator.lt(threshold, cos); an int's own
+        # __lt__(float) returns NotImplemented, which would count as a hit
+        records = [record(i, " ".join(words)) for i, words in enumerate(seeded_texts())]
+        assert dedup(records, threshold) == dedup(records, float(threshold))
+
+
+def loop_tokenize(text):
+    """Reference tokenizer, one character at a time: casefold, split on
+    whitespace, then drop Unicode punctuation (category P) from both ends."""
+    tokens = []
+    for raw in text.casefold().split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if end > start:
+            tokens.append(raw[start:end])
+    return tokens
+
 
 def assert_matches_reference(records, threshold):
     kept, removed = dedup(records, threshold)
@@ -242,6 +266,17 @@ _REPEATED_TEXT = st.lists(
 _THRESHOLD = st.sampled_from([0.0, 1.0, 2**-0.5, 0.6]) | st.floats(0.0, 1.0)
 _SHARED = " ".join(f"s{i}" for i in range(18))
 _SHARED_TF = "s0 s0 s1 s2 s3 s4 s5 s6"
+# Words from Unicode and ASCII punctuation, letters whose casefold expands
+# (ß -> ss, ﬁ -> fi, İ -> i + U+0307) next to what they expand to, and mixed
+# case, joined by ASCII and Unicode spaces: many raw words share one token,
+# and some words are all punctuation.
+_WORD = st.lists(
+    st.sampled_from([*"«»¿¡—…!?.,", "ß", "ss", "SS", "ﬁ", "fi", "FI", "İ", "i\u0307", "I", "a", "Ab"]),
+    min_size=1, max_size=4,
+).map("".join)
+_UNICODE_TEXT = st.lists(
+    st.tuples(_WORD, st.sampled_from([" ", "\u00a0", "\u2003"])), min_size=1, max_size=6
+).map(lambda pairs: "".join(w + sep for w, sep in pairs))
 
 
 class TestDedupMatchesReference:
@@ -277,10 +312,37 @@ class TestDedupMatchesReference:
         records = [record(i, pool[p % len(pool)]) for i, p in enumerate(picks)]
         assert_matches_reference(records, threshold)
 
+    @settings(max_examples=300)
+    @given(
+        pool=st.lists(_UNICODE_TEXT, min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), max_size=30),
+        threshold=_THRESHOLD,
+    )
+    def test_unicode_tokens(self, pool, picks, threshold):
+        """The per-call memo maps each raw word to its token; words that
+        differ in case, punctuation or casefold form must meet in one token."""
+        records = [record(i, pool[p % len(pool)]) for i, p in enumerate(picks)]
+        try:
+            expected = reference_dedup(records, threshold)
+        except EmptyText as exc:
+            with pytest.raises(EmptyText, match=f"^{exc}$"):
+                dedup(records, threshold)
+        else:
+            assert dedup(records, threshold) == expected
+
     @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.6, 0.9, 1.0])
     def test_seeded_corpus(self, threshold):
         records = [record(i, " ".join(words)) for i, words in enumerate(seeded_texts())]
         assert_matches_reference(records, threshold)
+
+
+class TestTokenize:
+    @given(st.text() | _UNICODE_TEXT)
+    def test_matches_character_loop(self, text):
+        assert tokenize(text) == loop_tokenize(text)
+
+    def test_casefold_and_punctuation(self):
+        assert tokenize("«Straße» ¿ﬁne? \u00a0İ…\u2003—!") == ["strasse", "fine", "i\u0307"]
 
 
 class TestTopicFilter:
