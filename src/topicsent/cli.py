@@ -20,7 +20,7 @@ from .annotation import consolidate_labels
 from .errors import InvalidArgument, InvalidLabel, ScoringError
 from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
                        quantification_report)
-from .model import join_rows, topic_class_counts
+from .model import count_rows, join_rows, row_key
 
 
 def round_display(x: float) -> float:
@@ -109,7 +109,7 @@ def cmd_score(args) -> int:
         report = classification_report(spec, tables, n_ignored, args.pooled)
     else:
         with _open_in(args.gold) as f:
-            counts = topic_class_counts(ingestion.parse_dataset(f, spec))
+            counts = count_rows(spec.scale, ingestion.distinct_rows(f, spec))
         with _open_in(args.pred) as f:
             pred = ingestion.parse_prevalence_file(f, spec.scale)
         report = quantification_report(spec, counts, pred, args.pooled)
@@ -154,7 +154,7 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
 def cmd_baseline(args) -> int:
     spec = SUBTASKS[args.subtask]
     with _open_in(args.gold) as f:
-        counts = topic_class_counts(ingestion.parse_dataset(f, spec))
+        counts = count_rows(spec.scale, ingestion.distinct_rows(f, spec))
     report = _baseline_report(spec, counts, args)
     with _open_out(args.output) as out:
         _emit_report(report, args.format, out)
@@ -166,8 +166,7 @@ def cmd_consolidate(args) -> int:
         annotations = ingestion.parse_annotations(f)
     with _open_out(args.output) as out:
         for a in annotations:
-            topic = a.topic if a.topic is not None else ingestion.NO_TOPIC
-            out.write(f"{a.item_id}\t{topic}\t{consolidate_labels(a.labels)}\n")
+            out.write(f"{row_key(a.item_id, a.topic)}\t{consolidate_labels(a.labels)}\n")
     return 0
 
 

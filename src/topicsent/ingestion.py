@@ -34,9 +34,9 @@ from .errors import (
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
-from .model import Dataset, Prevalence, Scale, exact_sum, topic_class_counts
+from .model import (NO_TOPIC, Dataset, Prevalence, Scale, duplicate_key, exact_sum, key_fields,
+                    row_key, topic_class_counts)
 
-NO_TOPIC = "NA"
 PREVALENCE_SUM_TOL = 1e-6
 
 
@@ -58,21 +58,24 @@ def _lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
             yield n, line
 
 
-def _parse_topic(raw: str) -> str | None:
+def _parse_topic(raw: str, line: int) -> str | None:
+    """None for NA; an empty or blank topic field is malformed."""
     topic = raw.strip()
+    if not topic:
+        raise MalformedLine("empty topic field", line=line)
     return None if topic == NO_TOPIC else topic
 
 
 def label_rows(
     stream: IO[str], spec: SubtaskSpec
-) -> Iterator[tuple[int, tuple[str, str | None], int]]:
-    """Yields each row of a gold or prediction label file as
-    ``(line, (id, topic), label)``; every error carries its line number.
+) -> Iterator[tuple[int, str, str | None, int]]:
+    """Yields each row of a gold or prediction label file as ``(line,
+    row_key, topic, label)``; every error carries its line number.
 
     Each distinct raw topic and label field is parsed and checked once, on
     the first line that carries it, so an error names the same line as a
     check of every row would, and rows share one string per topic."""
-    topics: dict[str, str | None] = {}
+    topics: dict[str, tuple[str | None, str]] = {}  # raw field -> topic, canonical field
     labels: dict[str, int] = {}
     for n, line in _lines(stream):
         fields = line.split("\t")
@@ -83,46 +86,61 @@ def label_rows(
             raise MalformedLine("empty id field", line=n)
         raw_topic, raw_label = fields[1], fields[2]
         try:
-            topic = topics[raw_topic]
+            topic, text = topics[raw_topic]
         except KeyError:
-            topic = _parse_topic(raw_topic)
-            if topic == "":
-                raise MalformedLine("empty topic field", line=n) from None
+            topic = _parse_topic(raw_topic, n)
             if spec.topic_based and topic is None:
                 raise MalformedLine(f"subtask {spec.id} requires a topic, got NA", line=n) from None
             if not spec.topic_based and topic is not None:
                 raise MalformedLine(f"subtask {spec.id} expects topic NA", line=n) from None
-            topics[raw_topic] = topic
+            topic, text = topics[raw_topic] = topic, raw_topic.strip()
         try:
             label = labels[raw_label]
         except KeyError:
             label = labels[raw_label] = spec.scale.parse_label(raw_label, line=n)
-        yield n, (item_id, topic), label
+        yield n, f"{item_id}\t{text}", topic, label  # the row_key, without a call
 
 
-def parse_labels(stream: IO[str], spec: SubtaskSpec) -> dict[tuple[str, str | None], int]:
-    """The (id, topic) -> label map of a label file, in file order; a
-    repeated (id, topic) pair is a hard error."""
-    labels: dict[tuple[str, str | None], int] = {}
-    for n, key, label in label_rows(stream, spec):
+def parse_labels(stream: IO[str], spec: SubtaskSpec) -> dict[str, int]:
+    """The row_key -> label map of a label file, in file order; a repeated
+    (id, topic) pair is a hard error."""
+    labels: dict[str, int] = {}
+    for n, key, _, label in label_rows(stream, spec):
         if key in labels:
-            raise DuplicateKey(f"duplicate (id, topic) pair {key}", line=n)
+            raise duplicate_key(key, n)
         labels[key] = label
     return labels
+
+
+def distinct_rows(stream: IO[str], spec: SubtaskSpec) -> Iterator[tuple[str | None, int]]:
+    """The (topic, label) of each row of a label file, for model.count_rows;
+    only the set of row keys is held, and a repeated (id, topic) pair is a
+    hard error."""
+    seen: set[str] = set()
+    for n, key, topic, label in label_rows(stream, spec):
+        if key in seen:
+            raise duplicate_key(key, n)
+        seen.add(key)
+        yield topic, label
 
 
 def parse_dataset(stream: IO[str], spec: SubtaskSpec) -> Dataset:
     """Parses a gold or prediction label file; every error carries its line
     number. Duplicate (id, topic) rows are a hard error."""
-    # every row passed the scale, topic-rule and uniqueness checks
-    return Dataset(spec.scale, parse_labels(stream, spec))
+    labels: dict[tuple[str, str | None], int] = {}
+    for n, key, topic, label in label_rows(stream, spec):
+        pair = key_fields(key)[0], topic  # rows share one string per topic
+        if pair in labels:
+            raise duplicate_key(key, n)
+        labels[pair] = label
+    return Dataset(spec.scale, labels)  # every row passed the scale and topic-rule checks
 
 
 def serialize_dataset(d: Dataset, stream: IO[str]) -> None:
     """Inverse of parse_dataset on valid datasets (labels written as
     integers, missing topics as NA)."""
-    for (item_id, topic), label in d.labels.items():
-        stream.write(f"{item_id}\t{topic if topic is not None else NO_TOPIC}\t{label}\n")
+    for key, label in d.labels.items():
+        stream.write(f"{row_key(*key)}\t{label}\n")
 
 
 def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence]:
@@ -185,7 +203,7 @@ def normalized_prevalence(
 def parse_annotations(stream: IO[str]) -> list[CrowdAnnotation]:
     """Parses a crowd-annotation file: id, topic, then one label per annotator."""
     rows: list[CrowdAnnotation] = []
-    seen: set[tuple[str, str | None]] = set()
+    seen: set[str] = set()
     for n, line in _lines(stream):
         fields = line.split("\t")
         if len(fields) < 3:
@@ -193,12 +211,10 @@ def parse_annotations(stream: IO[str]) -> list[CrowdAnnotation]:
         item_id = fields[0].strip()
         if not item_id:
             raise MalformedLine("empty id field", line=n)
-        topic = _parse_topic(fields[1])
-        if topic == "":
-            raise MalformedLine("empty topic field", line=n)
-        key = (item_id, topic)
+        topic = _parse_topic(fields[1], n)
+        key = row_key(item_id, topic)
         if key in seen:
-            raise DuplicateKey(f"duplicate (id, topic) pair {key}", line=n)
+            raise duplicate_key(key, n)
         seen.add(key)
         try:
             labels = tuple(int(f) for f in fields[2:])
@@ -223,7 +239,7 @@ def parse_raw_records(stream: IO[str]) -> list[RawTweetRecord]:
         rows.append(
             RawTweetRecord(
                 id=fields[0].strip(),
-                topic=_parse_topic(fields[1]),
+                topic=_parse_topic(fields[1], n),
                 label=fields[2].strip() or None,
                 text=fields[3],
                 extra=tuple(fields[4:]),
@@ -234,7 +250,7 @@ def parse_raw_records(stream: IO[str]) -> list[RawTweetRecord]:
 
 def serialize_raw_records(records: Iterable[RawTweetRecord], stream: IO[str]) -> None:
     for r in records:
-        fields = [r.id, r.topic if r.topic is not None else NO_TOPIC, r.label or "", r.text]
+        fields = [row_key(r.id, r.topic), r.label or "", r.text]
         fields.extend(r.extra)
         stream.write("\t".join(fields) + "\n")
 

@@ -168,6 +168,23 @@ def exact_sum(values: Iterable[float]) -> float:
 
 
 _ABSENT = object()  # join_rows: key not in gold; None marks a matched gold key
+NO_TOPIC = "NA"  # the topic field of a row without a topic
+
+
+def row_key(item_id: str, topic: str | None) -> str:
+    """An (id, topic) pair as the row's first two fields in canonical form;
+    injective on parsed rows, as no field holds a tab and no topic is NA."""
+    return f"{item_id}\t{NO_TOPIC if topic is None else topic}"
+
+
+def key_fields(key: str) -> tuple[str, str | None]:
+    """The (id, topic) pair of a row_key."""
+    item_id, _, topic = key.partition("\t")
+    return item_id, None if topic == NO_TOPIC else topic
+
+
+def duplicate_key(key: str, line: int | None) -> DuplicateKey:
+    return DuplicateKey(f"duplicate (id, topic) pair {key_fields(key)}", line=line)
 
 
 def confusion_tables(
@@ -179,21 +196,21 @@ def confusion_tables(
         raise ScaleMismatch(
             f"gold scale {gold.scale.name} != prediction scale {pred.scale.name}"
         )
-    return join_rows(
-        gold.scale, dict(gold.labels), ((None, key, label) for key, label in pred.labels.items())
-    )
+    gold_labels = {row_key(*key): label for key, label in gold.labels.items()}
+    rows = ((None, row_key(*key), key[1], label) for key, label in pred.labels.items())
+    return join_rows(gold.scale, gold_labels, rows)
 
 
 def join_rows(
     scale: Scale,
-    gold: dict[tuple[str, str | None], int | None],
-    pred_rows: Iterable[tuple[int | None, tuple[str, str | None], int]],
+    gold: dict[str, int | None],
+    pred_rows: Iterable[tuple[int | None, str, str | None, int]],
 ) -> tuple[dict[str | None, ConfusionMatrix], int]:
-    """Joins ``(line, (id, topic), label)`` prediction rows onto the gold
-    labels and counts each topic's gold/prediction class pairs. Topics come
-    out sorted; data without topics gives one table under the key None.
-    Also returns the number of prediction rows absent from gold, which are
-    ignored.
+    """Joins ``(line, row_key, topic, label)`` prediction rows onto the
+    row_key -> label gold map and counts each topic's gold/prediction class
+    pairs. Topics come out sorted; data without topics gives one table under
+    the key None. Also returns the number of prediction rows absent from
+    gold, which are ignored.
 
     The join consumes ``gold``: a matched entry is set to None, so a repeated
     prediction key raises DuplicateKey at its line without a second map.
@@ -203,31 +220,39 @@ def join_rows(
     index = {c: i for i, c in enumerate(scale.classes)}
     k = len(index)
     cells: dict[str | None, list[list[int]]] = defaultdict(lambda: [[0] * k for _ in range(k)])
-    ignored: set[tuple[str, str | None]] = set()
-    for n, key, label in pred_rows:
+    ignored: set[str] = set()
+    for n, key, topic, label in pred_rows:
         gold_label = gold.get(key, _ABSENT)
         if gold_label is None or gold_label is _ABSENT and key in ignored:
-            raise DuplicateKey(f"duplicate (id, topic) pair {key}", line=n)
+            raise duplicate_key(key, n)
         if gold_label is _ABSENT:
             ignored.add(key)
         else:
-            cells[key[1]][index[gold_label]][index[label]] += 1
+            cells[topic][index[gold_label]][index[label]] += 1
             gold[key] = None
     for key, gold_label in gold.items():
         if gold_label is not None:
-            raise MissingPrediction(*key)
+            raise MissingPrediction(*key_fields(key))
     tables = {t: ConfusionMatrix(scale, tuple(map(tuple, cells[t]))) for t in sorted(cells)}
     return tables, len(ignored)
 
 
-def topic_class_counts(data: Dataset) -> dict[str | None, tuple[int, ...]]:
-    """Each topic's class counts in scale.classes order; topics sorted. Data
-    without topics gives one count vector under the key None."""
-    index = {c: i for i, c in enumerate(data.scale.classes)}
+def count_rows(
+    scale: Scale, rows: Iterable[tuple[str | None, int]]
+) -> dict[str | None, tuple[int, ...]]:
+    """Each topic's class counts in scale.classes order from (topic, label)
+    rows; topics sorted. Rows without topics give one count vector under the
+    key None."""
+    index = {c: i for i, c in enumerate(scale.classes)}
     counts: dict[str | None, list[int]] = defaultdict(lambda: [0] * len(index))
-    for (_, topic), label in data.labels.items():
+    for topic, label in rows:
         counts[topic][index[label]] += 1
     return {t: tuple(counts[t]) for t in sorted(counts)}
+
+
+def topic_class_counts(data: Dataset) -> dict[str | None, tuple[int, ...]]:
+    """The count_rows of a dataset."""
+    return count_rows(data.scale, ((topic, label) for (_, topic), label in data.labels.items()))
 
 
 def class_fractions(counts: Sequence[int]) -> tuple[float, ...]:

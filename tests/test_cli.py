@@ -233,6 +233,18 @@ class TestDedupCommand:
         assert kept_ids == ["t1", "t3"]
         assert removed_path.read_text() == "t2\tt1\n"
 
+    @pytest.mark.parametrize("topic", ["", " "])
+    def test_empty_topic_field_rejected(self, topic, tmp_path, capsys):
+        # stats and score would reject the kept rows, so dedup must not write them
+        src = tmp_path / "raw.tsv"
+        src.write_text(f"t0\tx\tpositive\tq r s\nt1\t{topic}\tpositive\ta b c\n")
+        code, out, err = run(
+            ["dedup", "--input", str(src), "--output", str(tmp_path / "kept.tsv")], capsys
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "MALFORMED_LINE", "message": "line 2: empty topic field"}
+
 
 class TestStatsCommand:
     def test_json_counts(self, tmp_path, capsys):
@@ -578,15 +590,23 @@ def _faulty_label_files(draw, subtask):
     """Gold and prediction label rows for a classification subtask, with
     faults injected: a missing prediction, a repeated gold key, a repeated
     prediction key in gold or not in gold, an off-scale label, or a
-    malformed line, each at any position of either file."""
+    malformed line, each at any position of either file. Ids and topics,
+    NA included, may carry spaces around them, so the rows of one key can
+    differ in both files."""
     spec = SUBTASKS[subtask]
     topics = ["a", "b"] if spec.topic_based else ["NA"]
     label = st.sampled_from([str(c) for c in spec.scale.classes] + ["positive"])
     keys = draw(st.lists(st.tuples(st.sampled_from(["t1", "t2", "t3", "t4", "t5"]),
                                    st.sampled_from(topics)), min_size=1, max_size=6, unique=True))
-    gold = [[i, t, draw(label)] for i, t in keys]
-    extras = [[f"x{k}", topics[0], draw(label)] for k in range(draw(st.integers(0, 2)))]
-    pred = draw(st.permutations([[i, t, draw(label)] for i, t in keys] + extras))
+
+    def row(i, t):
+        """A row of key (i, t) whose id and topic fields may carry spaces."""
+        pad = st.sampled_from(["{}", " {}", "{} ", " {} "])
+        return [draw(pad).format(i), draw(pad).format(t), draw(label)]
+
+    gold = [row(i, t) for i, t in keys]
+    extras = [row(f"x{k}", topics[0]) for k in range(draw(st.integers(0, 2)))]
+    pred = draw(st.permutations([row(i, t) for i, t in keys] + extras))
     files = {"gold": gold, "pred": pred}
     malformed = ["t9", "\ta\t1", "t9\ta", f"t9\t{'NA' if spec.topic_based else 'a'}\t1"]
     for fault in draw(st.lists(st.sampled_from(["missing", "gold repeat", "pred repeat",
@@ -595,18 +615,16 @@ def _faulty_label_files(draw, subtask):
         which = files[draw(st.sampled_from(["gold", "pred"]))]
         at = draw(st.integers(0, len(which)))
         if fault == "missing":
-            in_gold = [r for r in pred if tuple(r[:2]) in keys and len(r) == 3]
+            in_gold = [r for r in pred if len(r) == 3 and (r[0].strip(), r[1].strip()) in keys]
             if in_gold:
                 pred.remove(draw(st.sampled_from(in_gold)))
         elif fault == "gold repeat":
-            i, t = draw(st.sampled_from(keys))
-            gold.insert(draw(st.integers(0, len(gold))), [i, t, draw(label)])
+            gold.insert(draw(st.integers(0, len(gold))), row(*draw(st.sampled_from(keys))))
         elif fault == "pred repeat":
-            i, t = draw(st.sampled_from(keys))
-            pred.insert(draw(st.integers(0, len(pred))), [i, t, draw(label)])
+            pred.insert(draw(st.integers(0, len(pred))), row(*draw(st.sampled_from(keys))))
         elif fault == "extra repeat":
             for _ in range(2):
-                pred.insert(draw(st.integers(0, len(pred))), ["x9", topics[0], draw(label)])
+                pred.insert(draw(st.integers(0, len(pred))), row("x9", topics[0]))
         elif fault == "bad label":
             which.insert(at, [f"t{at}", topics[0], draw(st.sampled_from(["3", "x", "", "2"]))])
         else:

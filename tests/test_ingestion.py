@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import string
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -23,6 +24,7 @@ from topicsent.ingestion import (
     dedup,
     parse_annotations,
     parse_dataset,
+    parse_labels,
     parse_prevalence_file,
     parse_raw_records,
     serialize_dataset,
@@ -81,6 +83,31 @@ class TestParseDataset:
         buf.seek(0)
         parsed = parse_dataset(buf, spec)
         assert parsed == d and list(parsed.labels) == list(d.labels)
+
+
+class TestParseLabels:
+    def test_keys_are_canonical_fields(self):
+        text = " t1 \t TOPIC\tpositive\nt2\tTOPIC\t-1\n"
+        assert parse_labels(io.StringIO(text), SUBTASKS["B"]) == {"t1\tTOPIC": 1, "t2\tTOPIC": -1}
+        assert parse_labels(io.StringIO("t1\t NA\t0\n"), SUBTASKS["A"]) == {"t1\tNA": 0}
+
+    def test_gold_map_memory(self):
+        """The score path holds gold as one string key per row: 20k subtask-C
+        rows with 18-digit ids in 200 topics keep under 125 traced bytes a
+        row, where an (id, topic) tuple key beside its id string keeps about
+        150."""
+        rng = random.Random(14)
+        names = ["highlynegative", "negative", "neutral", "positive", "highlypositive"]
+        lines = [f"{i}\ttopic{rng.randrange(200):03d}\t{rng.choice(names)}\n"
+                 for i in rng.sample(range(10**17, 10**18), 20_000)]
+        tracemalloc.start()  # lines, not a StringIO, so that no stream buffer is traced
+        try:
+            labels = parse_labels(lines, SUBTASKS["C"])
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(labels) == 20_000
+        assert kept / 20_000 < 125
 
 
 class TestParsePrevalenceFile:

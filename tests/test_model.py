@@ -149,15 +149,15 @@ class TestAlign:
     def test_streamed_rows(self):
         """join_rows takes gold over and catches a repeated prediction key,
         in gold or not, at its row's line."""
-        gold = {("t1", "a"): 1, ("t2", "a"): -1, ("t3", "a"): 1}
-        rows_in = [(1, ("t3", "a"), 1), (2, ("t9", "a"), 1), (3, ("t1", "a"), -1)]
-        with pytest.raises(MissingPrediction, match="t2"):
+        gold = {"t1\ta": 1, "t2\ta": -1, "t3\ta": 1}
+        rows_in = [(1, "t3\ta", "a", 1), (2, "t9\ta", "a", 1), (3, "t1\ta", "a", -1)]
+        with pytest.raises(MissingPrediction, match=r"^no prediction for gold item t2 \(topic a\)$"):
             join_rows(Scale.TWO_POINT, dict(gold), rows_in)
-        with pytest.raises(DuplicateKey, match="line 5"):
-            join_rows(Scale.TWO_POINT, dict(gold), rows_in + [(5, ("t3", "a"), 1)])
+        with pytest.raises(DuplicateKey, match=r"^line 5: duplicate \(id, topic\) pair \('t3', 'a'\)$"):
+            join_rows(Scale.TWO_POINT, dict(gold), rows_in + [(5, "t3\ta", "a", 1)])
         with pytest.raises(DuplicateKey, match="line 6"):
-            join_rows(Scale.TWO_POINT, dict(gold), rows_in + [(6, ("t9", "a"), -1)])
-        tables, ignored = join_rows(Scale.TWO_POINT, gold, rows_in + [(7, ("t2", "a"), 1)])
+            join_rows(Scale.TWO_POINT, dict(gold), rows_in + [(6, "t9\ta", "a", -1)])
+        tables, ignored = join_rows(Scale.TWO_POINT, gold, rows_in + [(7, "t2\ta", "a", 1)])
         assert tables["a"].counts == ((0, 1), (1, 1)) and ignored == 1
         assert set(gold.values()) == {None}
 
