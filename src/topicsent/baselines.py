@@ -8,7 +8,8 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import EmptyInput, NoTopics, ScaleMismatch
-from .model import ConfusionMatrix, Dataset, Prevalence, Scale, class_fractions, topic_class_counts
+from .model import (ConfusionMatrix, Dataset, Prevalence, Scale, class_fractions, left_sum,
+                    topic_class_counts)
 
 
 class Averaging(Enum):
@@ -48,6 +49,6 @@ def ml_quantifier(train: Dataset, averaging: Averaging = Averaging.MICRO) -> Pre
     if None in counts:
         raise NoTopics("dataset has no topics")
     per_topic = [class_fractions(row) for row in counts.values()]
-    means = [sum(col) / len(per_topic) for col in zip(*per_topic)]
-    total = sum(means)  # renormalize to guard against rounding drift
+    means = [left_sum(col) / len(per_topic) for col in zip(*per_topic)]
+    total = left_sum(means)  # renormalize to guard against rounding drift
     return Prevalence(train.scale, tuple(m / total for m in means))

@@ -10,7 +10,7 @@ from the AvgRec mean rather than counted as 0 or 1.
 from __future__ import annotations
 
 from .errors import EmptyInput
-from .model import ConfusionMatrix
+from .model import ConfusionMatrix, left_sum
 
 
 def _require_nonempty(cm: ConfusionMatrix) -> None:
@@ -56,7 +56,7 @@ def avg_rec(cm: ConfusionMatrix) -> float:
     _require_nonempty(cm)
     recalls = [class_recall(cm, c) for c in cm.scale.classes]
     present = [r for r in recalls if r is not None]
-    return sum(present) / len(present)
+    return left_sum(present) / len(present)
 
 
 def absent_classes(cm: ConfusionMatrix) -> list[int]:

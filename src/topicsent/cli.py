@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import chain, filterfalse
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import IO
 
 from . import baselines, ingestion
@@ -55,6 +58,23 @@ def _write_json(payload: dict, out: IO[str]) -> None:
     out.write("\n")
 
 
+def _write_per_topic(per_topic: dict[str, dict[str, float]], out: IO[str]) -> None:
+    """Writes the ``per_topic`` value of a report as _write_json would at its
+    depth, one topic at a time: keys sorted and ASCII-escaped, floats by repr,
+    and a non-finite value raising ValueError before anything is written.
+    Each topic holds at least one metric."""
+    values = chain.from_iterable(map(dict.values, per_topic.values()))
+    for value in filterfalse(math.isfinite, values):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    sep = "{\n    "
+    for topic in sorted(per_topic):
+        items = sorted(per_topic[topic].items())
+        fields = ",\n      ".join([f"{_json_str(name)}: {value!r}" for name, value in items])
+        out.write(f"{sep}{_json_str(topic)}: {{\n      {fields}\n    }}")
+        sep = ",\n    "
+    out.write("\n  }" if per_topic else "{}")
+
+
 def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
     if fmt == "json":
         payload = {
@@ -63,14 +83,19 @@ def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
             "higher_is_better": report.subtask.higher_is_better,
             "metrics": report.metrics,
             "metrics_display": {k: round_display(v) for k, v in report.metrics.items()},
-            "per_topic": report.per_topic,
+            "per_topic": {},
             "n_topics": len(report.per_topic),
             "warnings": report.warnings,
         }
         if report.pooled is not None:
             payload["pooled"] = report.pooled
             payload["pooled_display"] = {k: round_display(v) for k, v in report.pooled.items()}
-        _write_json(payload, out)
+        # the per-topic block is most of a report: stream it into its place
+        head, _, tail = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False).partition(
+            '\n  "per_topic": {}')
+        out.write(f'{head}\n  "per_topic": ')
+        _write_per_topic(report.per_topic, out)
+        out.write(f"{tail}\n")
     elif fmt == "tsv":
         for name in sorted(report.metrics):
             out.write(f"{name}\t{report.metrics[name]!r}\n")

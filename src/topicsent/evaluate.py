@@ -10,8 +10,10 @@ Subtasks:
 
 Every score is a function of per-topic counts: ``classification_report``
 takes each topic's gold-by-prediction table, and ``quantification_report``
-each topic's gold class counts and a topic -> predicted Prevalence map;
-``evaluate`` reduces a gold Dataset, and predicted labels, to those counts.
+each topic's gold class counts and a topic -> predicted fraction tuple map
+(such as a :class:`~topicsent.model.Prevalence` per topic), which it scores
+one class column at a time; ``evaluate`` reduces a gold Dataset, and
+predicted labels, to those counts.
 Macroaveraging is the unweighted mean across topics. The optional pooled
 report treats the whole test set as a single group, which is what
 reproduces constant-baseline table values on imbalanced data.
@@ -22,11 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import mul, truediv
 from typing import Mapping, Sequence
 
-from . import classification, model, ordinal, quantification
-from .errors import EmptyInput, MissingPrediction, TopicRequired
-from .model import ConfusionMatrix, Dataset, Prevalence, Scale, confusion_tables, topic_class_counts
+from . import classification, ordinal, quantification
+from .errors import EmptyInput, MissingPrediction, ScaleMismatch, TopicRequired
+from .model import ConfusionMatrix, Dataset, Scale, confusion_tables, topic_class_counts
 
 
 class Mode(Enum):
@@ -92,26 +96,39 @@ def _classification_metrics(spec: SubtaskSpec, cm: ConfusionMatrix) -> dict[str,
     }
 
 
-def _quantification_metrics(
-    spec: SubtaskSpec, pred: Sequence[float], counts: Sequence[int]
-) -> dict[str, float]:
-    """Scores predicted fractions against gold class counts."""
-    true_p = model.class_fractions(counts)
+def _quantification_columns(
+    spec: SubtaskSpec, pred: quantification.Columns, count_columns: Sequence[Sequence[int]]
+) -> dict[str, list[float]]:
+    """Each metric's per-topic values, from the predicted fraction columns and
+    the gold class-count columns; each distribution is smoothed once."""
+    sizes = list(quantification.class_sum(count_columns))
+    if 0 in sizes:
+        raise EmptyInput("cannot compute prevalence of an empty label list")
+    true_p = [list(map(truediv, col, sizes)) for col in count_columns]
     if spec.scale is Scale.FIVE_POINT:
-        return {"emd": quantification.emd(pred, true_p)}
-    eps = 1.0 / (2 * sum(counts))  # the conventional 1 / (2 * |test set|)
+        return {"emd": quantification.emd_columns(pred, true_p)}
+    eps = list(map(truediv, repeat(1.0), map(mul, repeat(2), sizes)))  # 1 / (2 * |test set|)
+    pred_s = quantification.smooth_columns(pred, eps)
+    true_s = quantification.smooth_columns(true_p, eps)
     return {
-        "kld": quantification.kld(pred, true_p, eps),
-        "ae": quantification.ae(pred, true_p),
-        "rae": quantification.rae(pred, true_p, eps),
+        "kld": quantification.kld_columns(pred_s, true_s),
+        "ae": quantification.ae_columns(pred, true_p),
+        "rae": quantification.rae_columns(pred_s, true_s),
     }
+
+
+def _columns(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
+    """The class columns of per-topic rows, which must all have one length."""
+    if len(set(map(len, rows))) > 1:
+        raise ScaleMismatch("per-topic distributions have different numbers of classes")
+    return list(zip(*rows))
 
 
 def evaluate(
     spec: SubtaskSpec,
     gold: Dataset,
     pred_labels: Dataset | None = None,
-    pred_prevalences: Mapping[str, Prevalence] | None = None,
+    pred_prevalences: Mapping[str, Sequence[float]] | None = None,
     pooled: bool = False,
 ) -> ScoreReport:
     if spec.mode is Mode.CLASSIFICATION:
@@ -171,11 +188,12 @@ def _warn_absent_classes(
 def quantification_report(
     spec: SubtaskSpec,
     counts: Mapping[str | None, Sequence[int]],
-    pred_prevalences: Mapping[str, Prevalence],
+    pred_prevalences: Mapping[str, Sequence[float]],
     pooled: bool,
 ) -> ScoreReport:
     """Scores a quantification subtask from each topic's gold class counts
-    and a topic -> predicted Prevalence map."""
+    and a topic -> predicted fractions map (scale.classes order), one class
+    column at a time."""
     # topics are all-or-none: topicless gold gives one count vector under None
     if not counts or None in counts:
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
@@ -183,23 +201,23 @@ def quantification_report(
     extra = sorted(set(pred_prevalences) - set(counts))
     if extra:
         warnings.append(f"predicted topics not in gold were ignored: {', '.join(extra)}")
+    preds = list(map(pred_prevalences.get, counts))
+    if None in preds:
+        raise MissingPrediction(None, list(counts)[preds.index(None)])
 
-    per_topic: dict[str, dict[str, float]] = {}
-    for topic, row in counts.items():
-        if topic not in pred_prevalences:
-            raise MissingPrediction(None, topic)
-        per_topic[topic] = _quantification_metrics(spec, pred_prevalences[topic].fractions, row)
-    metrics = _macroaverage_metrics(per_topic)
+    count_columns, pred_columns = _columns(list(counts.values())), _columns(preds)
+    values = _quantification_columns(spec, pred_columns, count_columns)
+    rows = map(dict, map(zip, repeat(list(values)), zip(*values.values())))
+    per_topic = dict(zip(counts, rows))
+    metrics = {name: math.fsum(col) / len(col) for name, col in values.items()}
     report = ScoreReport(spec, metrics, per_topic, warnings)
     if pooled:
         # pooled view: item-weighted mix of per-topic predictions vs. the
         # summed gold counts, epsilon from the total test size
-        totals = [sum(col) for col in zip(*counts.values())]
+        totals = [sum(col) for col in count_columns]
         n_total = sum(totals)
-        weights = {t: sum(row) / n_total for t, row in counts.items()}
-        mixed = [
-            math.fsum(weights[t] * pred_prevalences[t].fractions[i] for t in counts)
-            for i in range(len(totals))
-        ]
-        report.pooled = _quantification_metrics(spec, mixed, totals)
+        weights = list(map(truediv, quantification.class_sum(count_columns), repeat(n_total)))
+        mixed = [(math.fsum(map(mul, weights, col)),) for col in pred_columns]
+        pooled_columns = _quantification_columns(spec, mixed, [(n,) for n in totals])
+        report.pooled = {name: col[0] for name, col in pooled_columns.items()}
     return report

@@ -19,8 +19,8 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import lt, mul, truediv
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from operator import lt, mul, sub, truediv
+from typing import IO, Iterable, Iterator, Sequence
 
 from .annotation import CrowdAnnotation
 from .errors import (
@@ -30,7 +30,6 @@ from .errors import (
     InvalidLabel,
     MalformedLine,
     NoTopics,
-    ScoringError,
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
@@ -144,60 +143,66 @@ def serialize_dataset(d: Dataset, stream: IO[str]) -> None:
 
 
 def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence]:
-    """Parses a quantification prediction file into topic -> Prevalence."""
-    by_topic: dict[str, dict[int, float]] = {}
-    lines_of: dict[str, int] = {}
+    """Parses a quantification prediction file into topic -> fractions in
+    scale.classes order (a Prevalence), topics sorted; a class without a line
+    has fraction 0. Every line is checked as it is read, and each distinct
+    raw class field is parsed once, on the first line that carries it. Then
+    each topic's fractions are divided by their exact sum, which must lie
+    within PREVALENCE_SUM_TOL of 1."""
+    index: dict[str, int] = {}  # raw class field -> class index
+    k = len(scale.classes)
+    by_topic: dict[str, list] = {}  # None where the topic has no line for a class
+    last_line: dict[str, int] = {}
     for n, line in _lines(stream):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine("expected topic<TAB>class<TAB>prevalence", line=n)
-        topic = fields[0].strip()
+        try:
+            topic, raw_class, raw_value = line.split("\t")
+        except ValueError:
+            raise MalformedLine("expected topic<TAB>class<TAB>prevalence", line=n) from None
+        topic = topic.strip()
         if not topic:
             raise MalformedLine("empty topic field", line=n)
-        cls = scale.parse_label(fields[1], line=n)
         try:
-            frac = float(fields[2])
+            i = index[raw_class]
+        except KeyError:
+            i = index[raw_class] = scale.classes.index(scale.parse_label(raw_class, line=n))
+        try:
+            frac = float(raw_value)
         except ValueError:
-            raise MalformedLine(f"bad prevalence value {fields[2]!r}", line=n) from None
+            raise MalformedLine(f"bad prevalence value {raw_value!r}", line=n) from None
         if not math.isfinite(frac):
-            raise MalformedLine(f"non-finite prevalence {fields[2]!r}", line=n)
+            raise MalformedLine(f"non-finite prevalence {raw_value!r}", line=n)
         if frac < 0:
             raise MalformedLine(f"negative prevalence {frac}", line=n)
-        bucket = by_topic.setdefault(topic, {})
-        if cls in bucket:
-            raise DuplicateKey(f"class {fields[1]} repeated for topic {topic}", line=n)
-        bucket[cls] = frac
-        lines_of[topic] = n
-    return {
-        topic: normalized_prevalence(
-            scale,
-            [by_topic[topic].get(c, 0.0) for c in scale.classes],
-            lambda total: MalformedLine(
-                f"prevalences for topic {topic} sum to {total!r}, expected 1",
-                line=lines_of[topic],
-            ),
-        )
-        for topic in sorted(by_topic)
-    }
+        row = by_topic.get(topic)
+        if row is None:
+            row = by_topic[topic] = [None] * k
+        elif row[i] is not None:
+            raise DuplicateKey(f"class {raw_class} repeated for topic {topic}", line=n)
+        row[i] = frac
+        last_line[topic] = n
+    topics = sorted(by_topic)
+    columns = [[0.0 if f is None else f for f in col] for col in zip(*map(by_topic.get, topics))]
+    totals = list(map(exact_sum, zip(*columns)))
+    off = list(map(lt, repeat(PREVALENCE_SUM_TOL), map(abs, map(sub, totals, repeat(1.0)))))
+    if True in off:  # the first topic in sorted order, as each topic is checked in turn
+        first = off.index(True)
+        raise MalformedLine(f"prevalences for topic {topics[first]} sum to {totals[first]!r}, "
+                            "expected 1", line=last_line[topics[first]])
+    # each value passed the Prevalence checks on its line
+    rows = zip(*[map(truediv, col, totals) for col in columns])
+    return dict(zip(topics, map(tuple.__new__, repeat(Prevalence), rows)))
 
 
-def normalized_prevalence(
-    scale: Scale,
-    fractions: Sequence[float],
-    off_sum: Callable[[float], ScoringError] | None = None,
-) -> Prevalence:
+def normalized_prevalence(scale: Scale, fractions: Sequence[float]) -> Prevalence:
     """The Prevalence of ``fractions`` (scale.classes order), divided by their
     exact sum when it lies within PREVALENCE_SUM_TOL of 1, so that rounding in
-    stated values is forgiven. A sum outside raises ``off_sum(sum)`` or, if
-    that is None, Prevalence's own error, as a wrong count or a negative or
-    non-finite value does."""
+    stated values is forgiven: the rule of prevalence files. Any other sum, a
+    wrong count, or a negative or non-finite value raises Prevalence's error."""
     if all(map(math.isfinite, fractions)):
         total = exact_sum(fractions)
         if abs(total - 1.0) <= PREVALENCE_SUM_TOL:
             fractions = [f / total for f in fractions]
-        elif off_sum is not None:
-            raise off_sum(total)
-    return Prevalence(scale, tuple(fractions))
+    return Prevalence(scale, fractions)
 
 
 def parse_annotations(stream: IO[str]) -> list[CrowdAnnotation]:

@@ -14,6 +14,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -83,7 +84,8 @@ class Dataset:
     """Labels on a single scale: ``labels`` is a read-only map from each
     (id, topic) key to its label, in input order; the topic is None for data
     without topics. :meth:`build` enforces the scale, non-empty ids, the
-    all-or-none topic rule, and (id, topic) uniqueness.
+    all-or-none topic rule, and (id, topic) uniqueness, and rejects a tab in
+    an id or topic and the topic ``NA``, which stands for no topic.
     """
 
     scale: Scale
@@ -99,6 +101,11 @@ class Dataset:
         for item_id, topic, label in rows:
             if not item_id:
                 raise InvalidLabel("item id must be non-empty")
+            # fields no label file can hold, which would make row_key ambiguous
+            if "\t" in item_id or topic is not None and "\t" in topic:
+                raise InvalidLabel("item id and topic must not hold a tab")
+            if topic == NO_TOPIC:
+                raise InvalidLabel(f"topic {NO_TOPIC} stands for no topic; pass None")
             scale.validate(label)
             key = (item_id, topic)
             if key in labels:
@@ -136,27 +143,44 @@ class ConfusionMatrix:
         return sum(map(sum, self.counts))
 
 
-@dataclass(frozen=True)
-class Prevalence:
+class Prevalence(tuple):
     """A validated class -> fraction distribution on a scale, as a user or a
-    file states it: fractions follow scale.classes order, are finite and
-    nonnegative, and sum to 1. Scoring works on plain fraction tuples."""
+    file states it: a tuple in scale.classes order of finite, nonnegative
+    fractions that sum to 1. Scoring takes it as the plain tuple it is."""
 
-    scale: Scale
-    fractions: tuple[float, ...]
-
+    __slots__ = ()
     _SUM_TOL = 1e-9
 
-    def __post_init__(self):
-        if len(self.fractions) != len(self.scale.classes):
-            raise InvalidLabel(
-                f"expected {len(self.scale.classes)} fractions, got {len(self.fractions)}"
-            )
-        if not all(math.isfinite(f) and f >= 0 for f in self.fractions):
+    def __new__(cls, scale: Scale, fractions: Iterable[float]) -> "Prevalence":
+        fractions = tuple(fractions)
+        if len(fractions) != len(scale.classes):
+            raise InvalidLabel(f"expected {len(scale.classes)} fractions, got {len(fractions)}")
+        if not all(math.isfinite(f) and f >= 0 for f in fractions):
             raise InvalidLabel("prevalence fractions must be finite and nonnegative")
-        total = exact_sum(self.fractions)
-        if abs(total - 1.0) > self._SUM_TOL:
+        total = exact_sum(fractions)
+        if abs(total - 1.0) > cls._SUM_TOL:
             raise InvalidLabel(f"prevalence fractions sum to {total!r}, expected 1")
+        return super().__new__(cls, fractions)
+
+    @property
+    def scale(self) -> Scale:
+        """The scale with as many classes; no two scales have the same count."""
+        return next(s for s in Scale if len(s.classes) == len(self))
+
+    @property
+    def fractions(self) -> tuple[float, ...]:
+        """The fractions as a plain tuple."""
+        return tuple(self)
+
+    def __getnewargs__(self) -> tuple[Scale, tuple[float, ...]]:  # for copy and pickle
+        return self.scale, tuple(self)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``0 + v0 + v1 + ...`` in the given order: what float ``sum`` returns on
+    Python 3.11, where later versions compensate the rounding, so a score does
+    not depend on the Python version."""
+    return reduce(add, values, 0)
 
 
 def exact_sum(values: Iterable[float]) -> float:

@@ -6,7 +6,7 @@ integer difference induced by the -2..+2 encoding."""
 from __future__ import annotations
 
 from .errors import EmptyInput
-from .model import ConfusionMatrix
+from .model import ConfusionMatrix, left_sum
 
 
 def _class_errors(cm: ConfusionMatrix) -> list[tuple[int, int]]:
@@ -31,4 +31,4 @@ def mae_macro(cm: ConfusionMatrix) -> float:
     """Mean over the gold classes present of the class-conditional mean
     |pred - gold|. Classes absent from gold are excluded from the mean."""
     per_class = [err / n for err, n in _class_errors(cm)]
-    return sum(per_class) / len(per_class)
+    return left_sum(per_class) / len(per_class)

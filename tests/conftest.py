@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
 from itertools import count
+from operator import add
 from typing import Iterable, Mapping
 
 from topicsent.errors import EmptyText, MissingPrediction
@@ -10,6 +12,12 @@ from topicsent.ingestion import RawTweetRecord, tokenize
 from topicsent.model import ConfusionMatrix, Dataset, Scale, confusion_tables
 
 _ids = count()
+
+
+def left_fold(values: Iterable[float]) -> float:
+    """``0 + v0 + v1 + ...`` in order, the float sum of Python 3.11; from 3.12
+    on, ``sum`` compensates rounding and can return another float."""
+    return reduce(add, values, 0)
 
 
 def dataset_from_counts(

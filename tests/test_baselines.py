@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import constant_predictions, constant_table, dataset_from_counts, rows
+from conftest import constant_predictions, constant_table, dataset_from_counts, left_fold, rows
 from topicsent.baselines import Averaging, constant_classifier, ml_quantifier, point_mass
 from topicsent.classification import avg_rec
 from topicsent.errors import EmptyInput, NoTopics, ScaleMismatch
@@ -106,3 +106,14 @@ class TestMlQuantifier:
         train = Dataset.build(Scale.FIVE_POINT, rows(a, b))
         p = ml_quantifier(train, Averaging.MACRO)
         assert sum(p.fractions) == pytest.approx(1.0, abs=1e-12)
+
+    def test_macro_means_are_left_folds(self):
+        topics = {"a": {-1: 3, 1: 2}, "b": {-1: 3, 1: 3}, "c": {-1: 4, 1: 1}}
+        train = Dataset.build(Scale.TWO_POINT, rows(*(
+            dataset_from_counts(Scale.TWO_POINT, c, topic=t) for t, c in topics.items())))
+        per_topic = [class_fractions((c[-1], c[1])) for c in topics.values()]
+        means = [left_fold(col) / 3 for col in zip(*per_topic)]
+        expected = tuple(m / left_fold(means) for m in means)
+        # correctly rounded sums give 0.6333333333333333 for the first class
+        assert expected == (0.6333333333333334, 0.3666666666666667)
+        assert ml_quantifier(train, Averaging.MACRO) == expected

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import constant_table, dataset_from_counts, joined, table
+from conftest import constant_table, dataset_from_counts, joined, left_fold, table
 from topicsent.classification import (
     accuracy,
     avg_rec,
@@ -50,6 +52,13 @@ class TestAvgRec:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             avg_rec(table(Scale.TWO_POINT, []))
+
+    def test_mean_of_a_left_fold(self):
+        cm = ConfusionMatrix(Scale.THREE_POINT, ((2, 9, 1), (4, 1, 7), (7, 7, 6)))
+        recalls = [2 / 12, 1 / 12, 6 / 20]
+        # correctly rounded, the recalls sum to 0.5499999999999999
+        assert left_fold(recalls) == 0.55 != math.fsum(recalls)
+        assert avg_rec(cm) == 0.55 / 3
 
 
 class TestAccuracy:

@@ -1,19 +1,20 @@
 import contextlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dataset_from_counts, reference_join, rows
-from topicsent.cli import main, round_display
+from topicsent.cli import _emit_report, main, round_display
 from topicsent.errors import MissingPrediction, ScoringError, TopicRequired
-from topicsent.evaluate import SUBTASKS, Mode
+from topicsent.evaluate import SUBTASKS, Mode, ScoreReport
 from topicsent.ingestion import parse_dataset, parse_prevalence_file, serialize_dataset
 from topicsent.model import Dataset, Scale
 
@@ -39,6 +40,48 @@ class TestRoundDisplay:
     )
     def test_half_away_from_zero(self, x, expected):
         assert round_display(x) == expected
+
+
+def dumped_report(report):
+    """A report as json.dump writes the whole payload at once."""
+    payload = {
+        "subtask": report.subtask.id,
+        "primary_metric": report.subtask.primary_metric,
+        "higher_is_better": report.subtask.higher_is_better,
+        "metrics": report.metrics,
+        "metrics_display": {k: round_display(v) for k, v in report.metrics.items()},
+        "per_topic": report.per_topic,
+        "n_topics": len(report.per_topic),
+        "warnings": report.warnings,
+    }
+    if report.pooled is not None:
+        payload["pooled"] = report.pooled
+        payload["pooled_display"] = {k: round_display(v) for k, v in report.pooled.items()}
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class TestJsonReport:
+    """The per_topic block is streamed one topic at a time; the bytes are
+    those of json.dump on the whole payload."""
+
+    @example(per_topic={}, pooled=False)  # subtask A's report
+    @example(per_topic={'q"uo\\te': {"kld": 0.1}, "ctl\x00\x1f\x7f": {"kld": -0.0},
+                        "caf\u00e9 \u2028": {"kld": 1e-300}, "\U0001f600": {"kld": 1e16}},
+             pooled=True)
+    @given(st.dictionaries(st.text(min_size=1), st.dictionaries(
+        st.text(), st.floats(allow_nan=False, allow_infinity=False), min_size=1)), st.booleans())
+    def test_matches_json_dump(self, per_topic, pooled):
+        report = ScoreReport(SUBTASKS["D"], {"kld": 0.25, "ae": 0.1}, per_topic,
+                             ['topic "x\\": a warning'], {"kld": 1 / 3} if pooled else None)
+        out = io.StringIO()
+        _emit_report(report, "json", out)
+        assert out.getvalue() == dumped_report(report)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        report = ScoreReport(SUBTASKS["D"], {"kld": 0.25}, {"a": {"kld": 0.5}, "b": {"kld": bad}})
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _emit_report(report, "json", io.StringIO())
 
 
 class TestScore:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from conftest import constant_predictions, dataset_from_counts, rows
 from topicsent.baselines import point_mass
 from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
-from topicsent.evaluate import SUBTASKS, Mode, evaluate, macroaverage
+from topicsent.evaluate import SUBTASKS, Mode, evaluate, macroaverage, quantification_report
 from topicsent.model import Dataset, Prevalence, Scale, class_fractions, topic_class_counts
+from topicsent.quantification import ae, emd, kld, rae
 
 
 class TestSubtaskTable:
@@ -178,3 +179,45 @@ class TestQuantification:
         r1 = evaluate(SUBTASKS["D"], fwd, pred_prevalences=preds)
         r2 = evaluate(SUBTASKS["D"], rev, pred_prevalences=preds)
         assert r1.metrics == r2.metrics
+
+
+@st.composite
+def counts_and_predictions(draw):
+    """Per-topic gold class counts and predicted fractions for subtask D or
+    E, with one-item topics and point masses among them."""
+    spec = SUBTASKS[draw(st.sampled_from(["D", "E"]))]
+    k = len(spec.scale.classes)
+    unit = st.integers(0, k - 1).map(lambda i: [int(j == i) for j in range(k)])
+    counts = st.one_of(unit, st.lists(st.integers(0, 30), min_size=k, max_size=k).filter(any))
+    spread = st.lists(st.floats(0, 1), min_size=k, max_size=k).filter(lambda v: math.fsum(v) > 0)
+    fractions = st.one_of(unit, spread.map(lambda v: [x / math.fsum(v) for x in v]))
+    topics = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8, unique=True))
+    return (spec, {t: tuple(draw(counts)) for t in sorted(topics)},
+            {t: tuple(map(float, draw(fractions))) for t in topics})
+
+
+def scalar_measures(spec, pred, counts):
+    """The one-topic measures of predicted fractions against gold counts."""
+    true_p, eps = class_fractions(counts), 1 / (2 * sum(counts))
+    if spec.id == "E":
+        return {"emd": emd(pred, true_p)}
+    return {"kld": kld(pred, true_p, eps), "ae": ae(pred, true_p), "rae": rae(pred, true_p, eps)}
+
+
+class TestQuantificationReportColumns:
+    """The column-at-a-time report against the one-topic measures."""
+
+    @given(counts_and_predictions())
+    def test_every_value_equals_the_scalar_measure(self, data):
+        spec, counts, preds = data
+        report = quantification_report(spec, counts, preds, pooled=True)
+        for topic, row in counts.items():
+            assert report.per_topic[topic] == scalar_measures(spec, preds[topic], row)
+        assert report.metrics == {
+            name: math.fsum(m[name] for m in report.per_topic.values()) / len(counts)
+            for name in report.metrics
+        }
+        totals = [sum(col) for col in zip(*counts.values())]
+        mixed = [math.fsum(sum(row) / sum(totals) * preds[t][i] for t, row in counts.items())
+                 for i in range(len(totals))]
+        assert report.pooled == scalar_measures(spec, mixed, totals)

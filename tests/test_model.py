@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -100,6 +102,18 @@ class TestDataset:
     def test_empty_id_rejected(self):
         with pytest.raises(InvalidLabel):
             Dataset.build(Scale.TWO_POINT, [("t1", "x", 1), ("", "x", -1)])
+
+    @pytest.mark.parametrize("row", [("x\ty", "a", 1), ("x", "a\tb", 1), ("x", "NA", 1)])
+    def test_fields_no_file_can_hold_rejected(self, row):
+        # row_key would map ("x", "NA") and ("x", None) to one key, and a tab
+        # in a field makes the split between id and topic ambiguous
+        with pytest.raises(InvalidLabel):
+            Dataset.build(Scale.TWO_POINT, [row])
+
+    def test_na_topic_cannot_match_a_topicless_prediction(self):
+        with pytest.raises(InvalidLabel):
+            confusion_tables(Dataset.build(Scale.TWO_POINT, [("x", "NA", 1)]),
+                             Dataset.build(Scale.TWO_POINT, [("x", None, 1)]))
 
     def test_labels_keyed_in_input_order_and_read_only(self):
         d = Dataset.build(Scale.TWO_POINT, [("t2", "x", 1), ("t1", "x", -1)])
@@ -285,6 +299,13 @@ class TestPrevalence:
             Prevalence(Scale.TWO_POINT, (-0.1, 1.1))
         with pytest.raises(InvalidLabel):
             Prevalence(Scale.TWO_POINT, (math.nan, math.nan))
+
+    def test_a_validated_tuple(self):
+        p = Prevalence(Scale.FIVE_POINT, [0.0, 0.25, 0.5, 0.25, 0.0])
+        assert p == p.fractions == (0.0, 0.25, 0.5, 0.25, 0.0)
+        assert p.scale is Scale.FIVE_POINT
+        for copied in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(copied) is Prevalence and copied == p
 
     def test_off_sum_message_states_the_exact_sum(self):
         # a plain left-to-right sum of these values gives 0.9989999999999999

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import constant_table, dataset_from_counts, joined, table
+from conftest import constant_table, dataset_from_counts, joined, left_fold, table
 from topicsent.errors import EmptyInput
-from topicsent.model import Scale
+from topicsent.model import ConfusionMatrix, Scale
 from topicsent.ordinal import mae_macro, mae_micro
 
 EN_TEST_C = {2: 131, 1: 2332, 0: 6194, -1: 3545, -2: 177}
@@ -30,6 +32,14 @@ class TestMaeMacro:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             mae_macro(paired([]))
+
+    def test_mean_of_a_left_fold(self):
+        rows = ((4, 5, 0, 1, 5), (5, 6, 2, 0, 5), (2, 5, 5, 4, 3), (4, 6, 5, 1, 2), (2, 4, 3, 6, 4))
+        classes = Scale.FIVE_POINT.classes
+        per_class = [sum(n * abs(p - g) for p, n in zip(classes, row)) / sum(row)
+                     for g, row in zip(classes, rows)]
+        assert left_fold(per_class) / 5 != math.fsum(per_class) / 5
+        assert mae_macro(ConfusionMatrix(Scale.FIVE_POINT, rows)) == left_fold(per_class) / 5
 
 
 class TestMaeMicro:
