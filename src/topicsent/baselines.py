@@ -8,8 +8,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import EmptyInput, NoTopics, ScaleMismatch
-from .model import (ConfusionMatrix, Dataset, Prevalence, Scale, class_fractions, left_sum,
-                    topic_class_counts)
+from .model import ConfusionMatrix, Prevalence, Scale, class_fractions, left_sum
 
 
 class Averaging(Enum):
@@ -38,17 +37,19 @@ def point_mass(scale, c: int) -> Prevalence:
     return Prevalence(scale, tuple(1.0 if cls == c else 0.0 for cls in scale.classes))
 
 
-def ml_quantifier(train: Dataset, averaging: Averaging = Averaging.MICRO) -> Prevalence:
-    """Training-set class distribution: pooled over all items (micro) or the
-    unweighted mean of per-topic distributions (macro)."""
-    if not train.labels:
+def ml_quantifier(
+    scale: Scale, counts: Mapping[str | None, Sequence[int]], averaging: Averaging = Averaging.MICRO
+) -> Prevalence:
+    """Training-set class distribution from its per-topic class counts (see
+    ingestion.count_labels): pooled over all items (micro) or the unweighted
+    mean of per-topic distributions (macro)."""
+    if not counts:
         raise EmptyInput("cannot estimate a prevalence from an empty training set")
-    counts = topic_class_counts(train)
     if averaging is Averaging.MICRO:  # topics may be absent here
-        return Prevalence(train.scale, class_fractions([sum(col) for col in zip(*counts.values())]))
+        return Prevalence(scale, class_fractions([sum(col) for col in zip(*counts.values())]))
     if None in counts:
         raise NoTopics("dataset has no topics")
     per_topic = [class_fractions(row) for row in counts.values()]
     means = [left_sum(col) / len(per_topic) for col in zip(*per_topic)]
     total = left_sum(means)  # renormalize to guard against rounding drift
-    return Prevalence(train.scale, tuple(m / total for m in means))
+    return Prevalence(scale, tuple(m / total for m in means))

@@ -23,7 +23,7 @@ from .annotation import consolidate_labels
 from .errors import InvalidArgument, InvalidLabel, ScoringError
 from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
                        quantification_report)
-from .model import count_rows, join_rows, row_key
+from .model import ascii_number, join_rows, row_key
 
 
 def round_display(x: float) -> float:
@@ -134,7 +134,7 @@ def cmd_score(args) -> int:
         report = classification_report(spec, tables, n_ignored, args.pooled)
     else:
         with _open_in(args.gold) as f:
-            counts = count_rows(spec.scale, ingestion.distinct_rows(f, spec))
+            counts = ingestion.count_labels(f, spec)
         with _open_in(args.pred) as f:
             pred = ingestion.parse_prevalence_file(f, spec.scale)
         report = quantification_report(spec, counts, pred, args.pooled)
@@ -155,7 +155,7 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
         if spec.mode is not Mode.QUANTIFICATION:
             raise ScoringError("prevalence baselines apply to subtasks D and E only")
         try:
-            fractions = [float(v) for v in arg.split(",")]
+            fractions = [ascii_number(float, v) for v in arg.split(",")]
         except ValueError:
             raise InvalidLabel(f"bad prevalence list {arg!r}") from None
         p = ingestion.normalized_prevalence(spec.scale, fractions)
@@ -169,8 +169,8 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
         except ValueError:
             raise ScoringError(f"unknown baseline kind {args.kind!r}") from None
         with _open_in(args.train) as f:
-            train = ingestion.parse_dataset(f, spec)
-        p = baselines.ml_quantifier(train, averaging)
+            train = ingestion.count_labels(f, spec)
+        p = baselines.ml_quantifier(spec.scale, train, averaging)
     else:
         raise ScoringError(f"unknown baseline kind {args.kind!r}")
     return quantification_report(spec, counts, dict.fromkeys(counts, p), args.pooled)
@@ -179,7 +179,7 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
 def cmd_baseline(args) -> int:
     spec = SUBTASKS[args.subtask]
     with _open_in(args.gold) as f:
-        counts = count_rows(spec.scale, ingestion.distinct_rows(f, spec))
+        counts = ingestion.count_labels(f, spec)
     report = _baseline_report(spec, counts, args)
     with _open_out(args.output) as out:
         _emit_report(report, args.format, out)
@@ -212,7 +212,7 @@ def cmd_dedup(args) -> int:
 def cmd_stats(args) -> int:
     spec = SUBTASKS[args.subtask]
     with _open_in(args.input) as f:
-        s = ingestion.stats(ingestion.parse_dataset(f, spec), args.min_size)
+        s = ingestion.stats(spec.scale, ingestion.count_labels(f, spec), args.min_size)
     with _open_out(args.output) as out:
         if args.format == "json":
             _write_json({

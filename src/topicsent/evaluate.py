@@ -9,11 +9,11 @@ Subtasks:
   E - 5-point ordinal quantification, per topic
 
 Every score is a function of per-topic counts: ``classification_report``
-takes each topic's gold-by-prediction table, and ``quantification_report``
-each topic's gold class counts and a topic -> predicted fraction tuple map
+takes each topic's gold-by-prediction table (from ``model.join_rows``), and
+``quantification_report`` each topic's gold class counts (from
+``ingestion.count_labels``) and a topic -> predicted fraction tuple map
 (such as a :class:`~topicsent.model.Prevalence` per topic), which it scores
-one class column at a time; ``evaluate`` reduces a gold Dataset, and
-predicted labels, to those counts.
+one class column at a time.
 Macroaveraging is the unweighted mean across topics. The optional pooled
 report treats the whole test set as a single group, which is what
 reproduces constant-baseline table values on imbalanced data.
@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from . import classification, ordinal, quantification
 from .errors import EmptyInput, MissingPrediction, ScaleMismatch, TopicRequired
-from .model import ConfusionMatrix, Dataset, Scale, confusion_tables, topic_class_counts
+from .model import ConfusionMatrix, Scale
 
 
 class Mode(Enum):
@@ -122,22 +122,6 @@ def _columns(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
     if len(set(map(len, rows))) > 1:
         raise ScaleMismatch("per-topic distributions have different numbers of classes")
     return list(zip(*rows))
-
-
-def evaluate(
-    spec: SubtaskSpec,
-    gold: Dataset,
-    pred_labels: Dataset | None = None,
-    pred_prevalences: Mapping[str, Sequence[float]] | None = None,
-    pooled: bool = False,
-) -> ScoreReport:
-    if spec.mode is Mode.CLASSIFICATION:
-        if pred_labels is None:
-            raise EmptyInput(f"subtask {spec.id} requires predicted labels")
-        return classification_report(spec, *confusion_tables(gold, pred_labels), pooled)
-    if pred_prevalences is None:
-        raise EmptyInput(f"subtask {spec.id} requires predicted prevalences")
-    return quantification_report(spec, topic_class_counts(gold), pred_prevalences, pooled)
 
 
 def classification_report(

@@ -1,5 +1,5 @@
-"""File parsing, near-duplicate filtering, topic-size filtering, and dataset
-statistics.
+"""File parsing, per-topic class counts of label files, near-duplicate
+filtering, and count statistics with an optional topic-size filter.
 
 File formats (TSV, UTF-8, one record per line):
   * label files:        id <TAB> topic <TAB> label [<TAB> text [<TAB> extra...]]
@@ -8,6 +8,7 @@ File formats (TSV, UTF-8, one record per line):
   * prevalence files:   topic <TAB> class <TAB> prevalence, one class per
     line; each topic's prevalences must sum to 1 within 1e-6.
   * annotation files:   id <TAB> topic <TAB> label1 <TAB> ... <TAB> labelN
+Numbers are ASCII, without the ``_`` separators of Python's literal syntax.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .errors import (
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
-from .model import (NO_TOPIC, Dataset, Prevalence, Scale, duplicate_key, exact_sum, key_fields,
-                    row_key, topic_class_counts)
+from .model import NO_TOPIC, Prevalence, Scale, ascii_number, duplicate_key, exact_sum, row_key
 
 PREVALENCE_SUM_TOL = 1e-6
 
@@ -111,35 +111,20 @@ def parse_labels(stream: IO[str], spec: SubtaskSpec) -> dict[str, int]:
     return labels
 
 
-def distinct_rows(stream: IO[str], spec: SubtaskSpec) -> Iterator[tuple[str | None, int]]:
-    """The (topic, label) of each row of a label file, for model.count_rows;
-    only the set of row keys is held, and a repeated (id, topic) pair is a
-    hard error."""
+def count_labels(stream: IO[str], spec: SubtaskSpec) -> dict[str | None, tuple[int, ...]]:
+    """Each topic's class counts in spec.scale.classes order from a label
+    file, topics sorted; data without topics gives one count vector under the
+    key None. Only the set of row keys is held, and a repeated (id, topic)
+    pair is a hard error."""
+    index = {c: i for i, c in enumerate(spec.scale.classes)}
+    counts: dict[str | None, list[int]] = defaultdict(lambda: [0] * len(index))
     seen: set[str] = set()
     for n, key, topic, label in label_rows(stream, spec):
         if key in seen:
             raise duplicate_key(key, n)
         seen.add(key)
-        yield topic, label
-
-
-def parse_dataset(stream: IO[str], spec: SubtaskSpec) -> Dataset:
-    """Parses a gold or prediction label file; every error carries its line
-    number. Duplicate (id, topic) rows are a hard error."""
-    labels: dict[tuple[str, str | None], int] = {}
-    for n, key, topic, label in label_rows(stream, spec):
-        pair = key_fields(key)[0], topic  # rows share one string per topic
-        if pair in labels:
-            raise duplicate_key(key, n)
-        labels[pair] = label
-    return Dataset(spec.scale, labels)  # every row passed the scale and topic-rule checks
-
-
-def serialize_dataset(d: Dataset, stream: IO[str]) -> None:
-    """Inverse of parse_dataset on valid datasets (labels written as
-    integers, missing topics as NA)."""
-    for key, label in d.labels.items():
-        stream.write(f"{row_key(*key)}\t{label}\n")
+        counts[topic][index[label]] += 1
+    return {t: tuple(counts[t]) for t in sorted(counts)}
 
 
 def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence]:
@@ -166,7 +151,7 @@ def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence
         except KeyError:
             i = index[raw_class] = scale.classes.index(scale.parse_label(raw_class, line=n))
         try:
-            frac = float(raw_value)
+            frac = ascii_number(float, raw_value)
         except ValueError:
             raise MalformedLine(f"bad prevalence value {raw_value!r}", line=n) from None
         if not math.isfinite(frac):
@@ -222,7 +207,7 @@ def parse_annotations(stream: IO[str]) -> list[CrowdAnnotation]:
             raise duplicate_key(key, n)
         seen.add(key)
         try:
-            labels = tuple(int(f) for f in fields[2:])
+            labels = tuple(ascii_number(int, f) for f in fields[2:])
         except ValueError:
             raise InvalidLabel("annotator labels must be integers", line=n) from None
         try:
@@ -351,20 +336,6 @@ def dedup(
     return kept, removed
 
 
-def topic_filter(d: Dataset, min_size: int = 100) -> Dataset:
-    """Retains only the topics holding at least min_size items."""
-    large = _large_topics(topic_class_counts(d), min_size)
-    return Dataset(d.scale, {key: label for key, label in d.labels.items() if key[1] in large})
-
-
-def _large_topics(counts: dict, min_size: int) -> dict:
-    if min_size < 0:
-        raise InvalidArgument(f"min_size must be nonnegative, got {min_size!r}")
-    if not counts or None in counts:
-        raise NoTopics("topic filtering requires topics")
-    return {topic: c for topic, c in counts.items() if sum(c) >= min_size}
-
-
 @dataclass
 class DatasetStats:
     """Count summary shaped like the published dataset tables: class columns
@@ -375,14 +346,20 @@ class DatasetStats:
     total: int
 
 
-def stats(d: Dataset, min_size: int | None = None) -> DatasetStats:
-    """Counts d, or with min_size only the topics topic_filter would retain."""
-    counts = topic_class_counts(d)
+def stats(
+    scale: Scale, counts: dict[str | None, Sequence[int]], min_size: int | None = None
+) -> DatasetStats:
+    """Sums per-topic class counts (see count_labels), or with min_size only
+    those of the topics holding at least min_size items."""
     if min_size is not None:
-        counts = _large_topics(counts, min_size)
-    totals = [sum(col) for col in zip(*counts.values())] or [0] * len(d.scale.classes)
+        if min_size < 0:
+            raise InvalidArgument(f"min_size must be nonnegative, got {min_size!r}")
+        if not counts or None in counts:
+            raise NoTopics("topic filtering requires topics")
+        counts = {topic: c for topic, c in counts.items() if sum(c) >= min_size}
+    totals = [sum(col) for col in zip(*counts.values())] or [0] * len(scale.classes)
     return DatasetStats(
-        per_class=dict(zip(d.scale.classes[::-1], totals[::-1])),
+        per_class=dict(zip(scale.classes[::-1], totals[::-1])),
         per_topic={topic: sum(c) for topic, c in counts.items() if topic is not None},
         total=sum(totals),
     )

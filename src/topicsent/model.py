@@ -1,6 +1,6 @@
-"""Core data model: sentiment scales, datasets, per-topic count tables
-(confusion matrices and gold class counts), class fractions from counts, and
-:class:`Prevalence`, the validated distribution type of prediction inputs.
+"""Core data model: sentiment scales, per-topic count tables (confusion
+matrices), the row-key join that builds them, class fractions from counts,
+and :class:`Prevalence`, the validated distribution type of prediction inputs.
 
 Labels are plain integers validated against a :class:`Scale`:
 two-point {-1, +1}, three-point {-1, 0, +1}, five-point {-2 .. +2}.
@@ -16,17 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import (
-    DuplicateKey,
-    EmptyInput,
-    InvalidLabel,
-    MissingPrediction,
-    NoTopics,
-    ScaleMismatch,
-)
+from .errors import DuplicateKey, EmptyInput, InvalidLabel, MissingPrediction, ScaleMismatch
 
 # Canonical label names, shared across scales. Positive maps to +1 even on
 # the five-point scale, where +2 is HIGHLYPOSITIVE.
@@ -60,12 +52,13 @@ class Scale(Enum):
         return label
 
     def parse_label(self, raw: str, *, line: int | None = None) -> int:
-        """Accepts integer surface forms and canonical names, case-insensitive."""
+        """Accepts ASCII integer surface forms and canonical names,
+        case-insensitive."""
         text = raw.strip()
-        label = _SURFACE_FORMS.get(text.upper())
+        label = _SURFACE_FORMS.get(text.upper()) if text.isascii() else None
         if label is None:
             try:
-                label = int(text)
+                label = ascii_number(int, text)
             except ValueError:
                 raise InvalidLabel(f"unrecognized label {raw!r}", line=line) from None
         if label not in self.value:
@@ -77,46 +70,6 @@ class Scale(Enum):
     def class_name(self, label: int) -> str:
         self.validate(label)
         return _INT_TO_NAME[label]
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Labels on a single scale: ``labels`` is a read-only map from each
-    (id, topic) key to its label, in input order; the topic is None for data
-    without topics. :meth:`build` enforces the scale, non-empty ids, the
-    all-or-none topic rule, and (id, topic) uniqueness, and rejects a tab in
-    an id or topic and the topic ``NA``, which stands for no topic.
-    """
-
-    scale: Scale
-    labels: Mapping[tuple[str, str | None], int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", MappingProxyType(self.labels))
-
-    @classmethod
-    def build(cls, scale: Scale, rows: Iterable[tuple[str, str | None, int]]) -> "Dataset":
-        """Builds a dataset from (id, topic, label) rows."""
-        labels: dict[tuple[str, str | None], int] = {}
-        for item_id, topic, label in rows:
-            if not item_id:
-                raise InvalidLabel("item id must be non-empty")
-            # fields no label file can hold, which would make row_key ambiguous
-            if "\t" in item_id or topic is not None and "\t" in topic:
-                raise InvalidLabel("item id and topic must not hold a tab")
-            if topic == NO_TOPIC:
-                raise InvalidLabel(f"topic {NO_TOPIC} stands for no topic; pass None")
-            scale.validate(label)
-            key = (item_id, topic)
-            if key in labels:
-                raise DuplicateKey(f"duplicate (id, topic) pair {key}")
-            labels[key] = label
-        if len({topic is None for _, topic in labels}) > 1:
-            raise NoTopics("items must either all carry a topic or none")
-        return cls(scale, labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -183,6 +136,15 @@ def left_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0)
 
 
+def ascii_number(kind: type[int] | type[float], text: str) -> int | float:
+    """``kind(text)`` for an int or float written in ASCII without ``_``:
+    ValueError for the digit separators and non-ASCII digits or spaces that
+    Python's ``int`` and ``float`` also accept (``0_1``, U+0661 for 1)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
+
+
 def exact_sum(values: Iterable[float]) -> float:
     """math.fsum, which no order of the values can change; inf on overflow."""
     try:
@@ -209,20 +171,6 @@ def key_fields(key: str) -> tuple[str, str | None]:
 
 def duplicate_key(key: str, line: int | None) -> DuplicateKey:
     return DuplicateKey(f"duplicate (id, topic) pair {key_fields(key)}", line=line)
-
-
-def confusion_tables(
-    gold: Dataset, pred: Dataset
-) -> tuple[dict[str | None, ConfusionMatrix], int]:
-    """Joins predictions onto gold by (id, topic) and counts each topic's
-    gold/prediction class pairs; see :func:`join_rows`."""
-    if gold.scale is not pred.scale:
-        raise ScaleMismatch(
-            f"gold scale {gold.scale.name} != prediction scale {pred.scale.name}"
-        )
-    gold_labels = {row_key(*key): label for key, label in gold.labels.items()}
-    rows = ((None, row_key(*key), key[1], label) for key, label in pred.labels.items())
-    return join_rows(gold.scale, gold_labels, rows)
 
 
 def join_rows(
@@ -259,24 +207,6 @@ def join_rows(
             raise MissingPrediction(*key_fields(key))
     tables = {t: ConfusionMatrix(scale, tuple(map(tuple, cells[t]))) for t in sorted(cells)}
     return tables, len(ignored)
-
-
-def count_rows(
-    scale: Scale, rows: Iterable[tuple[str | None, int]]
-) -> dict[str | None, tuple[int, ...]]:
-    """Each topic's class counts in scale.classes order from (topic, label)
-    rows; topics sorted. Rows without topics give one count vector under the
-    key None."""
-    index = {c: i for i, c in enumerate(scale.classes)}
-    counts: dict[str | None, list[int]] = defaultdict(lambda: [0] * len(index))
-    for topic, label in rows:
-        counts[topic][index[label]] += 1
-    return {t: tuple(counts[t]) for t in sorted(counts)}
-
-
-def topic_class_counts(data: Dataset) -> dict[str | None, tuple[int, ...]]:
-    """The count_rows of a dataset."""
-    return count_rows(data.scale, ((topic, label) for (_, topic), label in data.labels.items()))
 
 
 def class_fractions(counts: Sequence[int]) -> tuple[float, ...]:

@@ -19,16 +19,18 @@ import pytest
 import topicsent
 from conftest import (
     bow_cosine,
+    class_counts,
     constant_predictions,
     constant_table,
-    dataset_from_counts,
-    rows,
+    join,
+    label_text,
+    rows_from_counts,
     table,
 )
 from topicsent.annotation import consolidate_labels
 from topicsent.classification import avg_rec, class_f1
 from topicsent.cli import round_display
-from topicsent.evaluate import SUBTASKS, evaluate
+from topicsent.evaluate import SUBTASKS, classification_report
 from topicsent.model import ConfusionMatrix, Scale
 from topicsent.ordinal import mae_macro, mae_micro
 from topicsent.quantification import emd, kld
@@ -42,8 +44,9 @@ AR_TEST_C = {2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21}
 
 
 def score_a(counts, pred_class):
-    gold = dataset_from_counts(Scale.THREE_POINT, counts)
-    r = evaluate(SUBTASKS["A"], gold, pred_labels=constant_predictions(gold, pred_class))
+    gold = rows_from_counts(counts)
+    tables, n_ignored = join(Scale.THREE_POINT, gold, constant_predictions(gold, pred_class))
+    r = classification_report(SUBTASKS["A"], tables, n_ignored, False)
     return tuple(round_display(r.metrics[k]) for k in ("avgrec", "f1_pn", "accuracy"))
 
 
@@ -65,8 +68,8 @@ def test_criterion_2_subtask_a_arabic_baselines():
 
 def test_criterion_3_subtask_b_pooled_baselines():
     def pooled_b(counts, pred_class):
-        gold = dataset_from_counts(Scale.TWO_POINT, counts)
-        pd = constant_table(gold, pred_class)
+        gold = rows_from_counts(counts)
+        pd = constant_table(Scale.TWO_POINT, gold, pred_class)
         from topicsent.classification import accuracy, f1_pn
 
         return (
@@ -86,9 +89,9 @@ def test_criterion_4_subtask_c_baselines():
     expected_micro_en = {-2: 1.895, -1: 0.923, 0: 0.525, 1: 1.127, 2: 2.105}
     expected_micro_ar = {-2: 2.059, -1: 1.065, 0: 0.458, 1: 0.946, 2: 1.941}
     for counts, expected_micro in [(EN_TEST_C, expected_micro_en), (AR_TEST_C, expected_micro_ar)]:
-        gold = dataset_from_counts(Scale.FIVE_POINT, counts)
+        gold = rows_from_counts(counts)
         for c in Scale.FIVE_POINT.classes:
-            pd = constant_table(gold, c)
+            pd = constant_table(Scale.FIVE_POINT, gold, c)
             assert round_display(mae_macro(pd)) == expected_macro[c]
             assert round_display(mae_micro(pd)) == expected_micro[c]
     print("ACCEPTANCE 4 PASS: subtask C constant baselines, both languages")
@@ -220,15 +223,14 @@ def test_criterion_7_metric_properties():
     # constant-classifier AvgRec = 1/k whenever all k classes are present
     for scale in (Scale.TWO_POINT, Scale.THREE_POINT, Scale.FIVE_POINT):
         counts = {c: rng.randint(1, 30) for c in scale.classes}
-        gold = dataset_from_counts(scale, counts)
+        gold = rows_from_counts(counts)
         for c in scale.classes:
-            assert avg_rec(constant_table(gold, c)) == pytest.approx(1 / len(scale.classes), abs=1e-12)
+            assert avg_rec(constant_table(scale, gold, c)) == pytest.approx(1 / len(scale.classes), abs=1e-12)
     print("ACCEPTANCE 7 PASS: metric property suite")
 
 
 def test_criterion_8_dedup_and_topic_filter():
-    from topicsent.ingestion import RawTweetRecord, dedup, topic_filter
-    from topicsent.model import Dataset
+    from topicsent.ingestion import RawTweetRecord, dedup, stats
 
     assert bow_cosine("a b c", "a b d") == pytest.approx(2 / 3, abs=1e-12)
     kept, removed = dedup(
@@ -255,27 +257,21 @@ def test_criterion_8_dedup_and_topic_filter():
         kept_again, removed_again = dedup(kept)
         assert kept_again == kept and not removed_again
 
-    a = dataset_from_counts(Scale.TWO_POINT, {1: 50, -1: 50}, topic="exactly100")
-    b = dataset_from_counts(Scale.TWO_POINT, {1: 99}, topic="just99")
-    d = Dataset.build(Scale.TWO_POINT, rows(a, b))
-    filtered = topic_filter(d, min_size=100)
-    assert {topic for _, topic in filtered.labels} == {"exactly100"}
+    a = rows_from_counts({1: 50, -1: 50}, topic="exactly100")
+    b = rows_from_counts({1: 99}, topic="just99")
+    filtered = stats(Scale.TWO_POINT, class_counts(Scale.TWO_POINT, a + b), min_size=100)
+    assert set(filtered.per_topic) == {"exactly100"}
     print("ACCEPTANCE 8 PASS: dedup threshold, idempotence, topic-size boundary")
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    from topicsent.ingestion import serialize_dataset
-    from topicsent.model import Dataset
-
-    a = dataset_from_counts(Scale.TWO_POINT, {1: 6, -1: 4}, topic="a")
-    b = dataset_from_counts(Scale.TWO_POINT, {1: 2, -1: 8}, topic="b")
+    gold = rows_from_counts({1: 6, -1: 4}, topic="a") + rows_from_counts({1: 2, -1: 8}, topic="b")
     gold_path = tmp_path / "gold.tsv"
-    with open(gold_path, "w", encoding="utf-8") as f:
-        serialize_dataset(Dataset.build(Scale.TWO_POINT, rows(a, b)), f)
+    gold_path.write_text(label_text(gold), encoding="utf-8")
     pred_path = tmp_path / "pred.tsv"
     rng = random.Random(5)
     with open(pred_path, "w", encoding="utf-8") as f:
-        for item_id, topic, _ in rows(a, b):
+        for item_id, topic, _ in gold:
             f.write(f"{item_id}\t{topic}\t{rng.choice([-1, 1])}\n")
 
     argv = [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import constant_table, dataset_from_counts, joined, left_fold, table
+from conftest import constant_table, joined, left_fold, rows_from_counts, table
 from topicsent.classification import (
     accuracy,
     avg_rec,
@@ -36,17 +36,17 @@ class TestClassRecall:
 
 class TestAvgRec:
     def test_constant_prediction_one_third(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
+        gold = rows_from_counts(EN_TEST_A)
         for c in Scale.THREE_POINT.classes:
-            assert avg_rec(constant_table(gold, c)) == pytest.approx(1 / 3)
+            assert avg_rec(constant_table(Scale.THREE_POINT, gold, c)) == pytest.approx(1 / 3)
 
     def test_constant_prediction_two_point(self):
-        gold = dataset_from_counts(Scale.TWO_POINT, {1: 7, -1: 3})
-        assert avg_rec(constant_table(gold, 1)) == pytest.approx(0.5)
+        gold = rows_from_counts({1: 7, -1: 3})
+        assert avg_rec(constant_table(Scale.TWO_POINT, gold, 1)) == pytest.approx(0.5)
 
     def test_perfect(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, {1: 2, 0: 2, -1: 2})
-        pd = joined(gold, gold)
+        gold = rows_from_counts({1: 2, 0: 2, -1: 2})
+        pd = joined(Scale.THREE_POINT, gold)
         assert avg_rec(pd) == 1.0
 
     def test_empty_raises(self):
@@ -63,32 +63,32 @@ class TestAvgRec:
 
 class TestAccuracy:
     def test_all_neutral_english_counts(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
-        assert accuracy(constant_table(gold, 0)) == pytest.approx(5937 / 12284)
+        gold = rows_from_counts(EN_TEST_A)
+        assert accuracy(constant_table(Scale.THREE_POINT, gold, 0)) == pytest.approx(5937 / 12284)
 
     def test_all_neutral_arabic_counts(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, {1: 1514, 0: 2364, -1: 2222})
-        assert accuracy(constant_table(gold, 0)) == pytest.approx(2364 / 6100)
+        gold = rows_from_counts({1: 1514, 0: 2364, -1: 2222})
+        assert accuracy(constant_table(Scale.THREE_POINT, gold, 0)) == pytest.approx(2364 / 6100)
 
     def test_perfect(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, {1: 2, 0: 2, -1: 2})
-        assert accuracy(joined(gold, gold)) == 1.0
+        gold = rows_from_counts({1: 2, 0: 2, -1: 2})
+        assert accuracy(joined(Scale.THREE_POINT, gold)) == 1.0
 
 
 class TestF1:
     def test_all_positive_f1_positive(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
-        pd = constant_table(gold, 1)
+        gold = rows_from_counts(EN_TEST_A)
+        pd = constant_table(Scale.THREE_POINT, gold, 1)
         prev = 2375 / 12284
         assert class_f1(pd, 1) == pytest.approx(2 * prev / (1 + prev))
 
     def test_all_positive_f1_negative_zero(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
-        assert class_f1(constant_table(gold, 1), -1) == 0.0
+        gold = rows_from_counts(EN_TEST_A)
+        assert class_f1(constant_table(Scale.THREE_POINT, gold, 1), -1) == 0.0
 
     def test_perfect_per_class(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, {1: 2, 0: 2, -1: 2})
-        pd = joined(gold, gold)
+        gold = rows_from_counts({1: 2, 0: 2, -1: 2})
+        pd = joined(Scale.THREE_POINT, gold)
         for c in Scale.THREE_POINT.classes:
             assert class_f1(pd, c) == 1.0
 
@@ -96,8 +96,8 @@ class TestF1:
         "pred_class,expected", [(1, 0.162), (-1, 0.244), (0, 0.000)]
     )
     def test_f1_pn_constant_baselines(self, pred_class, expected):
-        gold = dataset_from_counts(Scale.THREE_POINT, EN_TEST_A)
-        value = f1_pn(constant_table(gold, pred_class))
+        gold = rows_from_counts(EN_TEST_A)
+        value = f1_pn(constant_table(Scale.THREE_POINT, gold, pred_class))
         assert round(value, 3) == expected
 
 

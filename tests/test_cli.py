@@ -11,19 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_from_counts, reference_join, rows
+from conftest import label_text, parsed_rows, reference_join, rows_from_counts
 from topicsent.cli import _emit_report, main, round_display
 from topicsent.errors import MissingPrediction, ScoringError, TopicRequired
 from topicsent.evaluate import SUBTASKS, Mode, ScoreReport
-from topicsent.ingestion import parse_dataset, parse_prevalence_file, serialize_dataset
-from topicsent.model import Dataset, Scale
+from topicsent.ingestion import parse_prevalence_file
 
 
-def write_dataset(path, scale, counts, topic=None):
-    d = dataset_from_counts(scale, counts, topic=topic)
-    with open(path, "w", encoding="utf-8") as f:
-        serialize_dataset(d, f)
-    return d
+def write_labels(path, counts, topic=None):
+    """Writes a label file with the given per-class counts; returns its rows."""
+    rows = rows_from_counts(counts, topic=topic)
+    Path(path).write_text(label_text(rows), encoding="utf-8")
+    return rows
 
 
 def run(argv, capsys):
@@ -87,10 +86,10 @@ class TestJsonReport:
 class TestScore:
     def test_subtask_a_json(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        d = write_dataset(gold, Scale.THREE_POINT, {1: 4, 0: 3, -1: 3})
+        d = write_labels(gold, {1: 4, 0: 3, -1: 3})
         pred = tmp_path / "pred.tsv"
         with open(pred, "w") as f:
-            for item_id, _ in d.labels:
+            for item_id, _, _ in d:
                 f.write(f"{item_id}\tNA\t0\n")
         code, out, _ = run(
             ["score", "--subtask", "A", "--gold", str(gold), "--pred", str(pred),
@@ -105,7 +104,7 @@ class TestScore:
 
     def test_missing_prediction_exit_code(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        write_dataset(gold, Scale.TWO_POINT, {1: 2, -1: 2}, topic="x")
+        write_labels(gold, {1: 2, -1: 2}, topic="x")
         pred = tmp_path / "pred.tsv"
         pred.write_text("")
         code, _, err = run(
@@ -130,7 +129,7 @@ class TestScore:
 
     def test_quantification_prediction_file(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        write_dataset(gold, Scale.TWO_POINT, {1: 3, -1: 1}, topic="x")
+        write_labels(gold, {1: 3, -1: 1}, topic="x")
         pred = tmp_path / "pred.tsv"
         pred.write_text("x\tpositive\t0.75\nx\tnegative\t0.25\n")
         code, out, _ = run(
@@ -146,14 +145,9 @@ class TestScore:
 class TestBaseline:
     def test_constant_neutral_subtask_c_pooled(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        a = dataset_from_counts(
-            Scale.FIVE_POINT, {2: 13, 1: 155, 0: 334, -1: 118, -2: 2}, topic="a"
-        )
-        b = dataset_from_counts(
-            Scale.FIVE_POINT, {2: 1, 1: 154, 0: 335, -1: 117, -2: 2}, topic="b"
-        )
-        with open(gold, "w") as f:
-            serialize_dataset(Dataset.build(Scale.FIVE_POINT, rows(a, b)), f)
+        a = rows_from_counts({2: 13, 1: 155, 0: 334, -1: 118, -2: 2}, topic="a")
+        b = rows_from_counts({2: 1, 1: 154, 0: 335, -1: 117, -2: 2}, topic="b")
+        gold.write_text(label_text(a + b), encoding="utf-8")
         code, out, _ = run(
             ["baseline", "--subtask", "C", "--gold", str(gold),
              "--kind", "constant:0", "--pooled"],
@@ -165,7 +159,7 @@ class TestBaseline:
         assert payload["n_topics"] == 2
         # n_topics is the number of scored topics: 0, and no table line, without topics
         topicless = tmp_path / "topicless.tsv"
-        write_dataset(topicless, Scale.THREE_POINT, {1: 2, 0: 1, -1: 1})
+        write_labels(topicless, {1: 2, 0: 1, -1: 1})
         for path, subtask, n_topics in ((gold, "C", 2), (topicless, "A", 0)):
             baseline = ["baseline", "--subtask", subtask, "--gold", str(path), "--kind", "constant:0"]
             for argv in (baseline, ["stats", "--subtask", subtask, "--input", str(path)]):
@@ -177,7 +171,7 @@ class TestBaseline:
 
     def test_ml_baseline_requires_train(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        write_dataset(gold, Scale.TWO_POINT, {1: 3, -1: 1}, topic="x")
+        write_labels(gold, {1: 3, -1: 1}, topic="x")
         code, _, err = run(
             ["baseline", "--subtask", "D", "--gold", str(gold), "--kind", "ml:micro"],
             capsys,
@@ -186,9 +180,9 @@ class TestBaseline:
 
     def test_ml_baseline_scores(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        write_dataset(gold, Scale.TWO_POINT, {1: 3, -1: 1}, topic="x")
+        write_labels(gold, {1: 3, -1: 1}, topic="x")
         train = tmp_path / "train.tsv"
-        write_dataset(train, Scale.TWO_POINT, {1: 3, -1: 1}, topic="t")
+        write_labels(train, {1: 3, -1: 1}, topic="t")
         code, out, _ = run(
             ["baseline", "--subtask", "D", "--gold", str(gold),
              "--kind", "ml:micro", "--train", str(train)],
@@ -202,7 +196,7 @@ class TestBaseline:
         """A --kind prevalence: list gets the sum rule of prevalence files:
         within 1e-6 of 1, then renormalized; so it scores as score does."""
         gold = tmp_path / "gold.tsv"
-        write_dataset(gold, Scale.TWO_POINT, {1: 3, -1: 1}, topic="x")
+        write_labels(gold, {1: 3, -1: 1}, topic="x")
         pred = tmp_path / "pred.tsv"
         pred.write_text(f"x\t-1\t{fractions[0]}\nx\t1\t{fractions[1]}\n")
         for pooled in ([], ["--pooled"]):
@@ -221,7 +215,7 @@ class TestBaseline:
         """Both messages state the exact sum of the values (a plain float sum
         of this list gives 0.9989999999999999)."""
         gold = tmp_path / "gold.tsv"
-        write_dataset(gold, Scale.FIVE_POINT, {1: 3, -1: 1}, topic="x")
+        write_labels(gold, {1: 3, -1: 1}, topic="x")
         values = ["0.000", "0.259", "0.296", "0.148", "0.296"]
         pred = tmp_path / "pred.tsv"
         pred.write_text("".join(f"x\t{c}\t{v}\n" for c, v in zip(range(-2, 3), values)))
@@ -292,7 +286,7 @@ class TestDedupCommand:
 class TestStatsCommand:
     def test_json_counts(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        write_dataset(gold, Scale.FIVE_POINT, {2: 1, 1: 4, 0: 5, -1: 1, -2: 2}, topic="x")
+        write_labels(gold, {2: 1, 1: 4, 0: 5, -1: 1, -2: 2}, topic="x")
         code, out, _ = run(
             ["stats", "--subtask", "C", "--input", str(gold), "--format", "json"],
             capsys,
@@ -305,10 +299,9 @@ class TestStatsCommand:
 
     def test_min_size_filter(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        a = dataset_from_counts(Scale.TWO_POINT, {1: 3}, topic="a")
-        b = dataset_from_counts(Scale.TWO_POINT, {1: 9, -1: 3}, topic="b")
-        with open(gold, "w") as f:
-            serialize_dataset(Dataset.build(Scale.TWO_POINT, rows(a, b)), f)
+        a = rows_from_counts({1: 3}, topic="a")
+        b = rows_from_counts({1: 9, -1: 3}, topic="b")
+        gold.write_text(label_text(a + b), encoding="utf-8")
         code, out, _ = run(
             ["stats", "--subtask", "B", "--input", str(gold),
              "--min-size", "5", "--format", "json"],
@@ -332,13 +325,83 @@ class TestStatsCommand:
         assert json.loads(err)["error"] == "NO_TOPICS"
 
 
+class TestAsciiNumbers:
+    """Numbers are ASCII without ``_``: the forms that only Python's int()
+    and float() accept exit 1 with the error code of any other bad value."""
+
+    @pytest.mark.parametrize("label", ["0_1", "\u0661", "pos\u0131tive"])
+    def test_label_files(self, label, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        gold.write_text("t1\tx\t1\nt2\tx\t-1\n", encoding="utf-8")
+        pred.write_text(f"t1\tx\t-1\nt2\tx\t{label}\n", encoding="utf-8")
+        want = {"error": "INVALID_LABEL", "message": f"line 2: unrecognized label {label!r}"}
+        for argv in (["score", "--subtask", "B", "--gold", str(gold), "--pred", str(pred)],
+                     ["stats", "--subtask", "B", "--input", str(pred)],
+                     ["baseline", "--subtask", "D", "--gold", str(gold), "--kind", "ml",
+                      "--train", str(pred)]):
+            code, out, err = run(argv, capsys)
+            assert (code, out, json.loads(err)) == (1, "", want)
+
+    def test_prevalences(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        gold.write_text("t1\tx\t1\nt2\tx\t-1\n", encoding="utf-8")
+        pred.write_text("x\t1\t0.75\nx\t-1\t0.2_5\n", encoding="utf-8")
+        code, out, err = run(["score", "--subtask", "D", "--gold", str(gold), "--pred", str(pred)],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "MALFORMED_LINE",
+                                   "message": "line 2: bad prevalence value '0.2_5'"}
+        for kind in ("prevalence:0.2_5,0.75", "prevalence:\u0660.25,0.75", "constant:0_1"):
+            code, out, err = run(["baseline", "--subtask", "D", "--gold", str(gold),
+                                  "--kind", kind], capsys)
+            assert (code, out, json.loads(err)["error"]) == (1, "", "INVALID_LABEL")
+
+    def test_annotations(self, tmp_path, capsys):
+        path = tmp_path / "annotations.tsv"
+        path.write_text("t1\tx\t1\t1\t1\t2\t0_1\n", encoding="utf-8")
+        code, out, err = run(["consolidate", "--input", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "INVALID_LABEL",
+                                   "message": "line 1: annotator labels must be integers"}
+
+
+class TestCountedInputs:
+    """stats and the ML baseline's --train file are counted by the gold parser."""
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("t1\tx\t1\nt1\t x\t-1\n", "DUPLICATE_KEY", "line 2: duplicate (id, topic) pair ('t1', 'x')"),
+        ("t1\tx\t1\nt2\tNA\t-1\n", "MALFORMED_LINE", "line 2: subtask D requires a topic, got NA"),
+        ("t1\tx\t1\nt2\t \t-1\n", "MALFORMED_LINE", "line 2: empty topic field"),
+        ("t1\tx\t1\nt2\tx\t0\n", "INVALID_LABEL", "line 2: label '0' invalid on scale TWO_POINT"),
+    ], ids=["repeated key", "NA topic", "blank topic", "off scale"])
+    def test_faults_keep_their_line(self, text, error, message, tmp_path, capsys):
+        bad, gold = tmp_path / "bad.tsv", tmp_path / "gold.tsv"
+        bad.write_text(text, encoding="utf-8")
+        write_labels(gold, {1: 3, -1: 1}, topic="x")
+        for argv in (["stats", "--subtask", "D", "--input", str(bad), "--min-size", "-1"],
+                     ["baseline", "--subtask", "D", "--gold", str(gold), "--kind", "ml:macro",
+                      "--train", str(bad)]):
+            code, out, err = run(argv, capsys)
+            assert (code, out, json.loads(err)) == (1, "", {"error": error, "message": message})
+
+    def test_empty_train_file(self, tmp_path, capsys):
+        gold, train = tmp_path / "gold.tsv", tmp_path / "train.tsv"
+        write_labels(gold, {1: 3, -1: 1}, topic="x")
+        train.write_text("")
+        code, out, err = run(["baseline", "--subtask", "D", "--gold", str(gold),
+                              "--kind", "ml:macro", "--train", str(train)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "EMPTY_INPUT", "message": "cannot estimate a prevalence from an empty training set"}
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        d = write_dataset(gold, Scale.TWO_POINT, {1: 5, -1: 5}, topic="x")
+        d = write_labels(gold, {1: 5, -1: 5}, topic="x")
         pred = tmp_path / "pred.tsv"
         with open(pred, "w") as f:
-            for i, (item_id, topic) in enumerate(d.labels):
+            for i, (item_id, topic, _) in enumerate(d):
                 f.write(f"{item_id}\t{topic}\t{1 if i % 2 else -1}\n")
         argv = ["score", "--subtask", "B", "--gold", str(gold), "--pred", str(pred),
                 "--format", "json", "--pooled"]
@@ -350,7 +413,7 @@ class TestDeterminism:
 class TestInputContract:
     def test_nan_prevalence_rejected(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        write_dataset(gold, Scale.TWO_POINT, {1: 1, -1: 1}, topic="x")
+        write_labels(gold, {1: 1, -1: 1}, topic="x")
         pred = tmp_path / "pred.tsv"
         pred.write_text("x\tpositive\tnan\nx\tnegative\tnan\n")
         code, out, err = run(
@@ -385,7 +448,7 @@ class TestInputContract:
     @pytest.mark.parametrize("kind", ["prevalence:0.5,x", "ml:bogus"])
     def test_malformed_kind(self, kind, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
-        write_dataset(gold, Scale.TWO_POINT, {1: 3, -1: 1}, topic="x")
+        write_labels(gold, {1: 3, -1: 1}, topic="x")
         code, _, err = run(
             ["baseline", "--subtask", "D", "--gold", str(gold), "--kind", kind,
              "--train", str(gold)],
@@ -725,12 +788,12 @@ def _reference_outcome(spec, gold_text, pred_text):
     gold first, then joined by the per-row reference or, for
     quantification, checked for a gold topic without a prediction."""
     try:
-        gold = parse_dataset(io.StringIO(gold_text), spec)
+        gold = parsed_rows(gold_text, spec)
         if spec.mode is Mode.CLASSIFICATION:
-            reference_join(gold, parse_dataset(io.StringIO(pred_text), spec))
+            reference_join(spec.scale, gold, parsed_rows(pred_text, spec))
         else:
             pred = parse_prevalence_file(io.StringIO(pred_text), spec.scale)
-            topics = sorted({t for _, t in gold.labels})
+            topics = sorted({t for _, t, _ in gold})
             if not topics:
                 raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
             missing = [t for t in topics if t not in pred]

@@ -4,12 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import constant_predictions, dataset_from_counts, rows
+from conftest import class_counts, constant_predictions, join, rows_from_counts
 from topicsent.baselines import point_mass
 from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
-from topicsent.evaluate import SUBTASKS, Mode, evaluate, macroaverage, quantification_report
-from topicsent.model import Dataset, Prevalence, Scale, class_fractions, topic_class_counts
+from topicsent.evaluate import (SUBTASKS, Mode, classification_report, macroaverage,
+                                quantification_report)
+from topicsent.model import Prevalence, Scale, class_fractions
 from topicsent.quantification import ae, emd, kld, rae
+
+
+def classify(spec, gold, pred, pooled=False):
+    """The report of gold and prediction rows, joined as ``score`` joins them."""
+    return classification_report(spec, *join(spec.scale, gold, pred), pooled)
+
+
+def quantify(spec, gold, preds, pooled=False):
+    """The report of gold rows, counted as ``score`` counts them, and preds."""
+    return quantification_report(spec, class_counts(spec.scale, gold), preds, pooled)
 
 
 class TestSubtaskTable:
@@ -53,8 +64,8 @@ class TestMacroaverage:
 
 class TestSubtaskA:
     def test_constant_neutral_english_counts(self):
-        gold = dataset_from_counts(Scale.THREE_POINT, {1: 2375, 0: 5937, -1: 3972})
-        report = evaluate(SUBTASKS["A"], gold, pred_labels=constant_predictions(gold, 0))
+        gold = rows_from_counts({1: 2375, 0: 5937, -1: 3972})
+        report = classify(SUBTASKS["A"], gold, constant_predictions(gold, 0))
         assert round(report.metrics["avgrec"], 3) == 0.333
         assert round(report.metrics["f1_pn"], 3) == 0.000
         assert round(report.metrics["accuracy"], 3) == 0.483
@@ -63,38 +74,34 @@ class TestSubtaskA:
 
 class TestSubtaskBC:
     def _two_topic_gold(self, scale, counts_a, counts_b):
-        a = dataset_from_counts(scale, counts_a, topic="a")
-        b = dataset_from_counts(scale, counts_b, topic="b")
-        return Dataset.build(scale, rows(a, b))
+        return rows_from_counts(counts_a, topic="a") + rows_from_counts(counts_b, topic="b")
 
     def test_topics_required(self):
-        gold = dataset_from_counts(Scale.TWO_POINT, {1: 2, -1: 2})
+        gold = rows_from_counts({1: 2, -1: 2})
         with pytest.raises(TopicRequired):
-            evaluate(SUBTASKS["B"], gold, pred_labels=constant_predictions(gold, 1))
+            classify(SUBTASKS["B"], gold, constant_predictions(gold, 1))
 
     def test_perfect_subtask_c(self):
         gold = self._two_topic_gold(Scale.FIVE_POINT, {0: 3, 1: 2}, {-1: 4})
-        report = evaluate(SUBTASKS["C"], gold, pred_labels=gold)
+        report = classify(SUBTASKS["C"], gold, gold)
         assert report.metrics["mae_macro"] == 0.0
         assert report.metrics["mae_micro"] == 0.0
 
     def test_aggregate_is_mean_of_topics(self):
         gold = self._two_topic_gold(Scale.TWO_POINT, {1: 4, -1: 4}, {1: 2, -1: 6})
-        report = evaluate(SUBTASKS["B"], gold, pred_labels=constant_predictions(gold, 1))
+        report = classify(SUBTASKS["B"], gold, constant_predictions(gold, 1))
         for name, value in report.metrics.items():
             per_topic = {t: m[name] for t, m in report.per_topic.items()}
             assert value == pytest.approx(macroaverage(per_topic), abs=1e-12)
 
     def test_single_topic_macro_equals_pooled(self):
-        gold = dataset_from_counts(Scale.TWO_POINT, {1: 6, -1: 4}, topic="only")
-        report = evaluate(
-            SUBTASKS["B"], gold, pred_labels=constant_predictions(gold, 1), pooled=True
-        )
+        gold = rows_from_counts({1: 6, -1: 4}, topic="only")
+        report = classify(SUBTASKS["B"], gold, constant_predictions(gold, 1), pooled=True)
         assert report.metrics == pytest.approx(report.pooled)
 
     def test_absent_class_flagged_per_topic(self):
         gold = self._two_topic_gold(Scale.TWO_POINT, {1: 3}, {1: 2, -1: 2})
-        report = evaluate(SUBTASKS["B"], gold, pred_labels=constant_predictions(gold, 1))
+        report = classify(SUBTASKS["B"], gold, constant_predictions(gold, 1))
         assert any("topic a" in w and "NEGATIVE" in w for w in report.warnings)
 
 
@@ -102,33 +109,34 @@ class TestQuantification:
     def test_two_topic_kld_mean(self):
         # topic KLDs 0.2 and 0.4 should aggregate to 0.3; build via synthetic
         # per-topic values by checking aggregation on real metric outputs
-        gold_a = dataset_from_counts(Scale.TWO_POINT, {1: 50, -1: 50}, topic="a")
-        gold_b = dataset_from_counts(Scale.TWO_POINT, {1: 80, -1: 20}, topic="b")
-        gold = Dataset.build(Scale.TWO_POINT, rows(gold_a, gold_b))
+        gold_a = rows_from_counts({1: 50, -1: 50}, topic="a")
+        gold_b = rows_from_counts({1: 80, -1: 20}, topic="b")
+        gold = gold_a + gold_b
         preds = {
             "a": Prevalence(Scale.TWO_POINT, (0.3, 0.7)),
             "b": Prevalence(Scale.TWO_POINT, (0.5, 0.5)),
         }
-        report = evaluate(SUBTASKS["D"], gold, pred_prevalences=preds)
+        report = quantify(SUBTASKS["D"], gold, preds)
         per_topic = [report.per_topic[t]["kld"] for t in ("a", "b")]
         assert report.metrics["kld"] == pytest.approx(sum(per_topic) / 2, abs=1e-12)
         assert set(report.per_topic["a"]) == {"kld", "ae", "rae"}
 
     def test_perfect_quantifier(self):
-        gold = dataset_from_counts(Scale.FIVE_POINT, {0: 5, 1: 5}, topic="x")
-        true_p = Prevalence(gold.scale, class_fractions(topic_class_counts(gold)["x"]))
-        report = evaluate(SUBTASKS["E"], gold, pred_prevalences={"x": true_p})
+        gold = rows_from_counts({0: 5, 1: 5}, topic="x")
+        counts = class_counts(Scale.FIVE_POINT, gold)
+        true_p = Prevalence(Scale.FIVE_POINT, class_fractions(counts["x"]))
+        report = quantify(SUBTASKS["E"], gold, {"x": true_p})
         assert report.metrics["emd"] == 0.0
 
     def test_missing_topic_prediction(self):
-        gold = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 2}, topic="x")
+        gold = rows_from_counts({1: 3, -1: 2}, topic="x")
         with pytest.raises(MissingPrediction):
-            evaluate(SUBTASKS["D"], gold, pred_prevalences={})
+            quantify(SUBTASKS["D"], gold, {})
 
     def test_extra_topic_warned_and_excluded(self):
-        gold = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 2}, topic="x")
+        gold = rows_from_counts({1: 3, -1: 2}, topic="x")
         preds = dict.fromkeys(["x", "ghost"], point_mass(Scale.TWO_POINT, 1))
-        report = evaluate(SUBTASKS["D"], gold, pred_prevalences=preds)
+        report = quantify(SUBTASKS["D"], gold, preds)
         assert any("ghost" in w for w in report.warnings)
         assert list(report.per_topic) == ["x"]
 
@@ -138,11 +146,9 @@ class TestQuantification:
         # prevalence to (1/6, 5/6) and leaves the prediction at (0.5, 0.5).
         # Pooled: true (1/4, 3/4), predicted (0.5, 0.5), eps = 1/8 gives true
         # (0.3, 0.7).
-        gold = Dataset.build(Scale.TWO_POINT, [("1", "p", -1), ("2", "p", 1),
-                                               ("3", "q", 1), ("4", "q", 1)])
+        gold = [("1", "p", -1), ("2", "p", 1), ("3", "q", 1), ("4", "q", 1)]
         half = Prevalence(Scale.TWO_POINT, (0.5, 0.5))
-        report = evaluate(SUBTASKS["D"], gold, pred_prevalences={"p": half, "q": half},
-                          pooled=True)
+        report = quantify(SUBTASKS["D"], gold, {"p": half, "q": half}, pooled=True)
         kld_q = math.log(1 / 3) / 6 + 5 * math.log(5 / 3) / 6
         assert report.per_topic == {
             "p": {"kld": 0.0, "ae": 0.0, "rae": 0.0},
@@ -161,23 +167,22 @@ class TestQuantification:
         # (1, 2, 2, 2) predicted half on 1, half on 2; they differ by 1/4 at 1.
         # Pooled: the item-weighted prediction 1/3 each on 0, 1 and 2 against
         # gold shares (1/6, 0, 1/6, 1/6, 1/2) differs by 1/6 at -2, -1 and 1.
-        gold = Dataset.build(Scale.FIVE_POINT, [("1", "u", -2), ("2", "u", 0), ("3", "v", 1),
-                                                ("4", "v", 2), ("5", "v", 2), ("6", "v", 2)])
+        gold = [("1", "u", -2), ("2", "u", 0), ("3", "v", 1),
+                ("4", "v", 2), ("5", "v", 2), ("6", "v", 2)]
         preds = {"u": Prevalence(Scale.FIVE_POINT, (0.0, 0.0, 1.0, 0.0, 0.0)),
                  "v": Prevalence(Scale.FIVE_POINT, (0.0, 0.0, 0.0, 0.5, 0.5))}
-        report = evaluate(SUBTASKS["E"], gold, pred_prevalences=preds, pooled=True)
+        report = quantify(SUBTASKS["E"], gold, preds, pooled=True)
         assert report.per_topic == {"u": {"emd": 1.0}, "v": {"emd": 0.25}}
         assert report.metrics == {"emd": 0.625}
         assert report.pooled == pytest.approx({"emd": 0.5}, abs=1e-12)
 
     def test_topic_order_does_not_matter(self):
-        gold_a = dataset_from_counts(Scale.TWO_POINT, {1: 5, -1: 5}, topic="a")
-        gold_b = dataset_from_counts(Scale.TWO_POINT, {1: 9, -1: 1}, topic="b")
-        fwd = Dataset.build(Scale.TWO_POINT, rows(gold_a, gold_b))
-        rev = Dataset.build(Scale.TWO_POINT, rows(gold_b, gold_a))
+        gold_a = rows_from_counts({1: 5, -1: 5}, topic="a")
+        gold_b = rows_from_counts({1: 9, -1: 1}, topic="b")
+        fwd, rev = gold_a + gold_b, gold_b + gold_a
         preds = dict.fromkeys(["a", "b"], Prevalence(Scale.TWO_POINT, (0.4, 0.6)))
-        r1 = evaluate(SUBTASKS["D"], fwd, pred_prevalences=preds)
-        r2 = evaluate(SUBTASKS["D"], rev, pred_prevalences=preds)
+        r1 = quantify(SUBTASKS["D"], fwd, preds)
+        r2 = quantify(SUBTASKS["D"], rev, preds)
         assert r1.metrics == r2.metrics
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bow_cosine, dataset_from_counts, reference_dedup, rows
+from conftest import bow_cosine, class_counts, reference_class_counts, reference_dedup, rows_from_counts
 from topicsent.errors import (
     DuplicateKey,
     EmptyText,
@@ -21,28 +21,28 @@ from topicsent.errors import (
 from topicsent.evaluate import SUBTASKS
 from topicsent.ingestion import (
     RawTweetRecord,
+    count_labels,
     dedup,
+    label_rows,
     parse_annotations,
-    parse_dataset,
     parse_labels,
     parse_prevalence_file,
     parse_raw_records,
-    serialize_dataset,
     stats,
     tokenize,
-    topic_filter,
 )
-from topicsent.model import Dataset, Scale
+from topicsent.model import Scale, row_key
 
 
 def parse(text, subtask):
-    return parse_dataset(io.StringIO(text), SUBTASKS[subtask])
+    return parse_labels(io.StringIO(text), SUBTASKS[subtask])
 
 
 class TestParseDataset:
+    """Parsing a whole label file (a data set) into its row_key -> label map."""
+
     def test_direct_parse(self):
-        d = parse("t1\tTOPIC\tpositive\tsome text\n", "B")
-        assert dict(d.labels) == {("t1", "TOPIC"): 1}
+        assert parse("t1\tTOPIC\tpositive\tsome text\n", "B") == {"t1\tTOPIC": 1}
 
     def test_invalid_label_carries_line(self):
         with pytest.raises(InvalidLabel) as exc:
@@ -61,8 +61,8 @@ class TestParseDataset:
             parse("t1\tTOPIC\n", "B")
 
     def test_rows_share_topic_strings(self):
-        d = parse("t1\tTOPIC\tpositive\nt2\tTOPIC\tnegative\nt3\tTOPIC \t1\n", "B")
-        (_, first), (_, second), (_, third) = d.labels
+        text = "t1\tTOPIC\tpositive\nt2\tTOPIC\tnegative\nt3\tTOPIC \t1\n"
+        first, second, third = (t for _, _, t, _ in label_rows(io.StringIO(text), SUBTASKS["B"]))
         assert first is second and third == first
 
     def test_topic_rules_per_subtask(self):
@@ -77,12 +77,11 @@ class TestParseDataset:
         word = st.text(alphabet="abcxyz019_-", min_size=1, max_size=4)
         topic = word if spec.topic_based else st.none()
         keyed = data.draw(st.dictionaries(st.tuples(word, topic), st.sampled_from(spec.scale.classes)))
-        d = Dataset.build(spec.scale, [(i, t, label) for (i, t), label in keyed.items()])
-        buf = io.StringIO()
-        serialize_dataset(d, buf)
-        buf.seek(0)
-        parsed = parse_dataset(buf, spec)
-        assert parsed == d and list(parsed.labels) == list(d.labels)
+        # a row written as its row_key and integer label parses back to that key and label
+        text = "".join(f"{row_key(i, t)}\t{label}\n" for (i, t), label in keyed.items())
+        expected = {row_key(i, t): label for (i, t), label in keyed.items()}
+        parsed = parse_labels(io.StringIO(text), spec)
+        assert parsed == expected and list(parsed) == list(expected)
 
 
 class TestParseLabels:
@@ -110,6 +109,51 @@ class TestParseLabels:
         assert kept / 20_000 < 125
 
 
+@st.composite
+def label_files(draw):
+    """A subtask and the rows of a label file for it: (id, topic field,
+    label field), with padded and repeated ids and topics, label names and
+    integers, and sometimes a repeated (id, topic) pair."""
+    spec = SUBTASKS[draw(st.sampled_from("ABCDE"))]
+    topic = st.sampled_from(["a", " a", "b ", "c"] if spec.topic_based else ["NA", " NA "])
+    label = st.sampled_from([str(c) for c in spec.scale.classes]
+                            + [spec.scale.class_name(c).lower() for c in spec.scale.classes])
+    rows = draw(st.lists(st.tuples(st.sampled_from(["t1", " t1", "t2", "t3"]), topic, label),
+                         max_size=12))
+    return spec, rows
+
+
+class TestCountLabels:
+    @given(label_files())
+    def test_equals_a_per_row_reference(self, data):
+        spec, rows = data
+        text = "".join("\t".join(r) + "\n" for r in rows)
+        keys = [(i.strip(), t.strip()) for i, t, _ in rows]
+        repeats = [n for n, key in enumerate(keys, start=1) if key in keys[: n - 1]]
+        if repeats:
+            with pytest.raises(DuplicateKey) as exc:
+                count_labels(io.StringIO(text), spec)
+            assert exc.value.line == repeats[0]
+        else:
+            parsed = [(i, None if t == "NA" else t, spec.scale.parse_label(label))
+                      for (i, t), (_, _, label) in zip(keys, rows)]
+            expected = reference_class_counts(spec.scale, parsed)
+            assert count_labels(io.StringIO(text), spec) == expected
+
+    def test_faults_carry_their_line(self):
+        for text, error, line in [("t1\ta\t1\nt2\tNA\t1\n", MalformedLine, 2),
+                                  ("t1\ta\t1\nt1\ta \t-1\n", DuplicateKey, 2),
+                                  ("t1\ta\t1\nt2\ta\t0_1\n", InvalidLabel, 2)]:
+            with pytest.raises(error) as exc:
+                count_labels(io.StringIO(text), SUBTASKS["B"])
+            assert exc.value.line == line
+
+    def test_empty_and_topicless(self):
+        assert count_labels(io.StringIO(""), SUBTASKS["B"]) == {}
+        text = "t1\tNA\t1\nt2\tNA\tneutral\nt3\tNA\t1\n"
+        assert count_labels(io.StringIO(text), SUBTASKS["A"]) == {None: (0, 1, 2)}
+
+
 class TestParsePrevalenceFile:
     def test_basic(self):
         text = "a\tpositive\t0.75\na\tnegative\t0.25\n"
@@ -132,6 +176,13 @@ class TestParsePrevalenceFile:
         with pytest.raises(DuplicateKey):
             parse_prevalence_file(io.StringIO(text), Scale.TWO_POINT)
 
+    @pytest.mark.parametrize("value", ["0.2_5", "\u0660.25", "0.25\u00a0", "\uff10.25"])
+    def test_values_are_ascii_numbers(self, value):
+        text = f"a\tpositive\t0.75\na\tnegative\t{value}\n"
+        with pytest.raises(MalformedLine, match="^line 2: bad prevalence value") as exc:
+            parse_prevalence_file(io.StringIO(text), Scale.TWO_POINT)
+        assert exc.value.line == 2
+
 
 class TestParseAnnotations:
     def test_basic(self):
@@ -148,6 +199,12 @@ class TestParseAnnotations:
         with pytest.raises(MalformedLine) as exc:
             parse_annotations(io.StringIO("t1\tx\t1\t1\t1\t0\t0\n \tx\t1\t1\t1\t0\t0\n"))
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("label", ["0_1", "\u0661"])
+    def test_labels_are_ascii_integers(self, label):
+        text = f"t1\tx\t1\t1\t1\t0\t0\nt2\tx\t1\t1\t1\t0\t{label}\n"
+        with pytest.raises(InvalidLabel, match="^line 2: annotator labels must be integers"):
+            parse_annotations(io.StringIO(text))
 
 
 class TestBowCosine:
@@ -373,37 +430,38 @@ class TestTokenize:
 
 
 class TestTopicFilter:
+    """stats with min_size counts only the topics holding at least min_size items."""
+
     def test_boundary(self):
-        a = dataset_from_counts(Scale.TWO_POINT, {1: 99}, topic="small")
-        b = dataset_from_counts(Scale.TWO_POINT, {1: 100}, topic="big")
-        d = Dataset.build(Scale.TWO_POINT, rows(a, b))
-        out = topic_filter(d, min_size=100)
-        assert {topic for _, topic in out.labels} == {"big"}
-        assert len(out) == 100
+        counts = class_counts(Scale.TWO_POINT, rows_from_counts({1: 99}, topic="small")
+                              + rows_from_counts({1: 100}, topic="big"))
+        out = stats(Scale.TWO_POINT, counts, min_size=100)
+        assert set(out.per_topic) == {"big"}
+        assert out.total == 100
 
     def test_min_size_one_is_identity(self):
-        d = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 2}, topic="x")
-        assert topic_filter(d, min_size=1) == d
+        counts = {"x": (2, 3)}
+        assert stats(Scale.TWO_POINT, counts, min_size=1) == stats(Scale.TWO_POINT, counts)
 
     def test_negative_min_size_rejected(self):
-        d = dataset_from_counts(Scale.TWO_POINT, {1: 3}, topic="x")
         with pytest.raises(InvalidArgument):
-            topic_filter(d, min_size=-5)
+            stats(Scale.TWO_POINT, {"x": (0, 3)}, min_size=-5)
 
     def test_requires_topics(self):
-        d = dataset_from_counts(Scale.TWO_POINT, {1: 3})
         with pytest.raises(NoTopics):
-            topic_filter(d)
+            stats(Scale.TWO_POINT, {None: (0, 3)}, min_size=100)
         with pytest.raises(NoTopics):
-            topic_filter(Dataset.build(Scale.TWO_POINT, []), min_size=0)
+            stats(Scale.TWO_POINT, {}, min_size=0)
 
 
 class TestStats:
+    """stats on per-topic class-count maps, as count_labels returns them."""
+
     def test_counts_and_total(self):
-        d = dataset_from_counts(
-            Scale.FIVE_POINT, {2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21}, topic="x"
+        counts = class_counts(
+            Scale.FIVE_POINT, rows_from_counts({2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21}, topic="x")
         )
-        s = stats(d)
+        s = stats(Scale.FIVE_POINT, counts)
         assert s.total == 6100
         assert list(s.per_class) == [2, 1, 0, -1, -2]  # most positive first
         assert s.per_class == {2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21}
@@ -411,10 +469,16 @@ class TestStats:
         assert sum(s.per_topic.values()) == s.total
 
     def test_empty(self):
-        s = stats(Dataset.build(Scale.THREE_POINT, []))
+        s = stats(Scale.THREE_POINT, {})
         assert s.total == 0 and all(v == 0 for v in s.per_class.values())
+        assert list(s.per_class) == [1, 0, -1] and s.per_topic == {}
 
     def test_no_topics(self):
-        s = stats(dataset_from_counts(Scale.THREE_POINT, {1: 2, -1: 1}))
+        s = stats(Scale.THREE_POINT, {None: (1, 0, 2)})
         assert s.per_class == {1: 2, 0: 0, -1: 1}
         assert s.per_topic == {} and s.total == 3
+
+    def test_per_topic_in_count_order(self):
+        s = stats(Scale.TWO_POINT, {"a": (1, 0), "b": (2, 5), "c": (0, 0)}, min_size=1)
+        assert s.per_topic == {"a": 1, "b": 7} and list(s.per_topic) == ["a", "b"]
+        assert s.per_class == {1: 5, -1: 3} and s.total == 8

@@ -1,4 +1,5 @@
 import copy
+import io
 import math
 import pickle
 
@@ -7,29 +8,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    class_counts,
     constant_predictions,
-    dataset_from_counts,
+    join,
+    label_text,
+    parsed_rows,
     reference_class_counts,
     reference_join,
-    rows,
+    rows_from_counts,
+    spec_for,
 )
 from topicsent.errors import (
     DuplicateKey,
     EmptyInput,
     InvalidLabel,
+    MalformedLine,
     MissingPrediction,
-    NoTopics,
-    ScaleMismatch,
 )
+from topicsent.evaluate import SUBTASKS
+from topicsent.ingestion import parse_labels
 from topicsent.model import (
     ConfusionMatrix,
-    Dataset,
     Prevalence,
     Scale,
+    ascii_number,
     class_fractions,
-    confusion_tables,
     join_rows,
-    topic_class_counts,
 )
 
 
@@ -78,85 +82,86 @@ class TestScale:
             scale.parse_label(raw, line=7)
         assert str(exc.value) == message and exc.value.line == 7
 
+    @pytest.mark.parametrize("raw", ["0_1", "1_0", "\u0661", "-\u0661", "\uff11", "pos\u0131tive"])
+    def test_parse_label_accepts_only_ascii_forms(self, raw):
+        # int() reads the first five and str.upper() maps a dotless i to I
+        with pytest.raises(InvalidLabel, match="^line 3: unrecognized label") as exc:
+            Scale.FIVE_POINT.parse_label(raw, line=3)
+        assert exc.value.line == 3
+
+    def test_ascii_number(self):
+        assert ascii_number(int, " +1 ") == 1 and ascii_number(float, "2.5e-1") == 0.25
+        for text in ("0_1", "0.2_5", "\u0661", "\u0660.5", "\u00a01", "1\u2003"):
+            with pytest.raises(ValueError):
+                ascii_number(float, text)
+
+
+def labels(text, subtask="B"):
+    """The row_key -> label map of a label file."""
+    return parse_labels(io.StringIO(text), SUBTASKS[subtask])
+
 
 class TestDataset:
+    """The row rules of label data, which the parser enforces on every file."""
+
     def test_duplicate_key_is_hard_error(self):
-        items = [("t1", "x", 1), ("t1", "x", -1)]
         with pytest.raises(DuplicateKey):
-            Dataset.build(Scale.TWO_POINT, items)
+            labels("t1\tx\t1\nt1\tx\t-1\n")
 
     def test_same_id_different_topic_allowed(self):
-        items = [("t1", "x", 1), ("t1", "y", -1)]
-        d = Dataset.build(Scale.TWO_POINT, items)
-        assert list(d.labels) == [("t1", "x"), ("t1", "y")]
+        assert list(labels("t1\tx\t1\nt1\ty\t-1\n")) == ["t1\tx", "t1\ty"]
 
     def test_mixed_topic_presence_rejected(self):
-        items = [("t1", "x", 1), ("t2", None, -1)]
-        with pytest.raises(NoTopics):
-            Dataset.build(Scale.TWO_POINT, items)
+        with pytest.raises(MalformedLine, match="subtask B requires a topic"):
+            labels("t1\tx\t1\nt2\tNA\t-1\n", "B")
+        with pytest.raises(MalformedLine, match="subtask A expects topic NA"):
+            labels("t1\tNA\t1\nt2\tx\t-1\n", "A")
 
     def test_label_outside_scale_rejected(self):
         with pytest.raises(InvalidLabel):
-            Dataset.build(Scale.TWO_POINT, [("t1", None, 0)])
+            labels("t1\tx\t0\n")
 
     def test_empty_id_rejected(self):
-        with pytest.raises(InvalidLabel):
-            Dataset.build(Scale.TWO_POINT, [("t1", "x", 1), ("", "x", -1)])
+        with pytest.raises(MalformedLine, match="line 2: empty id field"):
+            labels("t1\tx\t1\n\tx\t-1\n")
 
     @pytest.mark.parametrize("row", [("x\ty", "a", 1), ("x", "a\tb", 1), ("x", "NA", 1)])
     def test_fields_no_file_can_hold_rejected(self, row):
-        # row_key would map ("x", "NA") and ("x", None) to one key, and a tab
-        # in a field makes the split between id and topic ambiguous
-        with pytest.raises(InvalidLabel):
-            Dataset.build(Scale.TWO_POINT, [row])
+        # a tab ends a field, and the topic NA stands for no topic, so no
+        # line gives such an (id, topic) and row_key stays injective
+        error = MalformedLine if row[1] == "NA" else InvalidLabel
+        with pytest.raises(error):
+            labels("\t".join(map(str, row)) + "\n")
 
     def test_na_topic_cannot_match_a_topicless_prediction(self):
-        with pytest.raises(InvalidLabel):
-            confusion_tables(Dataset.build(Scale.TWO_POINT, [("x", "NA", 1)]),
-                             Dataset.build(Scale.TWO_POINT, [("x", None, 1)]))
+        # gold with the topic NA is topicless, which topic-based subtasks reject
+        with pytest.raises(MalformedLine, match="line 1: subtask B requires a topic"):
+            labels("x\tNA\t1\n", "B")
+        tables, ignored = join(Scale.THREE_POINT, [("x", None, 1)], [("x", None, 1)])
+        assert list(tables) == [None] and ignored == 0
 
-    def test_labels_keyed_in_input_order_and_read_only(self):
-        d = Dataset.build(Scale.TWO_POINT, [("t2", "x", 1), ("t1", "x", -1)])
-        assert list(d.labels.items()) == [(("t2", "x"), 1), (("t1", "x"), -1)]
-        with pytest.raises(TypeError):
-            d.labels["t3", "x"] = 1
-
-    def test_direct_construction_is_read_only(self):
-        d = Dataset(Scale.TWO_POINT, {("t1", None): 1})
-        with pytest.raises(TypeError):
-            d.labels["t2", None] = -1
+    def test_labels_keyed_in_input_order(self):
+        assert list(labels("t2\tx\t1\nt1\tx\t-1\n").items()) == [("t2\tx", 1), ("t1\tx", -1)]
 
 
 class TestAlign:
-    """Joining predictions onto gold by (id, topic) into confusion matrices."""
+    """Joining predictions onto gold by row key into confusion matrices."""
 
     def test_direct_pairing(self):
-        gold = Dataset.build(
-            Scale.TWO_POINT,
-            [("t1", None, 1), ("t2", None, -1)],
-        )
-        pred = Dataset.build(
-            Scale.TWO_POINT,
-            [("t1", None, 1), ("t2", None, 1)],
-        )
-        tables, ignored = confusion_tables(gold, pred)
+        gold = {"t1\tNA": 1, "t2\tNA": -1}
+        pred = [(1, "t1\tNA", None, 1), (2, "t2\tNA", None, 1)]
+        tables, ignored = join_rows(Scale.TWO_POINT, gold, pred)
         assert list(tables) == [None] and ignored == 0
         # rows are gold -1, +1; columns predicted -1, +1
         assert tables[None].counts == ((0, 1), (0, 1))
 
     def test_missing_prediction(self):
-        gold = Dataset.build(Scale.TWO_POINT, [("t1", None, 1)])
-        pred = Dataset.build(Scale.TWO_POINT, [])
         with pytest.raises(MissingPrediction):
-            confusion_tables(gold, pred)
+            join_rows(Scale.TWO_POINT, {"t1\tNA": 1}, [])
 
     def test_extra_predictions_ignored_with_count(self):
-        gold = Dataset.build(Scale.TWO_POINT, [("t1", None, 1)])
-        pred = Dataset.build(
-            Scale.TWO_POINT,
-            [("t1", None, 1), ("t9", None, -1)],
-        )
-        tables, ignored = confusion_tables(gold, pred)
+        pred = [(1, "t1\tNA", None, 1), (2, "t9\tNA", None, -1)]
+        tables, ignored = join_rows(Scale.TWO_POINT, {"t1\tNA": 1}, pred)
         assert tables[None].total == 1
         assert ignored == 1
 
@@ -176,55 +181,37 @@ class TestAlign:
         assert set(gold.values()) == {None}
 
     def test_scale_mismatch(self):
-        gold = Dataset.build(Scale.TWO_POINT, [("t1", None, 1)])
-        pred = Dataset.build(Scale.THREE_POINT, [("t1", None, 1)])
-        with pytest.raises(ScaleMismatch):
-            confusion_tables(gold, pred)
+        # predictions are read on the gold scale, so a label off it fails at its line
+        with pytest.raises(InvalidLabel, match="line 1: label '0' invalid on scale TWO_POINT"):
+            join(Scale.TWO_POINT, [("t1", None, 1)], [("t1", None, 0)])
 
 
 class TestGroupByTopic:
     """Per-topic count tables: gold class counts and confusion matrices."""
 
     def test_partition(self):
-        d = Dataset.build(
-            Scale.TWO_POINT,
-            [
-                ("t1", "a", 1),
-                ("t2", "a", -1),
-                ("t3", "b", 1),
-            ],
-        )
-        assert topic_class_counts(d) == {"a": (1, 1), "b": (0, 1)}
+        rows = [("t1", "a", 1), ("t2", "a", -1), ("t3", "b", 1)]
+        assert class_counts(Scale.TWO_POINT, rows) == {"a": (1, 1), "b": (0, 1)}
 
     def test_keys_sorted(self):
-        d = Dataset.build(
-            Scale.TWO_POINT,
-            [
-                ("t1", "b", 1),
-                ("t2", "a", 1),
-                ("t3", "b", -1),
-                ("t4", "a", -1),
-            ],
-        )
-        assert list(topic_class_counts(d)) == ["a", "b"]
-        assert list(confusion_tables(d, d)[0]) == ["a", "b"]
+        rows = [("t1", "b", 1), ("t2", "a", 1), ("t3", "b", -1), ("t4", "a", -1)]
+        assert list(class_counts(Scale.TWO_POINT, rows)) == ["a", "b"]
+        assert list(join(Scale.TWO_POINT, rows, rows)[0]) == ["a", "b"]
 
     def test_single_topic_is_identity(self):
-        d = dataset_from_counts(Scale.TWO_POINT, {1: 3, -1: 2}, topic="only")
-        assert topic_class_counts(d) == {"only": (2, 3)}
-        tables, _ = confusion_tables(d, d)
+        rows = rows_from_counts({1: 3, -1: 2}, topic="only")
+        assert class_counts(Scale.TWO_POINT, rows) == {"only": (2, 3)}
+        tables, _ = join(Scale.TWO_POINT, rows, rows)
         assert tables == {"only": ConfusionMatrix(Scale.TWO_POINT, ((2, 0), (0, 3)))}
 
     def test_no_topics_keyed_under_none(self):
-        d = dataset_from_counts(Scale.THREE_POINT, {1: 1, -1: 2})
-        assert topic_class_counts(d) == {None: (2, 0, 1)}
-        assert topic_class_counts(Dataset.build(Scale.THREE_POINT, [])) == {}
+        rows = rows_from_counts({1: 1, -1: 2})
+        assert class_counts(Scale.THREE_POINT, rows) == {None: (2, 0, 1)}
+        assert class_counts(Scale.THREE_POINT, []) == {}
 
     def test_group_counts_sum_to_total_after_align(self):
-        gold = dataset_from_counts(Scale.TWO_POINT, {1: 4, -1: 3}, topic="a")
-        gold2 = dataset_from_counts(Scale.TWO_POINT, {1: 2}, topic="b")
-        merged = Dataset.build(Scale.TWO_POINT, rows(gold, gold2))
-        tables, _ = confusion_tables(merged, constant_predictions(merged, 1))
+        merged = rows_from_counts({1: 4, -1: 3}, topic="a") + rows_from_counts({1: 2}, topic="b")
+        tables, _ = join(Scale.TWO_POINT, merged, constant_predictions(merged, 1))
         assert sum(t.total for t in tables.values()) == len(merged)
         pooled = tables["a"] + tables["b"]
         assert pooled.counts == ((0, 3), (0, 6))
@@ -232,9 +219,10 @@ class TestGroupByTopic:
 
 @st.composite
 def gold_and_pred(draw):
-    """Gold and prediction datasets on one scale that share every gold
-    (id, topic) key; the predictions may hold extra keys. Ids repeat across
-    topics; the data is either topicless or spread over several topics."""
+    """A scale, and gold and prediction label files on it that share every
+    gold (id, topic) key; the predictions may hold extra keys. Ids repeat
+    across topics; the data is either topicless or spread over several
+    topics."""
     scale = draw(st.sampled_from(list(Scale)))
     topics = draw(st.sampled_from([[None], ["a", "b", "c"]]))
     keys = st.tuples(st.sampled_from(["t1", "t2", "t3", "t4", "t5"]), st.sampled_from(topics))
@@ -243,30 +231,28 @@ def gold_and_pred(draw):
     extra = draw(st.dictionaries(keys.filter(lambda k: k not in gold), label))
     pred = [(k, draw(label)) for k in gold] + list(extra.items())
     pred = draw(st.permutations(pred))
-    return (
-        Dataset.build(scale, [(i, t, c) for (i, t), c in gold.items()]),
-        Dataset.build(scale, [(i, t, c) for (i, t), c in pred]),
-    )
+    return scale, [(i, t, c) for (i, t), c in gold.items()], [(i, t, c) for (i, t), c in pred]
 
 
 class TestReferenceJoin:
-    """confusion_tables and topic_class_counts against per-row references."""
+    """The join and count_labels against per-row references."""
 
     @given(gold_and_pred())
     def test_confusion_tables(self, data):
-        gold, pred = data
-        assert confusion_tables(gold, pred) == reference_join(gold, pred)
+        scale, gold, pred = data
+        assert join(scale, gold, pred) == reference_join(scale, gold, pred)
 
     @given(gold_and_pred())
     def test_topic_class_counts(self, data):
-        gold, _ = data
-        assert topic_class_counts(gold) == reference_class_counts(gold)
+        scale, gold, _ = data
+        assert class_counts(scale, gold) == reference_class_counts(scale, gold)
+        assert parsed_rows(label_text(gold), spec_for(scale, gold)) == gold
 
 
 def label_fractions(labels, scale):
-    """class_fractions of a one-topic dataset with the given labels."""
-    d = Dataset.build(scale, [(f"t{i}", "x", label) for i, label in enumerate(labels)])
-    return class_fractions(topic_class_counts(d)["x"])
+    """class_fractions of a one-topic label file with the given labels."""
+    rows = [(f"t{i}", "x", label) for i, label in enumerate(labels)]
+    return class_fractions(class_counts(scale, rows)["x"])
 
 
 class TestPrevalence:

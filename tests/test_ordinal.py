@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import constant_table, dataset_from_counts, joined, left_fold, table
+from conftest import constant_table, joined, left_fold, rows_from_counts, table
 from topicsent.errors import EmptyInput
 from topicsent.model import ConfusionMatrix, Scale
 from topicsent.ordinal import mae_macro, mae_micro
@@ -22,12 +22,12 @@ class TestMaeMacro:
         "const,expected", [(-2, 2.0), (-1, 1.4), (0, 1.2), (1, 1.4), (2, 2.0)]
     )
     def test_constant_all_classes_present(self, const, expected):
-        gold = dataset_from_counts(Scale.FIVE_POINT, EN_TEST_C)
-        assert mae_macro(constant_table(gold, const)) == pytest.approx(expected)
+        gold = rows_from_counts(EN_TEST_C)
+        assert mae_macro(constant_table(Scale.FIVE_POINT, gold, const)) == pytest.approx(expected)
 
     def test_perfect(self):
-        gold = dataset_from_counts(Scale.FIVE_POINT, {c: 2 for c in range(-2, 3)})
-        assert mae_macro(joined(gold, gold)) == 0.0
+        gold = rows_from_counts({c: 2 for c in range(-2, 3)})
+        assert mae_macro(joined(Scale.FIVE_POINT, gold)) == 0.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -44,16 +44,16 @@ class TestMaeMacro:
 
 class TestMaeMicro:
     def test_constant_neutral_english_counts(self):
-        gold = dataset_from_counts(Scale.FIVE_POINT, EN_TEST_C)
-        assert mae_micro(constant_table(gold, 0)) == pytest.approx(6493 / 12379)
+        gold = rows_from_counts(EN_TEST_C)
+        assert mae_micro(constant_table(Scale.FIVE_POINT, gold, 0)) == pytest.approx(6493 / 12379)
 
     def test_constant_minus_two_arabic_counts(self):
-        gold = dataset_from_counts(Scale.FIVE_POINT, AR_TEST_C)
-        assert mae_micro(constant_table(gold, -2)) == pytest.approx(12557 / 6100)
+        gold = rows_from_counts(AR_TEST_C)
+        assert mae_micro(constant_table(Scale.FIVE_POINT, gold, -2)) == pytest.approx(12557 / 6100)
 
     def test_constant_plus_one_english_counts(self):
-        gold = dataset_from_counts(Scale.FIVE_POINT, EN_TEST_C)
-        assert mae_micro(constant_table(gold, 1)) == pytest.approx(13946 / 12379)
+        gold = rows_from_counts(EN_TEST_C)
+        assert mae_micro(constant_table(Scale.FIVE_POINT, gold, 1)) == pytest.approx(13946 / 12379)
 
 
 classes = st.sampled_from([-2, -1, 0, 1, 2])
