@@ -10,29 +10,9 @@ boundary values away from zero. Threshold comparisons use integer arithmetic
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidLabel, TooFewAnnotators
-from .model import Scale
-
-MIN_ANNOTATORS = 5
-
-
-@dataclass(frozen=True)
-class CrowdAnnotation:
-    item_id: str
-    topic: str | None
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        for lab in self.labels:
-            if lab not in Scale.FIVE_POINT.classes:
-                raise InvalidLabel(f"annotator label {lab!r} not in -2..2")
-        if len(self.labels) < MIN_ANNOTATORS:
-            raise TooFewAnnotators(
-                f"need at least {MIN_ANNOTATORS} annotators, got {len(self.labels)}"
-            )
+MIN_ANNOTATORS = 5  # the fewest labels an item of an annotation file may have
 
 
 def consolidate_labels(labels: Sequence[int]) -> int:

@@ -34,7 +34,7 @@ def constant_classifier(
 def point_mass(scale, c: int) -> Prevalence:
     """Prevalence 1 for class c, 0 elsewhere."""
     scale.validate(c)
-    return Prevalence(scale, tuple(1.0 if cls == c else 0.0 for cls in scale.classes))
+    return Prevalence(1.0 if cls == c else 0.0 for cls in scale.classes)
 
 
 def ml_quantifier(
@@ -46,10 +46,10 @@ def ml_quantifier(
     if not counts:
         raise EmptyInput("cannot estimate a prevalence from an empty training set")
     if averaging is Averaging.MICRO:  # topics may be absent here
-        return Prevalence(scale, class_fractions([sum(col) for col in zip(*counts.values())]))
+        return Prevalence(class_fractions([sum(col) for col in zip(*counts.values())]))
     if None in counts:
         raise NoTopics("dataset has no topics")
     per_topic = [class_fractions(row) for row in counts.values()]
     means = [left_sum(col) / len(per_topic) for col in zip(*per_topic)]
     total = left_sum(means)  # renormalize to guard against rounding drift
-    return Prevalence(scale, tuple(m / total for m in means))
+    return Prevalence(m / total for m in means)

@@ -14,6 +14,7 @@ import math
 import sys
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from itertools import chain, filterfalse
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import IO
@@ -23,7 +24,15 @@ from .annotation import consolidate_labels
 from .errors import InvalidArgument, InvalidLabel, ScoringError
 from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
                        quantification_report)
-from .model import ascii_number, join_rows, row_key
+from .model import ascii_number, join_rows
+
+
+def _ascii(kind: type[int] | type[float]) -> partial:
+    """The argparse type of an ASCII ``kind`` (model.ascii_number), named as
+    kind, so that a bad value gets argparse's "invalid int value" text."""
+    convert = partial(ascii_number, kind)
+    convert.__name__ = kind.__name__
+    return convert
 
 
 def round_display(x: float) -> float:
@@ -52,17 +61,11 @@ def _open_out(path: str):
             yield f
 
 
-def _write_json(payload: dict, out: IO[str]) -> None:
-    """Streams the payload, so a large report is never held as one string."""
-    json.dump(payload, out, sort_keys=True, indent=2, allow_nan=False)
-    out.write("\n")
-
-
 def _write_per_topic(per_topic: dict[str, dict[str, float]], out: IO[str]) -> None:
-    """Writes the ``per_topic`` value of a report as _write_json would at its
-    depth, one topic at a time: keys sorted and ASCII-escaped, floats by repr,
-    and a non-finite value raising ValueError before anything is written.
-    Each topic holds at least one metric."""
+    """Writes the ``per_topic`` value of a report as ``json.dump`` with
+    ``indent=2`` would at its depth, one topic at a time: keys sorted and
+    ASCII-escaped, floats by repr, and a non-finite value raising ValueError
+    before anything is written. Each topic holds at least one metric."""
     values = chain.from_iterable(map(dict.values, per_topic.values()))
     for value in filterfalse(math.isfinite, values):
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
@@ -190,8 +193,8 @@ def cmd_consolidate(args) -> int:
     with _open_in(args.input) as f:
         annotations = ingestion.parse_annotations(f)
     with _open_out(args.output) as out:
-        for a in annotations:
-            out.write(f"{row_key(a.item_id, a.topic)}\t{consolidate_labels(a.labels)}\n")
+        for key, labels in annotations:
+            out.write(f"{key}\t{consolidate_labels(labels)}\n")
     return 0
 
 
@@ -215,12 +218,13 @@ def cmd_stats(args) -> int:
         s = ingestion.stats(spec.scale, ingestion.count_labels(f, spec), args.min_size)
     with _open_out(args.output) as out:
         if args.format == "json":
-            _write_json({
+            json.dump({
                 "per_class": {str(c): n for c, n in s.per_class.items()},
                 "per_topic": s.per_topic,
                 "n_topics": len(s.per_topic),
                 "total": s.total,
-            }, out)
+            }, out, sort_keys=True, indent=2, allow_nan=False)
+            out.write("\n")
         elif args.format == "tsv":
             for c, n in s.per_class.items():
                 out.write(f"class\t{c}\t{n}\n")
@@ -282,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-")
     p.add_argument("--output", default="-")
     p.add_argument("--removed", help="optional path for removed-id\\tkept-id pairs")
-    p.add_argument("--threshold", type=float, default=0.6)
+    p.add_argument("--threshold", type=_ascii(float), default=0.6)
     p.set_defaults(func=cmd_dedup)
 
     p = sub.add_parser("stats", help="per-class and per-topic count summary")
     add_common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--min-size", type=int, dest="min_size",
+    p.add_argument("--min-size", type=_ascii(int), dest="min_size",
                    help="drop topics with fewer items before counting")
     p.set_defaults(func=cmd_stats)
 

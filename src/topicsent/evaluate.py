@@ -67,20 +67,9 @@ class ScoreReport:
     pooled: dict[str, float] | None = None
 
 
-def macroaverage(values: Mapping[str, float]) -> float:
-    """Unweighted arithmetic mean over topics; the sum is correctly rounded,
-    so topic order cannot change it."""
-    if not values:
-        raise EmptyInput("cannot macroaverage an empty topic map")
-    return math.fsum(values.values()) / len(values)
-
-
-def _macroaverage_metrics(per_topic: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
-    """Each metric's macroaverage over the topics, in the metrics' own order."""
-    return {
-        name: macroaverage({t: m[name] for t, m in per_topic.items()})
-        for name in next(iter(per_topic.values()))
-    }
+def _mean(values: Sequence[float]) -> float:
+    """The unweighted mean over topics; fsum rounds once, so topic order cannot change it."""
+    return math.fsum(values) / len(values)
 
 
 def _classification_metrics(spec: SubtaskSpec, cm: ConfusionMatrix) -> dict[str, float]:
@@ -152,7 +141,8 @@ def classification_report(
     for topic, table in tables.items():
         per_topic[topic] = _classification_metrics(spec, table)
         _warn_absent_classes(spec, table, topic, warnings)
-    metrics = _macroaverage_metrics(per_topic)
+    names = next(iter(per_topic.values()))
+    metrics = {name: _mean([m[name] for m in per_topic.values()]) for name in names}
     report = ScoreReport(spec, metrics, per_topic, warnings)
     if pooled:
         report.pooled = _classification_metrics(spec, sum(tables.values(), zero))
@@ -193,7 +183,7 @@ def quantification_report(
     values = _quantification_columns(spec, pred_columns, count_columns)
     rows = map(dict, map(zip, repeat(list(values)), zip(*values.values())))
     per_topic = dict(zip(counts, rows))
-    metrics = {name: math.fsum(col) / len(col) for name, col in values.items()}
+    metrics = {name: _mean(col) for name, col in values.items()}
     report = ScoreReport(spec, metrics, per_topic, warnings)
     if pooled:
         # pooled view: item-weighted mix of per-topic predictions vs. the

@@ -23,7 +23,7 @@ from itertools import compress, repeat
 from operator import lt, mul, sub, truediv
 from typing import IO, Iterable, Iterator, Sequence
 
-from .annotation import CrowdAnnotation
+from .annotation import MIN_ANNOTATORS
 from .errors import (
     DuplicateKey,
     EmptyText,
@@ -34,9 +34,23 @@ from .errors import (
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
-from .model import NO_TOPIC, Prevalence, Scale, ascii_number, duplicate_key, exact_sum, row_key
+from .model import NO_TOPIC, Prevalence, Scale, ascii_number, duplicate_key, row_key
 
 PREVALENCE_SUM_TOL = 1e-6
+
+
+def exact_sum(values: Iterable[float]) -> float:
+    """math.fsum, which no order of the values can change; inf on overflow."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _off_sum(totals: Iterable[float]) -> list[bool]:
+    """Whether each exact sum of stated fractions lies farther than
+    PREVALENCE_SUM_TOL from 1: the sum rule of every prevalence input."""
+    return list(map(lt, repeat(PREVALENCE_SUM_TOL), map(abs, map(sub, totals, repeat(1.0)))))
 
 
 @dataclass(frozen=True)
@@ -168,31 +182,32 @@ def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence
     topics = sorted(by_topic)
     columns = [[0.0 if f is None else f for f in col] for col in zip(*map(by_topic.get, topics))]
     totals = list(map(exact_sum, zip(*columns)))
-    off = list(map(lt, repeat(PREVALENCE_SUM_TOL), map(abs, map(sub, totals, repeat(1.0)))))
+    off = _off_sum(totals)
     if True in off:  # the first topic in sorted order, as each topic is checked in turn
         first = off.index(True)
         raise MalformedLine(f"prevalences for topic {topics[first]} sum to {totals[first]!r}, "
                             "expected 1", line=last_line[topics[first]])
-    # each value passed the Prevalence checks on its line
     rows = zip(*[map(truediv, col, totals) for col in columns])
-    return dict(zip(topics, map(tuple.__new__, repeat(Prevalence), rows)))
+    return dict(zip(topics, map(Prevalence, rows)))
 
 
 def normalized_prevalence(scale: Scale, fractions: Sequence[float]) -> Prevalence:
-    """The Prevalence of ``fractions`` (scale.classes order), divided by their
-    exact sum when it lies within PREVALENCE_SUM_TOL of 1, so that rounding in
-    stated values is forgiven: the rule of prevalence files. Any other sum, a
-    wrong count, or a negative or non-finite value raises Prevalence's error."""
-    if all(map(math.isfinite, fractions)):
-        total = exact_sum(fractions)
-        if abs(total - 1.0) <= PREVALENCE_SUM_TOL:
-            fractions = [f / total for f in fractions]
-    return Prevalence(scale, fractions)
+    """The Prevalence of ``fractions`` (scale.classes order), checked: one per
+    class, finite, nonnegative, and divided by their exact sum, which must lie
+    within PREVALENCE_SUM_TOL of 1, so that rounding in stated values is forgiven."""
+    if len(fractions) != len(scale.classes):
+        raise InvalidLabel(f"expected {len(scale.classes)} fractions, got {len(fractions)}")
+    if not all(math.isfinite(f) and f >= 0 for f in fractions):
+        raise InvalidLabel("prevalence fractions must be finite and nonnegative")
+    total = exact_sum(fractions)
+    if _off_sum([total])[0]:
+        raise InvalidLabel(f"prevalence fractions sum to {total!r}, expected 1")
+    return Prevalence(f / total for f in fractions)
 
 
-def parse_annotations(stream: IO[str]) -> list[CrowdAnnotation]:
-    """Parses a crowd-annotation file: id, topic, then one label per annotator."""
-    rows: list[CrowdAnnotation] = []
+def parse_annotations(stream: IO[str]) -> list[tuple[str, list[int]]]:
+    """(row_key, labels) pairs of an id, topic, label1 ... labelN file."""
+    rows: list[tuple[str, list[int]]] = []
     seen: set[str] = set()
     for n, line in _lines(stream):
         fields = line.split("\t")
@@ -201,19 +216,21 @@ def parse_annotations(stream: IO[str]) -> list[CrowdAnnotation]:
         item_id = fields[0].strip()
         if not item_id:
             raise MalformedLine("empty id field", line=n)
-        topic = _parse_topic(fields[1], n)
-        key = row_key(item_id, topic)
+        key = row_key(item_id, _parse_topic(fields[1], n))
         if key in seen:
             raise duplicate_key(key, n)
         seen.add(key)
         try:
-            labels = tuple(ascii_number(int, f) for f in fields[2:])
+            labels = [ascii_number(int, f) for f in fields[2:]]
         except ValueError:
             raise InvalidLabel("annotator labels must be integers", line=n) from None
-        try:
-            rows.append(CrowdAnnotation(item_id, topic, labels))
-        except (InvalidLabel, TooFewAnnotators) as exc:
-            raise type(exc)(str(exc), line=n) from None
+        for lab in labels:
+            if lab not in Scale.FIVE_POINT.classes:
+                raise InvalidLabel(f"annotator label {lab!r} not in -2..2", line=n)
+        if len(labels) < MIN_ANNOTATORS:
+            raise TooFewAnnotators(
+                f"need at least {MIN_ANNOTATORS} annotators, got {len(labels)}", line=n)
+        rows.append((key, labels))
     return rows
 
 

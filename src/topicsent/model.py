@@ -1,6 +1,6 @@
 """Core data model: sentiment scales, per-topic count tables (confusion
 matrices), the row-key join that builds them, class fractions from counts,
-and :class:`Prevalence`, the validated distribution type of prediction inputs.
+and :class:`Prevalence`, the tuple type of predicted class fractions.
 
 Labels are plain integers validated against a :class:`Scale`:
 two-point {-1, +1}, three-point {-1, 0, +1}, five-point {-2 .. +2}.
@@ -10,7 +10,6 @@ except that :func:`join_rows` consumes the gold dict it is handed.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -97,36 +96,16 @@ class ConfusionMatrix:
 
 
 class Prevalence(tuple):
-    """A validated class -> fraction distribution on a scale, as a user or a
-    file states it: a tuple in scale.classes order of finite, nonnegative
-    fractions that sum to 1. Scoring takes it as the plain tuple it is."""
+    """Class fractions in scale.classes order: a plain tuple, subclassed only
+    for ``fractions``, through which ``bench/tracer.py`` counts parsed values.
+    ``ingestion.normalized_prevalence`` is the checked constructor."""
 
     __slots__ = ()
-    _SUM_TOL = 1e-9
-
-    def __new__(cls, scale: Scale, fractions: Iterable[float]) -> "Prevalence":
-        fractions = tuple(fractions)
-        if len(fractions) != len(scale.classes):
-            raise InvalidLabel(f"expected {len(scale.classes)} fractions, got {len(fractions)}")
-        if not all(math.isfinite(f) and f >= 0 for f in fractions):
-            raise InvalidLabel("prevalence fractions must be finite and nonnegative")
-        total = exact_sum(fractions)
-        if abs(total - 1.0) > cls._SUM_TOL:
-            raise InvalidLabel(f"prevalence fractions sum to {total!r}, expected 1")
-        return super().__new__(cls, fractions)
-
-    @property
-    def scale(self) -> Scale:
-        """The scale with as many classes; no two scales have the same count."""
-        return next(s for s in Scale if len(s.classes) == len(self))
 
     @property
     def fractions(self) -> tuple[float, ...]:
         """The fractions as a plain tuple."""
         return tuple(self)
-
-    def __getnewargs__(self) -> tuple[Scale, tuple[float, ...]]:  # for copy and pickle
-        return self.scale, tuple(self)
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -143,14 +122,6 @@ def ascii_number(kind: type[int] | type[float], text: str) -> int | float:
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII number: {text!r}")
     return kind(text)
-
-
-def exact_sum(values: Iterable[float]) -> float:
-    """math.fsum, which no order of the values can change; inf on overflow."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
 
 
 _ABSENT = object()  # join_rows: key not in gold; None marks a matched gold key

@@ -5,10 +5,10 @@ error, and Earth Mover's Distance for totally ordered classes.
 Every measure works on class columns: one sequence per class, in
 ``scale.classes`` order, holding that class's fraction in each topic, the
 prediction first. It returns the list of per-topic values, and column
-counts that differ come from different scales and raise ScaleMismatch.
-``smooth``, ``kld``, ``ae``, ``rae`` and ``emd`` are the one-topic case: they
-take two fraction sequences and return one value. Validating the fractions is
-the input boundary's job (:class:`~topicsent.model.Prevalence`).
+counts that differ come from different scales and raise ScaleMismatch. One
+topic is the case of one-element columns. Validating the fractions is the
+input boundary's job (``ingestion.normalized_prevalence`` and
+``ingestion.parse_prevalence_file``).
 
 Sums over classes are left folds in class order, as :func:`model.left_sum`,
 so the last bits of a value do not depend on the Python version.
@@ -84,34 +84,3 @@ def emd_columns(pred: Columns, true_p: Columns) -> list[float]:
     q_cum, p_cum = cumulative(pred[:-1]), cumulative(true_p[:-1])
     return list(class_sum(map(abs, map(sub, q, p)) for q, p in zip(q_cum, p_cum)))
 
-
-def _topic(p: Sequence[float]) -> list[tuple[float]]:
-    """One distribution as one-topic class columns."""
-    return [(f,) for f in p]
-
-
-def smooth(p: Sequence[float], eps: float) -> tuple[float, ...]:
-    """One distribution's additive smoothing; see smooth_columns."""
-    return tuple(col[0] for col in smooth_columns(_topic(p), (eps,)))
-
-
-def kld(pred: Sequence[float], true_p: Sequence[float], eps: float) -> float:
-    """One topic's KLD over smoothed distributions; see kld_columns."""
-    return kld_columns(smooth_columns(_topic(pred), (eps,)),
-                       smooth_columns(_topic(true_p), (eps,)))[0]
-
-
-def ae(pred: Sequence[float], true_p: Sequence[float]) -> float:
-    """One topic's AE; see ae_columns."""
-    return ae_columns(_topic(pred), _topic(true_p))[0]
-
-
-def rae(pred: Sequence[float], true_p: Sequence[float], eps: float) -> float:
-    """One topic's RAE over smoothed distributions; see rae_columns."""
-    return rae_columns(smooth_columns(_topic(pred), (eps,)),
-                       smooth_columns(_topic(true_p), (eps,)))[0]
-
-
-def emd(pred: Sequence[float], true_p: Sequence[float]) -> float:
-    """One topic's EMD; see emd_columns."""
-    return emd_columns(_topic(pred), _topic(true_p))[0]

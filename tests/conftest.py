@@ -4,14 +4,16 @@ import io
 import math
 from collections import Counter
 from functools import reduce
-from itertools import count
+from itertools import accumulate, count
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from topicsent.errors import EmptyText, MissingPrediction
 from topicsent.evaluate import Mode, SubtaskSpec
 from topicsent.ingestion import RawTweetRecord, count_labels, label_rows, parse_labels, tokenize
 from topicsent.model import ConfusionMatrix, Scale, join_rows, key_fields, row_key
+from topicsent.quantification import (ae_columns, emd_columns, kld_columns, rae_columns,
+                                      smooth_columns)
 
 Row = tuple[str, "str | None", int]  # (id, topic, label), topic None without topics
 
@@ -22,6 +24,53 @@ def left_fold(values: Iterable[float]) -> float:
     """``0 + v0 + v1 + ...`` in order, the float sum of Python 3.11; from 3.12
     on, ``sum`` compensates rounding and can return another float."""
     return reduce(add, values, 0)
+
+
+def one_topic(p: Sequence[float]) -> list[tuple[float]]:
+    """One distribution as one-topic class columns."""
+    return [(f,) for f in p]
+
+
+def topic_smooth(p: Sequence[float], eps: float) -> tuple[float, ...]:
+    """smooth_columns on one topic."""
+    return tuple(col[0] for col in smooth_columns(one_topic(p), (eps,)))
+
+
+def topic_kld(pred: Sequence[float], true_p: Sequence[float], eps: float) -> float:
+    """kld_columns on one topic, each distribution smoothed by smooth_columns."""
+    return kld_columns(smooth_columns(one_topic(pred), (eps,)),
+                       smooth_columns(one_topic(true_p), (eps,)))[0]
+
+
+def topic_ae(pred: Sequence[float], true_p: Sequence[float]) -> float:
+    """ae_columns on one topic."""
+    return ae_columns(one_topic(pred), one_topic(true_p))[0]
+
+
+def topic_rae(pred: Sequence[float], true_p: Sequence[float], eps: float) -> float:
+    """rae_columns on one topic, each distribution smoothed by smooth_columns."""
+    return rae_columns(smooth_columns(one_topic(pred), (eps,)),
+                       smooth_columns(one_topic(true_p), (eps,)))[0]
+
+
+def topic_emd(pred: Sequence[float], true_p: Sequence[float]) -> float:
+    """emd_columns on one topic."""
+    return emd_columns(one_topic(pred), one_topic(true_p))[0]
+
+
+def reference_measures(pred: Sequence[float], true_p: Sequence[float], eps: float) -> dict:
+    """The measures' formulas on one topic, written out per class, with every
+    sum over classes an explicit left fold in class order."""
+    k = len(pred)
+    ps = [(f + eps) / (1.0 + eps * k) for f in pred]
+    ts = [(f + eps) / (1.0 + eps * k) for f in true_p]
+    cum = [abs(q - p) for q, p in zip(accumulate(pred), accumulate(true_p))]
+    return {
+        "kld": max(0.0, left_fold([p * math.log(p / q) for q, p in zip(ps, ts)])),
+        "ae": left_fold([abs(q - p) for q, p in zip(pred, true_p)]) / k,
+        "rae": left_fold([abs(q - p) / p for q, p in zip(ps, ts)]) / k,
+        "emd": left_fold(cum[:-1]),
+    }
 
 
 def rows_from_counts(counts: Mapping[int, int], topic: str | None = None) -> list[Row]:

@@ -1,3 +1,4 @@
+import io
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topicsent.annotation import CrowdAnnotation, consolidate_labels
+from topicsent.annotation import consolidate_labels
 from topicsent.errors import InvalidLabel, TooFewAnnotators
+from topicsent.ingestion import parse_annotations
 
 labels5 = st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=5, max_size=9)
 
@@ -45,14 +47,18 @@ class TestConsolidate:
         assert consolidate_labels([2, 1, -1, 0, 0]) == 1
 
     def test_validation(self):
-        with pytest.raises(TooFewAnnotators):
-            CrowdAnnotation("t1", None, (1, 1, 1, 1))
-        with pytest.raises(InvalidLabel):
-            CrowdAnnotation("t1", None, (1, 1, 1, 1, 3))
+        with pytest.raises(TooFewAnnotators, match="^line 1: need at least 5 annotators, got 4$"):
+            parse_annotations(io.StringIO("t1\tNA\t1\t1\t1\t1\n"))
+        with pytest.raises(InvalidLabel, match="^line 1: annotator label 3 not in -2..2$"):
+            parse_annotations(io.StringIO("t1\tNA\t1\t1\t1\t1\t3\n"))
+        # each label's range is checked before the count
+        with pytest.raises(InvalidLabel, match="^line 2: annotator label -3 not in -2..2$"):
+            parse_annotations(io.StringIO("t1\tx\t0\t0\t0\t0\t0\nt2\tx\t-3\t1\n"))
 
     def test_consolidate_annotation(self):
-        a = CrowdAnnotation("t1", "x", (2, 2, 2, -1, 0))
-        assert consolidate_labels(a.labels) == 2
+        ((key, labels),) = parse_annotations(io.StringIO("t1\tx\t2\t2\t2\t-1\t0\n"))
+        assert key == "t1\tx"
+        assert consolidate_labels(labels) == 2
 
     def test_exhaustive_against_reference(self):
         for labels in product([-2, -1, 0, 1, 2], repeat=5):

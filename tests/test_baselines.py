@@ -5,14 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (class_counts, constant_predictions, constant_table, join, left_fold,
-                      rows_from_counts)
+                      rows_from_counts, topic_emd, topic_kld)
 from topicsent.baselines import Averaging, constant_classifier, ml_quantifier, point_mass
 from topicsent.classification import avg_rec
 from topicsent.errors import EmptyInput, NoTopics, ScaleMismatch
 from topicsent.evaluate import SUBTASKS
 from topicsent.ingestion import count_labels
 from topicsent.model import Scale, class_fractions
-from topicsent.quantification import emd, kld
 
 
 @st.composite
@@ -63,8 +62,8 @@ class TestConstantQuantifier:
 
     def test_perfect_quantifier_scores_zero(self):
         p = point_mass(Scale.FIVE_POINT, 0).fractions
-        assert emd(p, p) == 0.0
-        assert kld(p, p, 0.005) == pytest.approx(0.0, abs=1e-15)
+        assert topic_emd(p, p) == 0.0
+        assert topic_kld(p, p, 0.005) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestMlQuantifier:

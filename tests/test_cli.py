@@ -356,6 +356,18 @@ class TestAsciiNumbers:
                                   "--kind", kind], capsys)
             assert (code, out, json.loads(err)["error"]) == (1, "", "INVALID_LABEL")
 
+    @pytest.mark.parametrize("option,value,kind", [
+        ("--min-size", "1_0", "int"), ("--min-size", "\u0661", "int"),
+        ("--threshold", "0.6_0", "float"), ("--threshold", "\u0660.\u0665", "float")])
+    def test_options(self, option, value, kind, tmp_path, capsys):
+        path = tmp_path / "in.tsv"
+        path.write_text("t1\tx\t1\ta b\nt2\tx\t1\ta b\n", encoding="utf-8")
+        command = ["stats", "--subtask", "B"] if option == "--min-size" else ["dedup"]
+        code, out, err = run([*command, "--input", str(path), option, value], capsys)
+        assert (code, out) == (1, "")
+        message = f"topicsent {command[0]}: argument {option}: invalid {kind} value: {value!r}"
+        assert json.loads(err) == {"error": "INVALID_ARGUMENT", "message": message}
+
     def test_annotations(self, tmp_path, capsys):
         path = tmp_path / "annotations.tsv"
         path.write_text("t1\tx\t1\t1\t1\t2\t0_1\n", encoding="utf-8")

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import class_counts, constant_predictions, join, rows_from_counts
+from conftest import (class_counts, constant_predictions, join, reference_measures,
+                      rows_from_counts)
 from topicsent.baselines import point_mass
-from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
-from topicsent.evaluate import (SUBTASKS, Mode, classification_report, macroaverage,
-                                quantification_report)
+from topicsent.errors import MissingPrediction, TopicRequired
+from topicsent.evaluate import SUBTASKS, Mode, classification_report, quantification_report
 from topicsent.model import Prevalence, Scale, class_fractions
-from topicsent.quantification import ae, emd, kld, rae
 
 
 def classify(spec, gold, pred, pooled=False):
@@ -42,24 +41,57 @@ class TestSubtaskTable:
             assert not SUBTASKS[sid].higher_is_better
 
 
+def accuracy_rows(topics):
+    """Subtask B gold and prediction rows of topics given as (items, correct
+    predictions): every gold label is positive, and the first ``correct``
+    predictions too."""
+    gold, pred = [], []
+    for i, (n, correct) in enumerate(topics):
+        rows = rows_from_counts({1: n}, topic=f"t{i}")
+        gold += rows
+        pred += [(item, t, 1 if j < correct else -1) for j, (item, t, _) in enumerate(rows)]
+    return gold, pred
+
+
+def accuracy_report(*topics):
+    return classify(SUBTASKS["B"], *accuracy_rows(topics))
+
+
 class TestMacroaverage:
+    """A report's macro means are the unweighted means of its topic values;
+    accuracy is a ratio of counts, so 1/5 is the float 0.2."""
+
     def test_singleton(self):
-        assert macroaverage({"a": 1.0}) == 1.0
+        assert accuracy_report((4, 4)).metrics["accuracy"] == 1.0
 
     def test_symmetry(self):
-        assert macroaverage({"a": 0.0, "b": 1.0}) == 0.5
+        assert accuracy_report((2, 0), (2, 2)).metrics["accuracy"] == 0.5
 
     def test_hand_mean(self):
-        assert macroaverage({"a": 0.2, "b": 0.4, "c": 0.9}) == 0.5
+        report = accuracy_report((5, 1), (5, 2), (10, 9))
+        assert [m["accuracy"] for m in report.per_topic.values()] == [0.2, 0.4, 0.9]
+        assert report.metrics["accuracy"] == 0.5
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
-            macroaverage({})
+        with pytest.raises(TopicRequired):
+            classification_report(SUBTASKS["B"], {}, 0, False)
+        with pytest.raises(TopicRequired):
+            quantification_report(SUBTASKS["D"], {}, {}, False)
 
-    @given(st.dictionaries(st.text(min_size=1), st.floats(0, 1), min_size=1))
-    def test_permutation_invariant(self, values):
-        reordered = dict(sorted(values.items(), reverse=True))
-        assert macroaverage(values) == macroaverage(reordered)
+    @given(st.lists(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+                    min_size=1, max_size=12), st.data())
+    def test_permutation_invariant(self, topics, data):
+        """Macro means do not depend on the order of the topics."""
+        spec = SUBTASKS["B"]
+        tables, _ = join(spec.scale, *accuracy_rows(topics))
+        assert (classification_report(spec, tables, 0, False).metrics
+                == classification_report(spec, dict(reversed(tables.items())), 0, False).metrics)
+        spec = SUBTASKS["D"]
+        counts = {f"t{i}": (n - c, c) for i, (n, c) in enumerate(topics)}
+        preds = {t: data.draw(st.floats(0, 1).map(lambda f: (1.0 - f, f))) for t in counts}
+        assert (quantification_report(spec, counts, preds, False).metrics
+                == quantification_report(spec, dict(reversed(counts.items())), preds,
+                                         False).metrics)
 
 
 class TestSubtaskA:
@@ -91,8 +123,8 @@ class TestSubtaskBC:
         gold = self._two_topic_gold(Scale.TWO_POINT, {1: 4, -1: 4}, {1: 2, -1: 6})
         report = classify(SUBTASKS["B"], gold, constant_predictions(gold, 1))
         for name, value in report.metrics.items():
-            per_topic = {t: m[name] for t, m in report.per_topic.items()}
-            assert value == pytest.approx(macroaverage(per_topic), abs=1e-12)
+            per_topic = [m[name] for m in report.per_topic.values()]
+            assert value == pytest.approx(math.fsum(per_topic) / len(per_topic), abs=1e-12)
 
     def test_single_topic_macro_equals_pooled(self):
         gold = rows_from_counts({1: 6, -1: 4}, topic="only")
@@ -113,8 +145,8 @@ class TestQuantification:
         gold_b = rows_from_counts({1: 80, -1: 20}, topic="b")
         gold = gold_a + gold_b
         preds = {
-            "a": Prevalence(Scale.TWO_POINT, (0.3, 0.7)),
-            "b": Prevalence(Scale.TWO_POINT, (0.5, 0.5)),
+            "a": Prevalence((0.3, 0.7)),
+            "b": Prevalence((0.5, 0.5)),
         }
         report = quantify(SUBTASKS["D"], gold, preds)
         per_topic = [report.per_topic[t]["kld"] for t in ("a", "b")]
@@ -124,7 +156,7 @@ class TestQuantification:
     def test_perfect_quantifier(self):
         gold = rows_from_counts({0: 5, 1: 5}, topic="x")
         counts = class_counts(Scale.FIVE_POINT, gold)
-        true_p = Prevalence(Scale.FIVE_POINT, class_fractions(counts["x"]))
+        true_p = Prevalence(class_fractions(counts["x"]))
         report = quantify(SUBTASKS["E"], gold, {"x": true_p})
         assert report.metrics["emd"] == 0.0
 
@@ -147,7 +179,7 @@ class TestQuantification:
         # Pooled: true (1/4, 3/4), predicted (0.5, 0.5), eps = 1/8 gives true
         # (0.3, 0.7).
         gold = [("1", "p", -1), ("2", "p", 1), ("3", "q", 1), ("4", "q", 1)]
-        half = Prevalence(Scale.TWO_POINT, (0.5, 0.5))
+        half = Prevalence((0.5, 0.5))
         report = quantify(SUBTASKS["D"], gold, {"p": half, "q": half}, pooled=True)
         kld_q = math.log(1 / 3) / 6 + 5 * math.log(5 / 3) / 6
         assert report.per_topic == {
@@ -169,8 +201,8 @@ class TestQuantification:
         # gold shares (1/6, 0, 1/6, 1/6, 1/2) differs by 1/6 at -2, -1 and 1.
         gold = [("1", "u", -2), ("2", "u", 0), ("3", "v", 1),
                 ("4", "v", 2), ("5", "v", 2), ("6", "v", 2)]
-        preds = {"u": Prevalence(Scale.FIVE_POINT, (0.0, 0.0, 1.0, 0.0, 0.0)),
-                 "v": Prevalence(Scale.FIVE_POINT, (0.0, 0.0, 0.0, 0.5, 0.5))}
+        preds = {"u": Prevalence((0.0, 0.0, 1.0, 0.0, 0.0)),
+                 "v": Prevalence((0.0, 0.0, 0.0, 0.5, 0.5))}
         report = quantify(SUBTASKS["E"], gold, preds, pooled=True)
         assert report.per_topic == {"u": {"emd": 1.0}, "v": {"emd": 0.25}}
         assert report.metrics == {"emd": 0.625}
@@ -180,7 +212,7 @@ class TestQuantification:
         gold_a = rows_from_counts({1: 5, -1: 5}, topic="a")
         gold_b = rows_from_counts({1: 9, -1: 1}, topic="b")
         fwd, rev = gold_a + gold_b, gold_b + gold_a
-        preds = dict.fromkeys(["a", "b"], Prevalence(Scale.TWO_POINT, (0.4, 0.6)))
+        preds = dict.fromkeys(["a", "b"], Prevalence((0.4, 0.6)))
         r1 = quantify(SUBTASKS["D"], fwd, preds)
         r2 = quantify(SUBTASKS["D"], rev, preds)
         assert r1.metrics == r2.metrics
@@ -202,15 +234,17 @@ def counts_and_predictions(draw):
 
 
 def scalar_measures(spec, pred, counts):
-    """The one-topic measures of predicted fractions against gold counts."""
+    """The per-topic reference measures of predicted fractions against gold
+    counts: the formulas written out per class, independent of the column
+    code (conftest.reference_measures)."""
     true_p, eps = class_fractions(counts), 1 / (2 * sum(counts))
-    if spec.id == "E":
-        return {"emd": emd(pred, true_p)}
-    return {"kld": kld(pred, true_p, eps), "ae": ae(pred, true_p), "rae": rae(pred, true_p, eps)}
+    measures = reference_measures(pred, true_p, eps)
+    names = ["emd"] if spec.id == "E" else ["kld", "ae", "rae"]
+    return {name: measures[name] for name in names}
 
 
 class TestQuantificationReportColumns:
-    """The column-at-a-time report against the one-topic measures."""
+    """The column-at-a-time report against the per-topic reference."""
 
     @given(counts_and_predictions())
     def test_every_value_equals_the_scalar_measure(self, data):

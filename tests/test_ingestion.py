@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import random
 import string
 import tracemalloc
@@ -24,6 +25,7 @@ from topicsent.ingestion import (
     count_labels,
     dedup,
     label_rows,
+    normalized_prevalence,
     parse_annotations,
     parse_labels,
     parse_prevalence_file,
@@ -31,7 +33,7 @@ from topicsent.ingestion import (
     stats,
     tokenize,
 )
-from topicsent.model import Scale, row_key
+from topicsent.model import Prevalence, Scale, row_key
 
 
 def parse(text, subtask):
@@ -184,10 +186,47 @@ class TestParsePrevalenceFile:
         assert exc.value.line == 2
 
 
+def stated_fractions(k):
+    """Lists of k fractions: any floats, or shares of a positive total with
+    the first moved by up to 2e-6, so that the sum straddles the tolerance."""
+    shares = st.lists(st.floats(0, 1), min_size=k, max_size=k).filter(lambda v: math.fsum(v) > 0)
+    near_one = st.tuples(shares, st.floats(-2e-6, 2e-6)).map(
+        lambda s: [x / math.fsum(s[0]) + (s[1] if i == 0 else 0.0) for i, x in enumerate(s[0])])
+    return st.one_of(st.lists(st.floats(), min_size=k, max_size=k), near_one)
+
+
+class TestPrevalenceRule:
+    """A --kind prevalence list and a one-topic prevalence file follow one rule."""
+
+    @example(fractions=[0.000, 0.999])
+    @example(fractions=[0.3, 0.7000001])
+    @example(fractions=[1e308, 1e308])
+    @example(fractions=[-0.1, 1.1])
+    @example(fractions=[-0.0, 1.0])
+    @example(fractions=[math.nan, 1.0])
+    @example(fractions=[0.000, 0.259, 0.296, 0.148, 0.296])
+    @given(st.sampled_from([2, 5]).flatmap(stated_fractions))
+    def test_lists_and_files_accept_the_same_fractions(self, fractions):
+        scale = Scale.TWO_POINT if len(fractions) == 2 else Scale.FIVE_POINT
+        text = "".join(f"a\t{c}\t{f!r}\n" for c, f in zip(scale.classes, fractions))
+        try:
+            listed = normalized_prevalence(scale, fractions)
+        except InvalidLabel:
+            listed = None
+        try:
+            parsed = parse_prevalence_file(io.StringIO(text), scale)["a"]
+        except MalformedLine:
+            parsed = None
+        assert parsed == listed
+        if listed is not None:
+            assert type(listed) is type(parsed) is Prevalence
+
+
 class TestParseAnnotations:
     def test_basic(self):
-        rows = parse_annotations(io.StringIO("t1\tx\t1\t1\t1\t-2\t-2\n"))
-        assert rows[0].labels == (1, 1, 1, -2, -2)
+        text = "t1\tx\t1\t1\t1\t-2\t-2\n t2 \tNA\t0\t0\t0\t0\t0\n"
+        rows = parse_annotations(io.StringIO(text))
+        assert rows == [("t1\tx", [1, 1, 1, -2, -2]), ("t2\tNA", [0, 0, 0, 0, 0])]
 
     def test_too_few(self):
         from topicsent.errors import TooFewAnnotators

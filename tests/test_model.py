@@ -26,7 +26,7 @@ from topicsent.errors import (
     MissingPrediction,
 )
 from topicsent.evaluate import SUBTASKS
-from topicsent.ingestion import parse_labels
+from topicsent.ingestion import normalized_prevalence, parse_labels
 from topicsent.model import (
     ConfusionMatrix,
     Prevalence,
@@ -279,26 +279,29 @@ class TestPrevalence:
             class_fractions((0, 0))
 
     def test_invalid_fractions_rejected(self):
-        with pytest.raises(InvalidLabel):
-            Prevalence(Scale.TWO_POINT, (0.6, 0.6))
-        with pytest.raises(InvalidLabel):
-            Prevalence(Scale.TWO_POINT, (-0.1, 1.1))
-        with pytest.raises(InvalidLabel):
-            Prevalence(Scale.TWO_POINT, (math.nan, math.nan))
+        with pytest.raises(InvalidLabel, match="sum to 1.2, expected 1"):
+            normalized_prevalence(Scale.TWO_POINT, (0.6, 0.6))
+        with pytest.raises(InvalidLabel, match="finite and nonnegative"):
+            normalized_prevalence(Scale.TWO_POINT, (-0.1, 1.1))
+        with pytest.raises(InvalidLabel, match="finite and nonnegative"):
+            normalized_prevalence(Scale.TWO_POINT, (math.nan, math.nan))
+        with pytest.raises(InvalidLabel, match="expected 2 fractions, got 1"):
+            normalized_prevalence(Scale.TWO_POINT, (math.nan,))
 
     def test_a_validated_tuple(self):
-        p = Prevalence(Scale.FIVE_POINT, [0.0, 0.25, 0.5, 0.25, 0.0])
+        p = normalized_prevalence(Scale.FIVE_POINT, [0.0, 0.25, 0.5, 0.25, 0.0])
+        assert type(p) is Prevalence
         assert p == p.fractions == (0.0, 0.25, 0.5, 0.25, 0.0)
-        assert p.scale is Scale.FIVE_POINT
-        for copied in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(p.fractions) is tuple
+        for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
             assert type(copied) is Prevalence and copied == p
 
     def test_off_sum_message_states_the_exact_sum(self):
         # a plain left-to-right sum of these values gives 0.9989999999999999
         with pytest.raises(InvalidLabel, match=r"sum to 0\.999, expected 1"):
-            Prevalence(Scale.FIVE_POINT, (0.000, 0.259, 0.296, 0.148, 0.296))
+            normalized_prevalence(Scale.FIVE_POINT, (0.000, 0.259, 0.296, 0.148, 0.296))
         with pytest.raises(InvalidLabel, match=r"sum to inf, expected 1"):
-            Prevalence(Scale.TWO_POINT, (1e308, 1e308))
+            normalized_prevalence(Scale.TWO_POINT, (1e308, 1e308))
 
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=50),
            st.randoms())

@@ -1,6 +1,5 @@
 import math
 import sys
-from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,9 +10,9 @@ try:
 except ImportError:
     linprog = None
 
-from conftest import left_fold
+from conftest import (reference_measures, topic_ae, topic_emd, topic_kld, topic_rae,
+                      topic_smooth)
 from topicsent.errors import ScaleMismatch
-from topicsent.quantification import ae, emd, kld, rae, smooth
 
 EPS = 0.005  # test size 100
 
@@ -34,17 +33,17 @@ def random_prev5(rng):
 
 class TestSmooth:
     def test_uniform_fixed_point(self):
-        s = smooth(prev2(0.5, 0.5), EPS)
+        s = topic_smooth(prev2(0.5, 0.5), EPS)
         assert s == (0.5, 0.5)
 
     def test_point_mass(self):
-        s = smooth(prev2(1.0, 0.0), EPS)
+        s = topic_smooth(prev2(1.0, 0.0), EPS)
         assert s[0] == pytest.approx(1.005 / 1.01)
         assert s[1] == pytest.approx(0.005 / 1.01)
         assert sum(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter(self):
-        s = smooth(prev2(0.25, 0.75), EPS)
+        s = topic_smooth(prev2(0.25, 0.75), EPS)
         assert s[0] == pytest.approx(0.255 / 1.01)
         assert s[1] == pytest.approx(0.755 / 1.01)
 
@@ -57,7 +56,7 @@ class TestSmooth:
     def test_preserves_order_and_argmax(self, raw):
         total = sum(raw)
         p = prev5(*(x / total for x in raw))
-        s = smooth(p, EPS)
+        s = topic_smooth(p, EPS)
         gap = 8 * sys.float_info.epsilon  # rounding error of (p + eps) / denom is < 2 ulps of 1
         for i in range(5):
             for j in range(5):
@@ -76,24 +75,24 @@ class TestSmooth:
 class TestKld:
     def test_identity_is_zero(self):
         p = prev2(0.3, 0.7)
-        assert kld(p, p, EPS) == pytest.approx(0.0, abs=1e-15)
+        assert topic_kld(p, p, EPS) == pytest.approx(0.0, abs=1e-15)
 
     def test_known_value(self):
-        value = kld(prev2(0.25, 0.75), prev2(0.5, 0.5), EPS)
+        value = topic_kld(prev2(0.25, 0.75), prev2(0.5, 0.5), EPS)
         assert value == pytest.approx(0.1405, abs=1e-4)
 
     def test_point_mass_stays_finite(self):
-        value = kld(prev2(0.0, 1.0), prev2(1.0, 0.0), EPS)
+        value = topic_kld(prev2(0.0, 1.0), prev2(1.0, 0.0), EPS)
         assert math.isfinite(value) and value > 0
 
     def test_scale_mismatch(self):
         with pytest.raises(ScaleMismatch):
-            kld(prev2(0.5, 0.5), prev5(0.2, 0.2, 0.2, 0.2, 0.2), EPS)
+            topic_kld(prev2(0.5, 0.5), prev5(0.2, 0.2, 0.2, 0.2, 0.2), EPS)
 
     @given(st.randoms(use_true_random=False))
     def test_nonnegative(self, rng):
         p, q = random_prev5(rng), random_prev5(rng)
-        assert kld(q, p, EPS) >= 0.0
+        assert topic_kld(q, p, EPS) >= 0.0
 
     def test_near_equal_distributions_not_negative(self):
         # the unclamped sum is -9.2e-17 here
@@ -101,71 +100,71 @@ class TestKld:
                      0.33333333303703705, 4.4444444345679015e-10)
         true_p = prev5(0.3333333328888889, 6.666666644444445e-10, 0.3333333328888889,
                        0.3333333328888889, 6.666666644444445e-10)
-        assert kld(pred, true_p, EPS) == 0.0
+        assert topic_kld(pred, true_p, EPS) == 0.0
 
 
 class TestAe:
     def test_identity(self):
         p = prev2(0.4, 0.6)
-        assert ae(p, p) == 0.0
+        assert topic_ae(p, p) == 0.0
 
     def test_hand_value(self):
-        assert ae(prev2(0.25, 0.75), prev2(0.5, 0.5)) == pytest.approx(0.25)
+        assert topic_ae(prev2(0.25, 0.75), prev2(0.5, 0.5)) == pytest.approx(0.25)
 
     def test_opposite_point_masses(self):
-        assert ae(prev2(0.0, 1.0), prev2(1.0, 0.0)) == pytest.approx(1.0)
+        assert topic_ae(prev2(0.0, 1.0), prev2(1.0, 0.0)) == pytest.approx(1.0)
 
     @given(st.randoms(use_true_random=False))
     def test_symmetric(self, rng):
         p, q = random_prev5(rng), random_prev5(rng)
-        assert ae(p, q) == pytest.approx(ae(q, p))
+        assert topic_ae(p, q) == pytest.approx(topic_ae(q, p))
 
 
 class TestRae:
     def test_identity(self):
         p = prev2(0.4, 0.6)
-        assert rae(p, p, EPS) == 0.0
+        assert topic_rae(p, p, EPS) == 0.0
 
     def test_hand_value(self):
-        value = rae(prev2(0.25, 0.75), prev2(0.5, 0.5), EPS)
+        value = topic_rae(prev2(0.25, 0.75), prev2(0.5, 0.5), EPS)
         assert value == pytest.approx(0.4950495, abs=1e-6)
 
     def test_point_mass_vs_uniform(self):
         # oracle: smoothed values computed directly from the formula
-        ps = smooth(prev2(1.0, 0.0), EPS)
-        qs = smooth(prev2(0.5, 0.5), EPS)
+        ps = topic_smooth(prev2(1.0, 0.0), EPS)
+        qs = topic_smooth(prev2(0.5, 0.5), EPS)
         expected = sum(abs(q - p) / p for q, p in zip(qs, ps)) / 2
-        assert rae(prev2(0.5, 0.5), prev2(1.0, 0.0), EPS) == pytest.approx(expected)
+        assert topic_rae(prev2(0.5, 0.5), prev2(1.0, 0.0), EPS) == pytest.approx(expected)
 
 
 class TestEmd:
     def test_identity(self):
         p = prev5(0.1, 0.2, 0.4, 0.2, 0.1)
-        assert emd(p, p) == 0.0
+        assert topic_emd(p, p) == 0.0
 
     def test_maximal_transport(self):
         lo = prev5(1, 0, 0, 0, 0)
         hi = prev5(0, 0, 0, 0, 1)
-        assert emd(lo, hi) == pytest.approx(4.0)
+        assert topic_emd(lo, hi) == pytest.approx(4.0)
 
     def test_prefix_sum_oracle(self):
         true_p = prev5(0.1, 0.2, 0.4, 0.2, 0.1)
         pred = prev5(0.0, 0.3, 0.4, 0.3, 0.0)
-        assert emd(pred, true_p) == pytest.approx(0.2)
+        assert topic_emd(pred, true_p) == pytest.approx(0.2)
 
     @given(st.randoms(use_true_random=False))
     def test_symmetry_and_triangle(self, rng):
         a, b, c = (random_prev5(rng) for _ in range(3))
-        assert emd(a, b) == pytest.approx(emd(b, a), abs=1e-12)
-        assert emd(a, c) <= emd(a, b) + emd(b, c) + 1e-12
+        assert topic_emd(a, b) == pytest.approx(topic_emd(b, a), abs=1e-12)
+        assert topic_emd(a, c) <= topic_emd(a, b) + topic_emd(b, c) + 1e-12
 
     def test_reversal_invariance(self):
         p = prev5(0.05, 0.15, 0.3, 0.4, 0.1)
         q = prev5(0.2, 0.1, 0.3, 0.1, 0.3)
         pr = prev5(*reversed(p))
         qr = prev5(*reversed(q))
-        assert emd(q, p) == pytest.approx(emd(qr, pr), abs=1e-12)
-        assert ae(q, p) == pytest.approx(ae(qr, pr), abs=1e-12)
+        assert topic_emd(q, p) == pytest.approx(topic_emd(qr, pr), abs=1e-12)
+        assert topic_ae(q, p) == pytest.approx(topic_ae(qr, pr), abs=1e-12)
 
     @pytest.mark.skipif(linprog is None, reason="scipy not installed")
     @settings(max_examples=200)
@@ -197,7 +196,7 @@ class TestEmd:
         assert res.status == 0
         # LP solver feasibility tolerance dominates the residual here; the
         # exact greedy-transport cross-check lives in the acceptance suite
-        assert emd(q, p) == pytest.approx(res.fun, abs=1e-7)
+        assert topic_emd(q, p) == pytest.approx(res.fun, abs=1e-7)
 
 
 def distributions(k):
@@ -225,22 +224,23 @@ class TestAxioms:
     @given(pairs_on_any_scale)
     def test_non_negativity(self, pair):
         pred, true_p = pair
-        assert kld(pred, true_p, EPS) >= 0.0
-        assert ae(pred, true_p) >= 0.0
-        assert rae(pred, true_p, EPS) >= 0.0
-        assert emd(pred, true_p) >= 0.0
+        assert topic_kld(pred, true_p, EPS) >= 0.0
+        assert topic_ae(pred, true_p) >= 0.0
+        assert topic_rae(pred, true_p, EPS) >= 0.0
+        assert topic_emd(pred, true_p) >= 0.0
 
     @given(pairs_on_any_scale)
     def test_identity_of_indiscernibles(self, pair):
         pred, true_p = pair
         for p in pair:
-            assert kld(p, p, EPS) == ae(p, p) == rae(p, p, EPS) == emd(p, p) == 0.0
+            assert (topic_kld(p, p, EPS) == topic_ae(p, p) == topic_rae(p, p, EPS)
+                    == topic_emd(p, p) == 0.0)
         # beyond rounding, different distributions score above zero
         if max(abs(q - p) for q, p in zip(pred, true_p)) > 1e-6:
-            assert kld(pred, true_p, EPS) > 0.0
-            assert ae(pred, true_p) > 0.0
-            assert rae(pred, true_p, EPS) > 0.0
-            assert emd(pred, true_p) > 0.0
+            assert topic_kld(pred, true_p, EPS) > 0.0
+            assert topic_ae(pred, true_p) > 0.0
+            assert topic_rae(pred, true_p, EPS) > 0.0
+            assert topic_emd(pred, true_p) > 0.0
 
     @given(st.integers(0, 64), st.integers(0, 64))
     def test_impartiality_of_ae_and_emd_on_two_classes(self, a, d):
@@ -249,8 +249,8 @@ class TestAxioms:
         true_p = (a / 64, (64 - a) / 64)
         over = ((a + d) / 64, (64 - a - d) / 64)
         under = ((a - d) / 64, (64 - a + d) / 64)
-        assert ae(over, true_p) == ae(under, true_p)
-        assert emd(over, true_p) == emd(under, true_p)
+        assert topic_ae(over, true_p) == topic_ae(under, true_p)
+        assert topic_emd(over, true_p) == topic_emd(under, true_p)
 
     @given(st.data())
     def test_emd_grows_with_transport_distance_from_a_point_mass(self, data):
@@ -268,21 +268,7 @@ class TestAxioms:
         moved = list(pred)
         moved[i] -= delta
         moved[j] += delta
-        assert emd(tuple(moved), true_p) == emd(pred, true_p) + delta
-
-
-def reference_measures(pred, true_p, eps):
-    """The measures' formulas with every sum over classes an explicit left fold."""
-    k = len(pred)
-    ps = [(f + eps) / (1.0 + eps * k) for f in pred]
-    ts = [(f + eps) / (1.0 + eps * k) for f in true_p]
-    cum = [abs(q - p) for q, p in zip(accumulate(pred), accumulate(true_p))]
-    return {
-        "kld": max(0.0, left_fold([p * math.log(p / q) for q, p in zip(ps, ts)])),
-        "ae": left_fold([abs(q - p) for q, p in zip(pred, true_p)]) / k,
-        "rae": left_fold([abs(q - p) / p for q, p in zip(ps, ts)]) / k,
-        "emd": left_fold(cum[:-1]),
-    }
+        assert topic_emd(tuple(moved), true_p) == topic_emd(pred, true_p) + delta
 
 
 class TestLeftFoldReference:
@@ -295,6 +281,6 @@ class TestLeftFoldReference:
     @given(pairs_on_any_scale)
     def test_measures_equal_the_reference(self, pair):
         pred, true_p = pair
-        measured = {"kld": kld(pred, true_p, EPS), "ae": ae(pred, true_p),
-                    "rae": rae(pred, true_p, EPS), "emd": emd(pred, true_p)}
+        measured = {"kld": topic_kld(pred, true_p, EPS), "ae": topic_ae(pred, true_p),
+                    "rae": topic_rae(pred, true_p, EPS), "emd": topic_emd(pred, true_p)}
         assert measured == reference_measures(pred, true_p, EPS)
