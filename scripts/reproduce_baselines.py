@@ -6,10 +6,9 @@ Run: PYTHONPATH=src python3 scripts/reproduce_baselines.py
 """
 
 from topicsent.baselines import constant_classifier
-from topicsent.classification import accuracy, avg_rec, f1_pn
+from topicsent.classification import table_metrics
 from topicsent.cli import round_display
 from topicsent.evaluate import SUBTASKS
-from topicsent.ordinal import mae_macro, mae_micro
 
 COUNTS = {
     "English": {
@@ -23,8 +22,8 @@ COUNTS = {
         "C": {2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21},
     },
 }
-CLASSIFICATION = {"AvgRec": avg_rec, "F1_PN": f1_pn, "Acc": accuracy}
-COLUMNS = {"A": CLASSIFICATION, "B": CLASSIFICATION, "C": {"MAE_M": mae_macro, "MAE_mu": mae_micro}}
+CLASSIFICATION = {"AvgRec": "avgrec", "F1_PN": "f1_pn", "Acc": "accuracy"}
+COLUMNS = {"A": CLASSIFICATION, "B": CLASSIFICATION, "C": {"MAE_M": "mae_macro", "MAE_mu": "mae_micro"}}
 
 
 def main():
@@ -38,7 +37,8 @@ def main():
                 (cm,) = constant_classifier(scale, gold, c).values()
                 # as in the published tables, subtask C rows name the integer label
                 name = f"All {c}" if subtask == "C" else f"All {scale.class_name(c).title()}"
-                values = "".join(f" {round_display(m(cm)):>7.3f}" for m in columns.values())
+                metrics = table_metrics(cm)
+                values = "".join(f" {round_display(metrics[k]):>7.3f}" for k in columns.values())
                 print(f"{name:<16}{values}")
 
 

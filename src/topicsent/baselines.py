@@ -38,7 +38,7 @@ def point_mass(scale, c: int) -> Prevalence:
 
 
 def ml_quantifier(
-    scale: Scale, counts: Mapping[str | None, Sequence[int]], averaging: Averaging = Averaging.MICRO
+    counts: Mapping[str | None, Sequence[int]], averaging: Averaging = Averaging.MICRO
 ) -> Prevalence:
     """Training-set class distribution from its per-topic class counts (see
     ingestion.count_labels): pooled over all items (micro) or the unweighted

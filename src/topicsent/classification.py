@@ -1,71 +1,51 @@
-"""Classification metrics for the 2- and 3-point subtasks: per-class
-recall/precision/F1, accuracy, macro-averaged recall (AvgRec) and the
-Positive/Negative-only F1 average (F1_PN). Each is a function of one
-gold-by-prediction confusion matrix.
-
-Recall of a class absent from gold is undefined; such classes are excluded
-from the AvgRec mean rather than counted as 0 or 1.
-"""
+"""Classification metrics of one gold-by-prediction confusion matrix: AvgRec,
+F1_PN and accuracy for the 2- and 3-point subtasks, and the macro- and
+micro-averaged mean absolute error for the 5-point one, with the integer class
+distance of the -2..+2 encoding. Classes absent from gold are excluded from
+the AvgRec and MAE^M means rather than counted."""
 
 from __future__ import annotations
 
 from .errors import EmptyInput
-from .model import ConfusionMatrix, left_sum
+from .model import ConfusionMatrix, Scale, left_sum
 
 
-def _require_nonempty(cm: ConfusionMatrix) -> None:
-    if not cm.total:
+def table_metrics(cm: ConfusionMatrix) -> dict[str, float]:
+    """The subtask's metric bundle of one table: ``mae_macro`` and
+    ``mae_micro`` on the five-point scale, else ``avgrec``, ``f1_pn`` and
+    ``accuracy``. Means over classes are left folds in class order."""
+    classes = cm.scale.classes
+    support = list(map(sum, cm.counts))
+    n = sum(support)
+    if not n:
         raise EmptyInput("no gold/prediction pairs to score")
+    present = [i for i, s in enumerate(support) if s]
+    if cm.scale is Scale.FIVE_POINT:
+        errors = [sum(m * abs(p - g) for p, m in zip(classes, row))
+                  for g, row in zip(classes, cm.counts)]
+        return {
+            "mae_macro": left_sum([errors[i] / support[i] for i in present]) / len(present),
+            "mae_micro": sum(errors) / n,
+        }
+    hits = [row[i] for i, row in enumerate(cm.counts)]
+    predicted = list(map(sum, zip(*cm.counts)))
 
+    def f1(c: int) -> float:
+        """F1 of class c; a recall or precision with a zero denominator is 0."""
+        i = classes.index(c)
+        recall = hits[i] / support[i] if support[i] else 0.0
+        precision = hits[i] / predicted[i] if predicted[i] else 0.0
+        if precision + recall == 0:
+            return 0.0
+        return 2 * precision * recall / (precision + recall)
 
-def class_recall(cm: ConfusionMatrix, c: int) -> float | None:
-    """Fraction of gold-c items predicted as c; None when gold has no c."""
-    i = cm.scale.classes.index(c)
-    support = sum(cm.counts[i])
-    if not support:
-        return None
-    return cm.counts[i][i] / support
-
-
-def class_precision(cm: ConfusionMatrix, c: int) -> float:
-    """Fraction of predicted-c items whose gold is c; 0 when c never predicted."""
-    i = cm.scale.classes.index(c)
-    predicted = sum(row[i] for row in cm.counts)
-    if not predicted:
-        return 0.0
-    return cm.counts[i][i] / predicted
-
-
-def class_f1(cm: ConfusionMatrix, c: int) -> float:
-    """Harmonic mean of precision and recall for class c; 0 on zero denominator."""
-    _require_nonempty(cm)
-    recall = class_recall(cm, c) or 0.0
-    precision = class_precision(cm, c)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
-def accuracy(cm: ConfusionMatrix) -> float:
-    _require_nonempty(cm)
-    return sum(row[i] for i, row in enumerate(cm.counts)) / cm.total
-
-
-def avg_rec(cm: ConfusionMatrix) -> float:
-    """Mean of per-class recall over the classes present in gold."""
-    _require_nonempty(cm)
-    recalls = [class_recall(cm, c) for c in cm.scale.classes]
-    present = [r for r in recalls if r is not None]
-    return left_sum(present) / len(present)
+    return {
+        "avgrec": left_sum([hits[i] / support[i] for i in present]) / len(present),
+        "f1_pn": (f1(1) + f1(-1)) / 2,  # Neutral is excluded by definition
+        "accuracy": sum(hits) / n,
+    }
 
 
 def absent_classes(cm: ConfusionMatrix) -> list[int]:
-    """Scale classes with no gold item, i.e. those excluded from AvgRec."""
+    """Scale classes with no gold item, i.e. those excluded from the macro means."""
     return [c for c, row in zip(cm.scale.classes, cm.counts) if not any(row)]
-
-
-def f1_pn(cm: ConfusionMatrix) -> float:
-    """Mean of F1 over the most positive (+1) and most negative (-1) classes;
-    Neutral is excluded by definition."""
-    _require_nonempty(cm)
-    return (class_f1(cm, 1) + class_f1(cm, -1)) / 2

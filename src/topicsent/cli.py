@@ -78,6 +78,13 @@ def _write_per_topic(per_topic: dict[str, dict[str, float]], out: IO[str]) -> No
     out.write("\n  }" if per_topic else "{}")
 
 
+def _one_stdin(args, first: str, second: str) -> None:
+    """Rejects two input options that both name stdin: the first read would
+    consume it and leave the second an empty file."""
+    if getattr(args, first) == getattr(args, second) == "-":
+        raise InvalidArgument(f"--{first} and --{second} cannot both be - (stdin)")
+
+
 def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
     if fmt == "json":
         payload = {
@@ -128,6 +135,7 @@ def cmd_score(args) -> int:
     quantification, reduces gold to class counts before the prediction file
     is read. Errors come from the gold file first, then the prediction file,
     then missing predictions."""
+    _one_stdin(args, "gold", "pred")
     spec = SUBTASKS[args.subtask]
     if spec.mode is Mode.CLASSIFICATION:
         with _open_in(args.gold) as f:
@@ -173,13 +181,14 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
             raise ScoringError(f"unknown baseline kind {args.kind!r}") from None
         with _open_in(args.train) as f:
             train = ingestion.count_labels(f, spec)
-        p = baselines.ml_quantifier(spec.scale, train, averaging)
+        p = baselines.ml_quantifier(train, averaging)
     else:
         raise ScoringError(f"unknown baseline kind {args.kind!r}")
     return quantification_report(spec, counts, dict.fromkeys(counts, p), args.pooled)
 
 
 def cmd_baseline(args) -> int:
+    _one_stdin(args, "gold", "train")
     spec = SUBTASKS[args.subtask]
     with _open_in(args.gold) as f:
         counts = ingestion.count_labels(f, spec)

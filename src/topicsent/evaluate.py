@@ -1,5 +1,5 @@
-"""Subtask orchestration: picks the metric bundle for each subtask, scores
-per topic, macroaverages across topics, and assembles a report.
+"""Subtask orchestration: scores each subtask per topic, macroaverages
+across topics, and assembles a report.
 
 Subtasks:
   A - 3-point classification over the whole set (no topics)
@@ -9,7 +9,8 @@ Subtasks:
   E - 5-point ordinal quantification, per topic
 
 Every score is a function of per-topic counts: ``classification_report``
-takes each topic's gold-by-prediction table (from ``model.join_rows``), and
+takes each topic's gold-by-prediction table (from ``model.join_rows``) and
+scores it with ``classification.table_metrics``, and
 ``quantification_report`` each topic's gold class counts (from
 ``ingestion.count_labels``) and a topic -> predicted fraction tuple map
 (such as a :class:`~topicsent.model.Prevalence` per topic), which it scores
@@ -28,7 +29,8 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Mapping, Sequence
 
-from . import classification, ordinal, quantification
+from . import quantification
+from .classification import absent_classes, table_metrics
 from .errors import EmptyInput, MissingPrediction, ScaleMismatch, TopicRequired
 from .model import ConfusionMatrix, Scale
 
@@ -70,19 +72,6 @@ class ScoreReport:
 def _mean(values: Sequence[float]) -> float:
     """The unweighted mean over topics; fsum rounds once, so topic order cannot change it."""
     return math.fsum(values) / len(values)
-
-
-def _classification_metrics(spec: SubtaskSpec, cm: ConfusionMatrix) -> dict[str, float]:
-    if spec.scale is Scale.FIVE_POINT:
-        return {
-            "mae_macro": ordinal.mae_macro(cm),
-            "mae_micro": ordinal.mae_micro(cm),
-        }
-    return {
-        "avgrec": classification.avg_rec(cm),
-        "f1_pn": classification.f1_pn(cm),
-        "accuracy": classification.accuracy(cm),
-    }
 
 
 def _quantification_columns(
@@ -130,8 +119,8 @@ def classification_report(
 
     if not spec.topic_based:
         table = sum(tables.values(), zero)
-        report = ScoreReport(spec, _classification_metrics(spec, table), warnings=warnings)
-        _warn_absent_classes(spec, table, None, warnings)
+        report = ScoreReport(spec, table_metrics(table), warnings=warnings)
+        _warn_absent_classes(table, None, warnings)
         return report
 
     # topics are all-or-none: a topicless gold set gives one table under None
@@ -139,23 +128,21 @@ def classification_report(
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
     per_topic: dict[str, dict[str, float]] = {}
     for topic, table in tables.items():
-        per_topic[topic] = _classification_metrics(spec, table)
-        _warn_absent_classes(spec, table, topic, warnings)
+        per_topic[topic] = table_metrics(table)
+        _warn_absent_classes(table, topic, warnings)
     names = next(iter(per_topic.values()))
     metrics = {name: _mean([m[name] for m in per_topic.values()]) for name in names}
     report = ScoreReport(spec, metrics, per_topic, warnings)
     if pooled:
-        report.pooled = _classification_metrics(spec, sum(tables.values(), zero))
+        report.pooled = table_metrics(sum(tables.values(), zero))
     return report
 
 
-def _warn_absent_classes(
-    spec: SubtaskSpec, cm: ConfusionMatrix, topic: str | None, warnings: list[str]
-) -> None:
-    absent = classification.absent_classes(cm)
+def _warn_absent_classes(cm: ConfusionMatrix, topic: str | None, warnings: list[str]) -> None:
+    absent = absent_classes(cm)
     if absent:
         where = f"topic {topic}" if topic is not None else "gold data"
-        names = ", ".join(spec.scale.class_name(c) for c in absent)
+        names = ", ".join(cm.scale.class_name(c) for c in absent)
         warnings.append(f"{where}: classes absent from gold excluded from macro means: {names}")
 
 

@@ -90,10 +90,6 @@ class ConfusionMatrix:
             self.scale, tuple(tuple(map(add, r, s)) for r, s in zip(self.counts, other.counts))
         )
 
-    @property
-    def total(self) -> int:
-        return sum(map(sum, self.counts))
-
 
 class Prevalence(tuple):
     """Class fractions in scale.classes order: a plain tuple, subclassed only

@@ -8,7 +8,7 @@ from itertools import accumulate, count
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from topicsent.errors import EmptyText, MissingPrediction
+from topicsent.errors import EmptyInput, EmptyText, MissingPrediction
 from topicsent.evaluate import Mode, SubtaskSpec
 from topicsent.ingestion import RawTweetRecord, count_labels, label_rows, parse_labels, tokenize
 from topicsent.model import ConfusionMatrix, Scale, join_rows, key_fields, row_key
@@ -70,6 +70,59 @@ def reference_measures(pred: Sequence[float], true_p: Sequence[float], eps: floa
         "ae": left_fold([abs(q - p) for q, p in zip(pred, true_p)]) / k,
         "rae": left_fold([abs(q - p) / p for q, p in zip(ps, ts)]) / k,
         "emd": left_fold(cum[:-1]),
+    }
+
+
+def reference_recall(cm: ConfusionMatrix, c: int) -> float | None:
+    """Recall of class c, TP / (TP + FN): None when gold has no c."""
+    classes = cm.scale.classes
+    tp = cm.counts[classes.index(c)][classes.index(c)]
+    fn = sum(n for p, n in zip(classes, cm.counts[classes.index(c)]) if p != c)
+    return tp / (tp + fn) if tp + fn else None
+
+
+def reference_f1(cm: ConfusionMatrix, c: int) -> float:
+    """F1 of class c from precision TP / (TP + FP) and recall, either 0 when
+    its denominator is; 0 when both are 0."""
+    classes = cm.scale.classes
+    tp = cm.counts[classes.index(c)][classes.index(c)]
+    fp = sum(row[classes.index(c)] for g, row in zip(classes, cm.counts) if g != c)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = reference_recall(cm, c) or 0.0
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def reference_avg_rec(cm: ConfusionMatrix) -> float:
+    """Mean recall over the classes in gold, on any scale."""
+    recalls = [r for r in (reference_recall(cm, c) for c in cm.scale.classes) if r is not None]
+    return left_fold(recalls) / len(recalls)
+
+
+def reference_table_metrics(cm: ConfusionMatrix) -> dict[str, float]:
+    """The SemEval-2016 Task 4 measures of one table, from their per-class
+    definitions, with every sum over classes a left fold in class order:
+    AvgRec (mean recall over the classes in gold), F1_PN (mean F1 of +1 and
+    -1) and accuracy, or on the five-point scale MAE^M (mean over the classes
+    in gold of the class's mean |pred - gold|) and MAE^mu (mean |pred - gold|
+    over items)."""
+    classes = cm.scale.classes
+    n_items = left_fold(map(left_fold, cm.counts))
+    if not n_items:
+        raise EmptyInput("no gold/prediction pairs to score")
+    if cm.scale is Scale.FIVE_POINT:
+        cost = [[n * abs(p - g) for p, n in zip(classes, row)] for g, row in zip(classes, cm.counts)]
+        class_mae = [left_fold(err) / left_fold(row)
+                     for err, row in zip(cost, cm.counts) if left_fold(row)]
+        return {
+            "mae_macro": left_fold(class_mae) / len(class_mae),
+            "mae_micro": left_fold(map(left_fold, cost)) / n_items,
+        }
+    return {
+        "avgrec": reference_avg_rec(cm),
+        "f1_pn": (reference_f1(cm, 1) + reference_f1(cm, -1)) / 2,
+        "accuracy": left_fold(cm.counts[i][i] for i in range(len(classes))) / n_items,
     }
 
 

@@ -4,34 +4,88 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import constant_table, joined, left_fold, rows_from_counts, table
-from topicsent.classification import (
-    accuracy,
-    avg_rec,
-    class_f1,
-    class_recall,
-    f1_pn,
-)
+from conftest import (constant_table, joined, left_fold, reference_f1, reference_recall,
+                      reference_table_metrics, rows_from_counts, table)
+from topicsent.classification import absent_classes, table_metrics
 from topicsent.errors import EmptyInput
 from topicsent.model import ConfusionMatrix, Scale
 
 EN_TEST_A = {1: 2375, 0: 5937, -1: 3972}  # positive / neutral / negative
 
 
+def avg_rec(cm):
+    return table_metrics(cm)["avgrec"]
+
+
+def accuracy(cm):
+    return table_metrics(cm)["accuracy"]
+
+
+def f1_pn(cm):
+    return table_metrics(cm)["f1_pn"]
+
+
+@st.composite
+def tables(draw):
+    """A table on any scale with counts up to 10**6, some gold classes
+    absent and some classes never predicted; possibly all zero."""
+    scale = draw(st.sampled_from(list(Scale)))
+    k = len(scale.classes)
+    counts = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 10**6))
+    cells = draw(st.lists(st.lists(counts, min_size=k, max_size=k), min_size=k, max_size=k))
+    absent = draw(st.sets(st.integers(0, k - 1)))
+    unpredicted = draw(st.sets(st.integers(0, k - 1)))
+    return ConfusionMatrix(scale, tuple(
+        tuple(0 if g in absent or p in unpredicted else n for p, n in enumerate(row))
+        for g, row in enumerate(cells)))
+
+
+class TestTableMetrics:
+    @given(tables())
+    def test_equals_the_reference(self, cm):
+        if not any(map(any, cm.counts)):
+            with pytest.raises(EmptyInput, match="^no gold/prediction pairs to score$"):
+                table_metrics(cm)
+            return
+        metrics = table_metrics(cm)
+        assert metrics == reference_table_metrics(cm)
+        assert list(metrics) == list(reference_table_metrics(cm))
+
+    @pytest.mark.parametrize("scale", list(Scale))
+    def test_all_zero_table_raises(self, scale):
+        k = len(scale.classes)
+        with pytest.raises(EmptyInput, match="^no gold/prediction pairs to score$"):
+            table_metrics(ConfusionMatrix(scale, ((0,) * k,) * k))
+
+    def test_bundle_per_scale(self):
+        assert list(table_metrics(table(Scale.TWO_POINT, [(1, 1)]))) == ["avgrec", "f1_pn",
+                                                                         "accuracy"]
+        assert list(table_metrics(table(Scale.THREE_POINT, [(0, 1)]))) == ["avgrec", "f1_pn",
+                                                                           "accuracy"]
+        assert list(table_metrics(table(Scale.FIVE_POINT, [(2, -2)]))) == ["mae_macro",
+                                                                           "mae_micro"]
+
+    def test_absent_classes(self):
+        pd = table(Scale.THREE_POINT, [(1, 1), (1, 0), (-1, 0)])
+        assert absent_classes(pd) == [0]
+
+
 class TestClassRecall:
     def test_hand_enumeration(self):
         pd = table(Scale.TWO_POINT, [(1, 1), (1, -1), (-1, -1)])
-        assert class_recall(pd, 1) == 0.5
-        assert class_recall(pd, -1) == 1.0
+        assert reference_recall(pd, 1) == 0.5
+        assert reference_recall(pd, -1) == 1.0
+        assert avg_rec(pd) == 0.75
 
     def test_perfect_predictions(self):
         pd = table(Scale.THREE_POINT, [(1, 1), (0, 0), (-1, -1)])
         for c in Scale.THREE_POINT.classes:
-            assert class_recall(pd, c) == 1.0
+            assert reference_recall(pd, c) == 1.0
 
     def test_absent_class_is_undefined(self):
         pd = table(Scale.TWO_POINT, [(1, 1), (1, -1)])
-        assert class_recall(pd, -1) is None
+        assert reference_recall(pd, -1) is None
+        assert avg_rec(pd) == reference_recall(pd, 1) == 0.5
 
 
 class TestAvgRec:
@@ -80,17 +134,19 @@ class TestF1:
         gold = rows_from_counts(EN_TEST_A)
         pd = constant_table(Scale.THREE_POINT, gold, 1)
         prev = 2375 / 12284
-        assert class_f1(pd, 1) == pytest.approx(2 * prev / (1 + prev))
+        assert reference_f1(pd, 1) == pytest.approx(2 * prev / (1 + prev))
+        assert f1_pn(pd) == reference_f1(pd, 1) / 2
 
     def test_all_positive_f1_negative_zero(self):
         gold = rows_from_counts(EN_TEST_A)
-        assert class_f1(constant_table(Scale.THREE_POINT, gold, 1), -1) == 0.0
+        assert reference_f1(constant_table(Scale.THREE_POINT, gold, 1), -1) == 0.0
 
     def test_perfect_per_class(self):
         gold = rows_from_counts({1: 2, 0: 2, -1: 2})
         pd = joined(Scale.THREE_POINT, gold)
         for c in Scale.THREE_POINT.classes:
-            assert class_f1(pd, c) == 1.0
+            assert reference_f1(pd, c) == 1.0
+        assert f1_pn(pd) == 1.0
 
     @pytest.mark.parametrize(
         "pred_class,expected", [(1, 0.162), (-1, 0.244), (0, 0.000)]
@@ -122,7 +178,7 @@ class TestLabelSwapInvariance:
         # single-class F1 depends on which class is called positive: swapping
         # the labels changes F1 of the positive class.
         pd = table(Scale.THREE_POINT, [(1, 1), (1, 1), (1, 1), (-1, 1)])
-        assert class_f1(pd, 1) != pytest.approx(class_f1(_swap_pn(pd), 1))
+        assert reference_f1(pd, 1) != pytest.approx(reference_f1(_swap_pn(pd), 1))
 
     @given(
         st.lists(
@@ -151,7 +207,7 @@ class TestMicroRecallEqualsAccuracy:
         n = len(gold_pred)
         total = 0.0
         for c in pd.scale.classes:
-            r = class_recall(pd, c)
+            r = reference_recall(pd, c)
             if r is not None:
                 support = sum(1 for g, _ in gold_pred if g == c)
                 total += r * support / n

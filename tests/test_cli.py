@@ -484,6 +484,25 @@ class TestInputContract:
             assert json.loads(out)["metrics"]["avgrec"] == 0.5
 
     @pytest.mark.parametrize(
+        "argv, options",
+        [
+            (["score", "--subtask", "B", "--gold", "-", "--pred", "-"], "--gold and --pred"),
+            (["baseline", "--subtask", "D", "--gold", "-", "--train", "-", "--kind", "ml"],
+             "--gold and --train"),
+        ],
+        ids=["score", "baseline"],
+    )
+    def test_only_one_input_reads_stdin(self, argv, options, capsys, monkeypatch):
+        # the first input would consume stdin and leave the second one empty
+        stdin = io.TextIOWrapper(io.BytesIO(b"t1\tx\t1\nt2\tx\t-1\n"))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "INVALID_ARGUMENT", "message": f"{options} cannot both be - (stdin)"}
+        assert stdin.buffer.tell() == 0
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["dedup", "--input", "IN", "--threshold", "2"],

@@ -34,7 +34,7 @@ sys.path.append(str(ROOT / "bench"))
 import workloads  # noqa: E402
 from topicsent.cli import main  # noqa: E402
 
-SEEDS = (1, 2)
+SEEDS = (1, 2, 3, 4, 5)
 FORMATS = ("json", "tsv", "table")
 THRESHOLDS = ("0", "0.3", "0.6", "0.9", "1")
 NAME_OF = {"2": "highlypositive", "1": "positive", "0": "neutral", "-1": "negative",
