@@ -78,11 +78,11 @@ def _write_per_topic(per_topic: dict[str, dict[str, float]], out: IO[str]) -> No
     out.write("\n  }" if per_topic else "{}")
 
 
-def _one_stdin(args, first: str, second: str) -> None:
-    """Rejects two input options that both name stdin: the first read would
-    consume it and leave the second an empty file."""
+def _one_std_stream(args, first: str, second: str, stream: str) -> None:
+    """Rejects two options that both name the standard ``stream``: one read
+    of stdin leaves the other empty, and two outputs on stdout run together."""
     if getattr(args, first) == getattr(args, second) == "-":
-        raise InvalidArgument(f"--{first} and --{second} cannot both be - (stdin)")
+        raise InvalidArgument(f"--{first} and --{second} cannot both be - ({stream})")
 
 
 def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
@@ -135,7 +135,7 @@ def cmd_score(args) -> int:
     quantification, reduces gold to class counts before the prediction file
     is read. Errors come from the gold file first, then the prediction file,
     then missing predictions."""
-    _one_stdin(args, "gold", "pred")
+    _one_std_stream(args, "gold", "pred", "stdin")
     spec = SUBTASKS[args.subtask]
     if spec.mode is Mode.CLASSIFICATION:
         with _open_in(args.gold) as f:
@@ -188,7 +188,7 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
 
 
 def cmd_baseline(args) -> int:
-    _one_stdin(args, "gold", "train")
+    _one_std_stream(args, "gold", "train", "stdin")
     spec = SUBTASKS[args.subtask]
     with _open_in(args.gold) as f:
         counts = ingestion.count_labels(f, spec)
@@ -208,6 +208,7 @@ def cmd_consolidate(args) -> int:
 
 
 def cmd_dedup(args) -> int:
+    _one_std_stream(args, "output", "removed", "stdout")
     with _open_in(args.input) as f:
         records = ingestion.parse_raw_records(f)
     kept, removed = ingestion.dedup(records, threshold=args.threshold)

@@ -14,7 +14,7 @@ scores it with ``classification.table_metrics``, and
 ``quantification_report`` each topic's gold class counts (from
 ``ingestion.count_labels``) and a topic -> predicted fraction tuple map
 (such as a :class:`~topicsent.model.Prevalence` per topic), which it scores
-one class column at a time.
+one class column at a time with ``quantification.column_metrics``.
 Macroaveraging is the unweighted mean across topics. The optional pooled
 report treats the whole test set as a single group, which is what
 reproduces constant-baseline table values on imbalanced data.
@@ -29,10 +29,10 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Mapping, Sequence
 
-from . import quantification
 from .classification import absent_classes, table_metrics
-from .errors import EmptyInput, MissingPrediction, ScaleMismatch, TopicRequired
+from .errors import MissingPrediction, ScaleMismatch, TopicRequired
 from .model import ConfusionMatrix, Scale
+from .quantification import column_metrics
 
 
 class Mode(Enum):
@@ -72,27 +72,6 @@ class ScoreReport:
 def _mean(values: Sequence[float]) -> float:
     """The unweighted mean over topics; fsum rounds once, so topic order cannot change it."""
     return math.fsum(values) / len(values)
-
-
-def _quantification_columns(
-    spec: SubtaskSpec, pred: quantification.Columns, count_columns: Sequence[Sequence[int]]
-) -> dict[str, list[float]]:
-    """Each metric's per-topic values, from the predicted fraction columns and
-    the gold class-count columns; each distribution is smoothed once."""
-    sizes = list(quantification.class_sum(count_columns))
-    if 0 in sizes:
-        raise EmptyInput("cannot compute prevalence of an empty label list")
-    true_p = [list(map(truediv, col, sizes)) for col in count_columns]
-    if spec.scale is Scale.FIVE_POINT:
-        return {"emd": quantification.emd_columns(pred, true_p)}
-    eps = list(map(truediv, repeat(1.0), map(mul, repeat(2), sizes)))  # 1 / (2 * |test set|)
-    pred_s = quantification.smooth_columns(pred, eps)
-    true_s = quantification.smooth_columns(true_p, eps)
-    return {
-        "kld": quantification.kld_columns(pred_s, true_s),
-        "ae": quantification.ae_columns(pred, true_p),
-        "rae": quantification.rae_columns(pred_s, true_s),
-    }
 
 
 def _columns(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
@@ -167,7 +146,7 @@ def quantification_report(
         raise MissingPrediction(None, list(counts)[preds.index(None)])
 
     count_columns, pred_columns = _columns(list(counts.values())), _columns(preds)
-    values = _quantification_columns(spec, pred_columns, count_columns)
+    values = column_metrics(spec.scale, pred_columns, count_columns)
     rows = map(dict, map(zip, repeat(list(values)), zip(*values.values())))
     per_topic = dict(zip(counts, rows))
     metrics = {name: _mean(col) for name, col in values.items()}
@@ -177,8 +156,8 @@ def quantification_report(
         # summed gold counts, epsilon from the total test size
         totals = [sum(col) for col in count_columns]
         n_total = sum(totals)
-        weights = list(map(truediv, quantification.class_sum(count_columns), repeat(n_total)))
+        weights = list(map(truediv, map(sum, counts.values()), repeat(n_total)))
         mixed = [(math.fsum(map(mul, weights, col)),) for col in pred_columns]
-        pooled_columns = _quantification_columns(spec, mixed, [(n,) for n in totals])
+        pooled_columns = column_metrics(spec.scale, mixed, [(n,) for n in totals])
         report.pooled = {name: col[0] for name, col in pooled_columns.items()}
     return report

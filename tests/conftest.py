@@ -12,8 +12,7 @@ from topicsent.errors import EmptyInput, EmptyText, MissingPrediction
 from topicsent.evaluate import Mode, SubtaskSpec
 from topicsent.ingestion import RawTweetRecord, count_labels, label_rows, parse_labels, tokenize
 from topicsent.model import ConfusionMatrix, Scale, join_rows, key_fields, row_key
-from topicsent.quantification import (ae_columns, emd_columns, kld_columns, rae_columns,
-                                      smooth_columns)
+from topicsent.quantification import column_metrics
 
 Row = tuple[str, "str | None", int]  # (id, topic, label), topic None without topics
 
@@ -26,44 +25,49 @@ def left_fold(values: Iterable[float]) -> float:
     return reduce(add, values, 0)
 
 
-def one_topic(p: Sequence[float]) -> list[tuple[float]]:
-    """One distribution as one-topic class columns."""
-    return [(f,) for f in p]
+def one_topic(values: Sequence[float]) -> list[tuple[float]]:
+    """One topic's fractions or counts as one-topic class columns."""
+    return [(v,) for v in values]
 
 
-def topic_smooth(p: Sequence[float], eps: float) -> tuple[float, ...]:
-    """smooth_columns on one topic."""
-    return tuple(col[0] for col in smooth_columns(one_topic(p), (eps,)))
+def topic_metrics(scale: Scale, pred: Sequence[float], counts: Sequence[int]) -> dict[str, float]:
+    """column_metrics on one topic."""
+    return {name: col[0]
+            for name, col in column_metrics(scale, one_topic(pred), one_topic(counts)).items()}
 
 
-def topic_kld(pred: Sequence[float], true_p: Sequence[float], eps: float) -> float:
-    """kld_columns on one topic, each distribution smoothed by smooth_columns."""
-    return kld_columns(smooth_columns(one_topic(pred), (eps,)),
-                       smooth_columns(one_topic(true_p), (eps,)))[0]
+def topic_kld(pred: Sequence[float], counts: Sequence[int]) -> float:
+    """KLD of predicted fractions against one topic's gold class counts, on
+    any class count, each distribution smoothed with eps = 1 / (2 * |topic|)."""
+    return topic_metrics(Scale.TWO_POINT, pred, counts)["kld"]
 
 
-def topic_ae(pred: Sequence[float], true_p: Sequence[float]) -> float:
-    """ae_columns on one topic."""
-    return ae_columns(one_topic(pred), one_topic(true_p))[0]
+def topic_ae(pred: Sequence[float], counts: Sequence[int]) -> float:
+    """AE of predicted fractions against one topic's gold class counts."""
+    return topic_metrics(Scale.TWO_POINT, pred, counts)["ae"]
 
 
-def topic_rae(pred: Sequence[float], true_p: Sequence[float], eps: float) -> float:
-    """rae_columns on one topic, each distribution smoothed by smooth_columns."""
-    return rae_columns(smooth_columns(one_topic(pred), (eps,)),
-                       smooth_columns(one_topic(true_p), (eps,)))[0]
+def topic_rae(pred: Sequence[float], counts: Sequence[int]) -> float:
+    """RAE of predicted fractions against one topic's gold class counts,
+    smoothed as for KLD."""
+    return topic_metrics(Scale.TWO_POINT, pred, counts)["rae"]
 
 
-def topic_emd(pred: Sequence[float], true_p: Sequence[float]) -> float:
-    """emd_columns on one topic."""
-    return emd_columns(one_topic(pred), one_topic(true_p))[0]
+def topic_emd(pred: Sequence[float], counts: Sequence[int]) -> float:
+    """EMD of predicted fractions against one topic's gold class counts."""
+    return topic_metrics(Scale.FIVE_POINT, pred, counts)["emd"]
+
+
+def reference_smooth(p: Sequence[float], eps: float) -> tuple[float, ...]:
+    """Additive smoothing, (p(c) + eps) / (1 + eps * |C|), class by class."""
+    return tuple((f + eps) / (1.0 + eps * len(p)) for f in p)
 
 
 def reference_measures(pred: Sequence[float], true_p: Sequence[float], eps: float) -> dict:
     """The measures' formulas on one topic, written out per class, with every
     sum over classes an explicit left fold in class order."""
     k = len(pred)
-    ps = [(f + eps) / (1.0 + eps * k) for f in pred]
-    ts = [(f + eps) / (1.0 + eps * k) for f in true_p]
+    ps, ts = reference_smooth(pred, eps), reference_smooth(true_p, eps)
     cum = [abs(q - p) for q, p in zip(accumulate(pred), accumulate(true_p))]
     return {
         "kld": max(0.0, left_fold([p * math.log(p / q) for q, p in zip(ps, ts)])),
@@ -71,6 +75,16 @@ def reference_measures(pred: Sequence[float], true_p: Sequence[float], eps: floa
         "rae": left_fold([abs(q - p) / p for q, p in zip(ps, ts)]) / k,
         "emd": left_fold(cum[:-1]),
     }
+
+
+def reference_metrics(scale: Scale, pred: Sequence[float], counts: Sequence[int]) -> dict:
+    """The scale's bundle of reference_measures for predicted fractions
+    against one topic's gold class counts, eps = 1 / (2 * |topic|): ``emd``
+    on the five-point scale, else ``kld``, ``ae`` and ``rae``."""
+    n = sum(counts)
+    measures = reference_measures(pred, [c / n for c in counts], 1 / (2 * n))
+    names = ["emd"] if scale is Scale.FIVE_POINT else ["kld", "ae", "rae"]
+    return {name: measures[name] for name in names}
 
 
 def reference_recall(cm: ConfusionMatrix, c: int) -> float | None:

@@ -65,8 +65,8 @@ class TestConstantQuantifier:
 
     def test_perfect_quantifier_scores_zero(self):
         p = point_mass(Scale.FIVE_POINT, 0).fractions
-        assert topic_emd(p, p) == 0.0
-        assert topic_kld(p, p, 0.005) == pytest.approx(0.0, abs=1e-15)
+        assert topic_emd(p, (0, 0, 100, 0, 0)) == 0.0
+        assert topic_kld(p, (0, 0, 100, 0, 0)) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestMlQuantifier:

@@ -270,6 +270,19 @@ class TestDedupCommand:
         assert kept_ids == ["t1", "t3"]
         assert removed_path.read_text() == "t2\tt1\n"
 
+    def test_only_one_output_writes_stdout(self, tmp_path, capsys):
+        # the kept records and the removed pairs would run together in one
+        # stream; the missing input shows that nothing is read first
+        code, out, err = run(
+            ["dedup", "--input", str(tmp_path / "missing.tsv"), "--output", "-",
+             "--removed", "-"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "INVALID_ARGUMENT",
+            "message": "--output and --removed cannot both be - (stdout)"}
+
     @pytest.mark.parametrize("topic", ["", " "])
     def test_empty_topic_field_rejected(self, topic, tmp_path, capsys):
         # stats and score would reject the kept rows, so dedup must not write them

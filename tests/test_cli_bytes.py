@@ -140,6 +140,7 @@ def generated_cases(seed: int):
 
 
 GOLD_B = "t1\tx\t1\nt2\tx\t-1\nt3\ty\t1\n"
+PREVALENCES_B = "x\t1\t0.5\nx\t-1\t0.5\ny\t1\t1\n"
 LABEL_FAULTS = {
     "repeated key": "t1\tx\t1\nt1\tx\t-1\n",
     "padded repeated key": "t1\tx\t1\n t1 \t x \t-1\n",
@@ -219,7 +220,7 @@ RAW_FAULTS = {
 def fault_cases():
     """(case id, argv, files) of the input faults; ``@name`` names a file."""
     for name, text in LABEL_FAULTS.items():
-        files = {"fault": text, "gold": GOLD_B}
+        files = {"fault": text, "gold": GOLD_B, "prevalences": PREVALENCES_B}
         yield f"fault gold: {name}", ["score", "--subtask", "B", "--gold", "@fault",
                                       "--pred", "@gold"], files
         yield f"fault pred: {name}", ["score", "--subtask", "B", "--gold", "@gold",
@@ -231,6 +232,8 @@ def fault_cases():
                                         "--kind", "ml:macro", "--train", "@fault"], files)
         yield (f"fault subtask A: {name}", ["score", "--subtask", "A", "--gold", "@fault",
                                             "--pred", "@fault"], files)
+        yield (f"fault gold D: {name}", ["score", "--subtask", "D", "--gold", "@fault",
+                                         "--pred", "@prevalences"], files)
     for name, text in JOIN_FAULTS.items():
         yield (f"fault join: {name}", ["score", "--subtask", "B", "--gold", "@gold",
                                        "--pred", "@pred"], {"gold": GOLD_B, "pred": text})
@@ -247,11 +250,17 @@ def fault_cases():
             yield (f"fault kind {sub}: {kind}", ["baseline", "--subtask", sub, "--gold", "@gold",
                                                  "--kind", kind, "--train", "@gold"],
                    {"gold": GOLD_E if sub == "E" else GOLD_B})
+    for sub in "DE":
+        yield (f"fault kind {sub}: ml without --train",
+               ["baseline", "--subtask", sub, "--gold", "@gold", "--kind", "ml"],
+               {"gold": GOLD_E if sub == "E" else GOLD_B})
     for name, text in ANNOTATION_FAULTS.items():
         yield f"fault annotations: {name}", ["consolidate", "--input", "@in"], {"in": text}
     for name, text in RAW_FAULTS.items():
         yield f"fault dedup: {name}", ["dedup", "--input", "@in"], {"in": text}
     raw = {"in": "t1\tx\tpositive\ta b c\nt2\ty\tnegative\ta b c\n"}
+    yield ("fault dedup: output and removed both stdout",
+           ["dedup", "--input", "@in", "--output", "-", "--removed", "-"], raw)
     for t in ("1.5", "-0.1", "nan", "abc"):
         yield f"fault dedup threshold {t}", ["dedup", "--input", "@in", "--threshold", t], raw
     for n in ("-5", "x", "1.5"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (class_counts, constant_predictions, join, reference_measures,
+from conftest import (class_counts, constant_predictions, join, reference_metrics,
                       rows_from_counts)
 from topicsent.baselines import point_mass
 from topicsent.errors import MissingPrediction, TopicRequired
@@ -233,16 +233,6 @@ def counts_and_predictions(draw):
             {t: tuple(map(float, draw(fractions))) for t in topics})
 
 
-def scalar_measures(spec, pred, counts):
-    """The per-topic reference measures of predicted fractions against gold
-    counts: the formulas written out per class, independent of the column
-    code (conftest.reference_measures)."""
-    true_p, eps = class_fractions(counts), 1 / (2 * sum(counts))
-    measures = reference_measures(pred, true_p, eps)
-    names = ["emd"] if spec.id == "E" else ["kld", "ae", "rae"]
-    return {name: measures[name] for name in names}
-
-
 class TestQuantificationReportColumns:
     """The column-at-a-time report against the per-topic reference."""
 
@@ -251,7 +241,7 @@ class TestQuantificationReportColumns:
         spec, counts, preds = data
         report = quantification_report(spec, counts, preds, pooled=True)
         for topic, row in counts.items():
-            assert report.per_topic[topic] == scalar_measures(spec, preds[topic], row)
+            assert report.per_topic[topic] == reference_metrics(spec.scale, preds[topic], row)
         assert report.metrics == {
             name: math.fsum(m[name] for m in report.per_topic.values()) / len(counts)
             for name in report.metrics
@@ -259,4 +249,4 @@ class TestQuantificationReportColumns:
         totals = [sum(col) for col in zip(*counts.values())]
         mixed = [math.fsum(sum(row) / sum(totals) * preds[t][i] for t, row in counts.items())
                  for i in range(len(totals))]
-        assert report.pooled == scalar_measures(spec, mixed, totals)
+        assert report.pooled == reference_metrics(spec.scale, mixed, totals)

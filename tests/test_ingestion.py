@@ -29,7 +29,6 @@ from topicsent.ingestion import (
     parse_annotations,
     parse_labels,
     parse_prevalence_file,
-    parse_raw_records,
     stats,
     tokenize,
 )

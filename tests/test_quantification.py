@@ -10,11 +10,14 @@ try:
 except ImportError:
     linprog = None
 
-from conftest import (reference_measures, topic_ae, topic_emd, topic_kld, topic_rae,
-                      topic_smooth)
-from topicsent.errors import ScaleMismatch
+from conftest import (reference_metrics, reference_smooth, topic_ae, topic_emd, topic_kld,
+                      topic_metrics, topic_rae)
+from topicsent.errors import EmptyInput, ScaleMismatch
+from topicsent.model import Scale, class_fractions
+from topicsent.quantification import column_metrics
 
-EPS = 0.005  # test size 100
+# the eps of a 100-item topic, so a true distribution is written as counts out of 100
+EPS = 0.005
 
 
 def prev2(p_neg, p_pos):
@@ -25,25 +28,27 @@ def prev5(*fractions):
     return fractions
 
 
-def random_prev5(rng):
-    raw = [rng.random() + 1e-9 for _ in range(5)]
-    total = sum(raw)
-    return prev5(*(x / total for x in raw))
+def gold_counts(k):
+    """One topic's gold class counts over k classes, at least one item."""
+    return st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any)
 
 
 class TestSmooth:
+    """The smoothing of reference_measures, whose KLD and RAE column_metrics
+    equals exactly (TestLeftFoldReference)."""
+
     def test_uniform_fixed_point(self):
-        s = topic_smooth(prev2(0.5, 0.5), EPS)
+        s = reference_smooth(prev2(0.5, 0.5), EPS)
         assert s == (0.5, 0.5)
 
     def test_point_mass(self):
-        s = topic_smooth(prev2(1.0, 0.0), EPS)
+        s = reference_smooth(prev2(1.0, 0.0), EPS)
         assert s[0] == pytest.approx(1.005 / 1.01)
         assert s[1] == pytest.approx(0.005 / 1.01)
         assert sum(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter(self):
-        s = topic_smooth(prev2(0.25, 0.75), EPS)
+        s = reference_smooth(prev2(0.25, 0.75), EPS)
         assert s[0] == pytest.approx(0.255 / 1.01)
         assert s[1] == pytest.approx(0.755 / 1.01)
 
@@ -56,7 +61,7 @@ class TestSmooth:
     def test_preserves_order_and_argmax(self, raw):
         total = sum(raw)
         p = prev5(*(x / total for x in raw))
-        s = topic_smooth(p, EPS)
+        s = reference_smooth(p, EPS)
         gap = 8 * sys.float_info.epsilon  # rounding error of (p + eps) / denom is < 2 ulps of 1
         for i in range(5):
             for j in range(5):
@@ -74,103 +79,96 @@ class TestSmooth:
 
 class TestKld:
     def test_identity_is_zero(self):
-        p = prev2(0.3, 0.7)
-        assert topic_kld(p, p, EPS) == pytest.approx(0.0, abs=1e-15)
+        assert topic_kld(prev2(0.3, 0.7), (30, 70)) == pytest.approx(0.0, abs=1e-15)
 
     def test_known_value(self):
-        value = topic_kld(prev2(0.25, 0.75), prev2(0.5, 0.5), EPS)
+        value = topic_kld(prev2(0.25, 0.75), (50, 50))
         assert value == pytest.approx(0.1405, abs=1e-4)
 
     def test_point_mass_stays_finite(self):
-        value = topic_kld(prev2(0.0, 1.0), prev2(1.0, 0.0), EPS)
+        value = topic_kld(prev2(0.0, 1.0), (100, 0))
         assert math.isfinite(value) and value > 0
 
     def test_scale_mismatch(self):
         with pytest.raises(ScaleMismatch):
-            topic_kld(prev2(0.5, 0.5), prev5(0.2, 0.2, 0.2, 0.2, 0.2), EPS)
+            topic_kld(prev2(0.5, 0.5), (20, 20, 20, 20, 20))
 
-    @given(st.randoms(use_true_random=False))
-    def test_nonnegative(self, rng):
-        p, q = random_prev5(rng), random_prev5(rng)
-        assert topic_kld(q, p, EPS) >= 0.0
+    def test_empty_topic(self):
+        with pytest.raises(EmptyInput):
+            column_metrics(Scale.TWO_POINT, [(0.5, 0.5), (0.5, 0.5)], [(1, 0), (1, 0)])
+
+    @given(gold_counts(5), gold_counts(5))
+    def test_nonnegative(self, pred_counts, counts):
+        assert topic_kld(class_fractions(pred_counts), counts) >= 0.0
 
     def test_near_equal_distributions_not_negative(self):
-        # the unclamped sum is -9.2e-17 here
-        pred = prev5(0.33333333303703705, 4.4444444345679015e-10, 0.33333333303703705,
-                     0.33333333303703705, 4.4444444345679015e-10)
-        true_p = prev5(0.3333333328888889, 6.666666644444445e-10, 0.3333333328888889,
-                       0.3333333328888889, 6.666666644444445e-10)
-        assert topic_kld(pred, true_p, EPS) == 0.0
+        # the unclamped sum is -1.9e-16 here
+        pred = prev2(3000000001 / 7000000000, 3999999999 / 7000000000)
+        assert topic_kld(pred, (3, 4)) == 0.0
 
 
 class TestAe:
     def test_identity(self):
-        p = prev2(0.4, 0.6)
-        assert topic_ae(p, p) == 0.0
+        assert topic_ae(prev2(0.4, 0.6), (40, 60)) == 0.0
 
     def test_hand_value(self):
-        assert topic_ae(prev2(0.25, 0.75), prev2(0.5, 0.5)) == pytest.approx(0.25)
+        assert topic_ae(prev2(0.25, 0.75), (50, 50)) == pytest.approx(0.25)
 
     def test_opposite_point_masses(self):
-        assert topic_ae(prev2(0.0, 1.0), prev2(1.0, 0.0)) == pytest.approx(1.0)
+        assert topic_ae(prev2(0.0, 1.0), (100, 0)) == pytest.approx(1.0)
 
-    @given(st.randoms(use_true_random=False))
-    def test_symmetric(self, rng):
-        p, q = random_prev5(rng), random_prev5(rng)
-        assert topic_ae(p, q) == pytest.approx(topic_ae(q, p))
+    @given(gold_counts(5), gold_counts(5))
+    def test_symmetric(self, a, b):
+        assert topic_ae(class_fractions(a), b) == pytest.approx(topic_ae(class_fractions(b), a))
 
 
 class TestRae:
     def test_identity(self):
-        p = prev2(0.4, 0.6)
-        assert topic_rae(p, p, EPS) == 0.0
+        assert topic_rae(prev2(0.4, 0.6), (40, 60)) == 0.0
 
     def test_hand_value(self):
-        value = topic_rae(prev2(0.25, 0.75), prev2(0.5, 0.5), EPS)
+        value = topic_rae(prev2(0.25, 0.75), (50, 50))
         assert value == pytest.approx(0.4950495, abs=1e-6)
 
     def test_point_mass_vs_uniform(self):
         # oracle: smoothed values computed directly from the formula
-        ps = topic_smooth(prev2(1.0, 0.0), EPS)
-        qs = topic_smooth(prev2(0.5, 0.5), EPS)
+        ps = reference_smooth(prev2(1.0, 0.0), EPS)
+        qs = reference_smooth(prev2(0.5, 0.5), EPS)
         expected = sum(abs(q - p) / p for q, p in zip(qs, ps)) / 2
-        assert topic_rae(prev2(0.5, 0.5), prev2(1.0, 0.0), EPS) == pytest.approx(expected)
+        assert topic_rae(prev2(0.5, 0.5), (100, 0)) == pytest.approx(expected)
 
 
 class TestEmd:
     def test_identity(self):
-        p = prev5(0.1, 0.2, 0.4, 0.2, 0.1)
-        assert topic_emd(p, p) == 0.0
+        assert topic_emd(prev5(0.1, 0.2, 0.4, 0.2, 0.1), (10, 20, 40, 20, 10)) == 0.0
 
     def test_maximal_transport(self):
         lo = prev5(1, 0, 0, 0, 0)
-        hi = prev5(0, 0, 0, 0, 1)
-        assert topic_emd(lo, hi) == pytest.approx(4.0)
+        assert topic_emd(lo, (0, 0, 0, 0, 100)) == pytest.approx(4.0)
 
     def test_prefix_sum_oracle(self):
-        true_p = prev5(0.1, 0.2, 0.4, 0.2, 0.1)
         pred = prev5(0.0, 0.3, 0.4, 0.3, 0.0)
-        assert topic_emd(pred, true_p) == pytest.approx(0.2)
+        assert topic_emd(pred, (10, 20, 40, 20, 10)) == pytest.approx(0.2)
 
-    @given(st.randoms(use_true_random=False))
-    def test_symmetry_and_triangle(self, rng):
-        a, b, c = (random_prev5(rng) for _ in range(3))
-        assert topic_emd(a, b) == pytest.approx(topic_emd(b, a), abs=1e-12)
-        assert topic_emd(a, c) <= topic_emd(a, b) + topic_emd(b, c) + 1e-12
+    @given(gold_counts(5), gold_counts(5), gold_counts(5))
+    def test_symmetry_and_triangle(self, a, b, c):
+        fa, fb = class_fractions(a), class_fractions(b)
+        assert topic_emd(fa, b) == pytest.approx(topic_emd(fb, a), abs=1e-12)
+        assert topic_emd(fa, c) <= topic_emd(fa, b) + topic_emd(fb, c) + 1e-12
 
     def test_reversal_invariance(self):
-        p = prev5(0.05, 0.15, 0.3, 0.4, 0.1)
+        p = (5, 15, 30, 40, 10)
         q = prev5(0.2, 0.1, 0.3, 0.1, 0.3)
-        pr = prev5(*reversed(p))
+        pr = tuple(reversed(p))
         qr = prev5(*reversed(q))
         assert topic_emd(q, p) == pytest.approx(topic_emd(qr, pr), abs=1e-12)
         assert topic_ae(q, p) == pytest.approx(topic_ae(qr, pr), abs=1e-12)
 
     @pytest.mark.skipif(linprog is None, reason="scipy not installed")
     @settings(max_examples=200)
-    @given(st.randoms(use_true_random=False))
-    def test_against_transport_oracle(self, rng):
-        p, q = random_prev5(rng), random_prev5(rng)
+    @given(gold_counts(5), gold_counts(5))
+    def test_against_transport_oracle(self, counts, pred_counts):
+        p, q = class_fractions(counts), class_fractions(pred_counts)
         # min-cost transport LP between the two 5-bin histograms
         cost = [abs(i - j) for i in range(5) for j in range(5)]
         a_eq = []
@@ -196,13 +194,7 @@ class TestEmd:
         assert res.status == 0
         # LP solver feasibility tolerance dominates the residual here; the
         # exact greedy-transport cross-check lives in the acceptance suite
-        assert topic_emd(q, p) == pytest.approx(res.fun, abs=1e-7)
-
-
-def distributions(k):
-    """Random distributions over k classes."""
-    weights = st.lists(st.floats(0, 1), min_size=k, max_size=k).filter(lambda w: sum(w) > 0)
-    return weights.map(lambda w: tuple(x / sum(w) for x in w))
+        assert topic_emd(q, counts) == pytest.approx(res.fun, abs=1e-7)
 
 
 def dyadic_distributions(k):
@@ -212,8 +204,9 @@ def dyadic_distributions(k):
     return cuts.map(lambda c: tuple((b - a) / 64 for a, b in zip([0, *c], [*c, 64])))
 
 
+# the class counts of a prediction and of gold
 pairs_on_any_scale = st.sampled_from([2, 3, 5]).flatmap(
-    lambda k: st.tuples(distributions(k), distributions(k))
+    lambda k: st.tuples(gold_counts(k), gold_counts(k))
 )
 
 
@@ -223,34 +216,35 @@ class TestAxioms:
 
     @given(pairs_on_any_scale)
     def test_non_negativity(self, pair):
-        pred, true_p = pair
-        assert topic_kld(pred, true_p, EPS) >= 0.0
-        assert topic_ae(pred, true_p) >= 0.0
-        assert topic_rae(pred, true_p, EPS) >= 0.0
-        assert topic_emd(pred, true_p) >= 0.0
+        pred, counts = class_fractions(pair[0]), pair[1]
+        assert topic_kld(pred, counts) >= 0.0
+        assert topic_ae(pred, counts) >= 0.0
+        assert topic_rae(pred, counts) >= 0.0
+        assert topic_emd(pred, counts) >= 0.0
 
     @given(pairs_on_any_scale)
     def test_identity_of_indiscernibles(self, pair):
-        pred, true_p = pair
-        for p in pair:
-            assert (topic_kld(p, p, EPS) == topic_ae(p, p) == topic_rae(p, p, EPS)
-                    == topic_emd(p, p) == 0.0)
+        pred, counts = class_fractions(pair[0]), pair[1]
+        for c in pair:
+            p = class_fractions(c)
+            assert (topic_kld(p, c) == topic_ae(p, c) == topic_rae(p, c)
+                    == topic_emd(p, c) == 0.0)
         # beyond rounding, different distributions score above zero
-        if max(abs(q - p) for q, p in zip(pred, true_p)) > 1e-6:
-            assert topic_kld(pred, true_p, EPS) > 0.0
-            assert topic_ae(pred, true_p) > 0.0
-            assert topic_rae(pred, true_p, EPS) > 0.0
-            assert topic_emd(pred, true_p) > 0.0
+        if max(abs(q - p) for q, p in zip(pred, class_fractions(counts))) > 1e-6:
+            assert topic_kld(pred, counts) > 0.0
+            assert topic_ae(pred, counts) > 0.0
+            assert topic_rae(pred, counts) > 0.0
+            assert topic_emd(pred, counts) > 0.0
 
     @given(st.integers(0, 64), st.integers(0, 64))
     def test_impartiality_of_ae_and_emd_on_two_classes(self, a, d):
         """Over- and underestimating a class by the same amount costs the same."""
         assume(d <= a <= 64 - d)
-        true_p = (a / 64, (64 - a) / 64)
+        counts = (a, 64 - a)
         over = ((a + d) / 64, (64 - a - d) / 64)
         under = ((a - d) / 64, (64 - a + d) / 64)
-        assert topic_ae(over, true_p) == topic_ae(under, true_p)
-        assert topic_emd(over, true_p) == topic_emd(under, true_p)
+        assert topic_ae(over, counts) == topic_ae(under, counts)
+        assert topic_emd(over, counts) == topic_emd(under, counts)
 
     @given(st.data())
     def test_emd_grows_with_transport_distance_from_a_point_mass(self, data):
@@ -258,7 +252,7 @@ class TestAxioms:
         mass one class farther from c raises EMD by exactly delta."""
         c = data.draw(st.integers(0, 4))
         pred = data.draw(dyadic_distributions(5))
-        true_p = tuple(1.0 if i == c else 0.0 for i in range(5))
+        counts = tuple(int(i == c) for i in range(5))
         # class i can move mass away from c to class j
         moves = [(i, j) for i in range(5) for j in (i - 1, i + 1)
                  if 0 <= j < 5 and abs(j - c) > abs(i - c) and pred[i] > 0]
@@ -268,7 +262,7 @@ class TestAxioms:
         moved = list(pred)
         moved[i] -= delta
         moved[j] += delta
-        assert topic_emd(tuple(moved), true_p) == topic_emd(pred, true_p) + delta
+        assert topic_emd(tuple(moved), counts) == topic_emd(pred, counts) + delta
 
 
 class TestLeftFoldReference:
@@ -277,10 +271,26 @@ class TestLeftFoldReference:
 
     # the EMD terms of this example sum to 0.9331550802139038 from the left
     # and to 0.9331550802139037 correctly rounded
-    @example(pair=(tuple(c / 22 for c in (0, 3, 8, 8, 3)), tuple(c / 17 for c in (4, 6, 2, 2, 3))))
+    @example(pair=((0, 3, 8, 8, 3), (4, 6, 2, 2, 3)))
     @given(pairs_on_any_scale)
     def test_measures_equal_the_reference(self, pair):
-        pred, true_p = pair
-        measured = {"kld": topic_kld(pred, true_p, EPS), "ae": topic_ae(pred, true_p),
-                    "rae": topic_rae(pred, true_p, EPS), "emd": topic_emd(pred, true_p)}
-        assert measured == reference_measures(pred, true_p, EPS)
+        pred, counts = class_fractions(pair[0]), pair[1]
+        for scale in (Scale.TWO_POINT, Scale.FIVE_POINT):
+            assert topic_metrics(scale, pred, counts) == reference_metrics(scale, pred, counts)
+
+
+class TestColumns:
+    @given(st.data())
+    def test_each_topic_scores_as_a_one_topic_call(self, data):
+        """Scoring many topics in one call gives each topic the values of a
+        one-topic call, whatever the other topics and their order."""
+        k = data.draw(st.sampled_from([2, 3, 5]))
+        topics = data.draw(st.lists(st.tuples(gold_counts(k), gold_counts(k)),
+                                    min_size=1, max_size=8))
+        preds = [class_fractions(pred_counts) for pred_counts, _ in topics]
+        counts = [row for _, row in topics]
+        for scale in (Scale.TWO_POINT, Scale.FIVE_POINT):
+            values = column_metrics(scale, list(zip(*preds)), list(zip(*counts)))
+            for j, (pred, row) in enumerate(zip(preds, counts)):
+                assert {name: col[j] for name, col in values.items()} == topic_metrics(
+                    scale, pred, row)
