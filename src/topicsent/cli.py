@@ -213,11 +213,10 @@ def cmd_dedup(args) -> int:
         records = ingestion.parse_raw_records(f)
     kept, removed = ingestion.dedup(records, threshold=args.threshold)
     with _open_out(args.output) as out:
-        ingestion.serialize_raw_records(kept, out)
+        out.writelines(f"{line}\n" for _, _, line in kept)
     if args.removed:
         with _open_out(args.removed) as out:
-            for rec, hit in removed:
-                out.write(f"{rec.id}\t{hit.id}\n")
+            out.writelines(f"{rec[0]}\t{hit[0]}\n" for rec, hit in removed)
     print(f"kept {len(kept)}, removed {len(removed)}", file=sys.stderr)
     return 0
 
@@ -225,27 +224,29 @@ def cmd_dedup(args) -> int:
 def cmd_stats(args) -> int:
     spec = SUBTASKS[args.subtask]
     with _open_in(args.input) as f:
-        s = ingestion.stats(spec.scale, ingestion.count_labels(f, spec), args.min_size)
+        per_class, per_topic = ingestion.stats(spec.scale, ingestion.count_labels(f, spec),
+                                               args.min_size)
+    total = sum(per_class.values())
     with _open_out(args.output) as out:
         if args.format == "json":
             json.dump({
-                "per_class": {str(c): n for c, n in s.per_class.items()},
-                "per_topic": s.per_topic,
-                "n_topics": len(s.per_topic),
-                "total": s.total,
+                "per_class": {str(c): n for c, n in per_class.items()},
+                "per_topic": per_topic,
+                "n_topics": len(per_topic),
+                "total": total,
             }, out, sort_keys=True, indent=2, allow_nan=False)
             out.write("\n")
         elif args.format == "tsv":
-            for c, n in s.per_class.items():
+            for c, n in per_class.items():
                 out.write(f"class\t{c}\t{n}\n")
-            for t, n in s.per_topic.items():
+            for t, n in per_topic.items():
                 out.write(f"topic\t{t}\t{n}\n")
-            out.write(f"total\t\t{s.total}\n")
+            out.write(f"total\t\t{total}\n")
         else:
-            cols = "\t".join(str(c) for c in s.per_class)
-            vals = "\t".join(str(n) for n in s.per_class.values())
+            cols = "\t".join(str(c) for c in per_class)
+            vals = "\t".join(str(n) for n in per_class.values())
             out.write(f"classes:\t{cols}\ncounts:\t{vals}\n")
-            out.write(f"topics: {len(s.per_topic)}\ntotal: {s.total}\n")
+            out.write(f"topics: {len(per_topic)}\ntotal: {total}\n")
     return 0
 
 

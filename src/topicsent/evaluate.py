@@ -30,7 +30,7 @@ from operator import mul, truediv
 from typing import Mapping, Sequence
 
 from .classification import absent_classes, table_metrics
-from .errors import MissingPrediction, ScaleMismatch, TopicRequired
+from .errors import EmptyInput, MissingPrediction, ScaleMismatch, TopicRequired
 from .model import ConfusionMatrix, Scale
 from .quantification import column_metrics
 
@@ -102,8 +102,10 @@ def classification_report(
         _warn_absent_classes(table, None, warnings)
         return report
 
+    if not tables:
+        raise EmptyInput("no gold/prediction pairs to score")
     # topics are all-or-none: a topicless gold set gives one table under None
-    if not tables or None in tables:
+    if None in tables:
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
     per_topic: dict[str, dict[str, float]] = {}
     for topic, table in tables.items():
@@ -134,8 +136,10 @@ def quantification_report(
     """Scores a quantification subtask from each topic's gold class counts
     and a topic -> predicted fractions map (scale.classes order), one class
     column at a time."""
+    if not counts:
+        raise EmptyInput("no gold/prediction pairs to score")
     # topics are all-or-none: topicless gold gives one count vector under None
-    if not counts or None in counts:
+    if None in counts:
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
     warnings: list[str] = []
     extra = sorted(set(pred_prevalences) - set(counts))

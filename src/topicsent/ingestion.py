@@ -1,5 +1,6 @@
 """File parsing, per-topic class counts of label files, near-duplicate
-filtering, and count statistics with an optional topic-size filter.
+filtering of ``(id, text, line)`` record tuples, and count statistics with an
+optional topic-size filter.
 
 File formats (TSV, UTF-8, one record per line):
   * label files:        id <TAB> topic <TAB> label [<TAB> text [<TAB> extra...]]
@@ -8,6 +9,7 @@ File formats (TSV, UTF-8, one record per line):
   * prevalence files:   topic <TAB> class <TAB> prevalence, one class per
     line; each topic's prevalences must sum to 1 within 1e-6.
   * annotation files:   id <TAB> topic <TAB> label1 <TAB> ... <TAB> labelN
+  * dedup files:        id <TAB> topic <TAB> label <TAB> text [<TAB> extra...]
 Numbers are ASCII, without the ``_`` separators of Python's literal syntax.
 """
 
@@ -18,7 +20,6 @@ import unicodedata
 from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import lt, mul, sub, truediv
 from typing import IO, Iterable, Iterator, Sequence
@@ -37,6 +38,7 @@ from .evaluate import SubtaskSpec
 from .model import NO_TOPIC, Prevalence, Scale, ascii_number, duplicate_key, row_key
 
 PREVALENCE_SUM_TOL = 1e-6
+_Record = tuple[str, str, str]  # a dedup record: id, text and its output line
 
 
 def exact_sum(values: Iterable[float]) -> float:
@@ -51,17 +53,6 @@ def _off_sum(totals: Iterable[float]) -> list[bool]:
     """Whether each exact sum of stated fractions lies farther than
     PREVALENCE_SUM_TOL from 1: the sum rule of every prevalence input."""
     return list(map(lt, repeat(PREVALENCE_SUM_TOL), map(abs, map(sub, totals, repeat(1.0)))))
-
-
-@dataclass(frozen=True)
-class RawTweetRecord:
-    """A raw input row; extra trailing columns are preserved verbatim."""
-
-    id: str
-    topic: str | None
-    label: str | None
-    text: str
-    extra: tuple[str, ...] = ()
 
 
 def _lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
@@ -234,32 +225,21 @@ def parse_annotations(stream: IO[str]) -> list[tuple[str, list[int]]]:
     return rows
 
 
-def parse_raw_records(stream: IO[str]) -> list[RawTweetRecord]:
-    """Parses rows for dedup: id, topic, label, text, extra columns verbatim."""
+def parse_raw_records(stream: IO[str]) -> list[_Record]:
+    """Parses rows for dedup into ``(id, text, line)`` tuples: ``line`` is the
+    record's output line, its row_key, stripped label (or empty), text and
+    extra columns verbatim."""
     rows = []
     for n, line in _lines(stream):
         fields = line.split("\t")
         if len(fields) < 4:
             raise MalformedLine("expected id, topic, label and text fields", line=n)
-        if not fields[0].strip() or not fields[3]:
+        item_id, text = fields[0].strip(), fields[3]
+        if not item_id or not text:
             raise MalformedLine("id and text must be non-empty", line=n)
-        rows.append(
-            RawTweetRecord(
-                id=fields[0].strip(),
-                topic=_parse_topic(fields[1], n),
-                label=fields[2].strip() or None,
-                text=fields[3],
-                extra=tuple(fields[4:]),
-            )
-        )
+        fields[:3] = row_key(item_id, _parse_topic(fields[1], n)), fields[2].strip()
+        rows.append((item_id, text, "\t".join(fields)))
     return rows
-
-
-def serialize_raw_records(records: Iterable[RawTweetRecord], stream: IO[str]) -> None:
-    for r in records:
-        fields = [row_key(r.id, r.topic), r.label or "", r.text]
-        fields.extend(r.extra)
-        stream.write("\t".join(fields) + "\n")
 
 
 def _strip_punct(word: str) -> str:
@@ -267,18 +247,15 @@ def _strip_punct(word: str) -> str:
     return word.strip("".join([c for c in word if unicodedata.category(c)[0] == "P"]))
 
 
-def tokenize(text: str) -> list[str]:
-    """Casefolds, splits on whitespace, strips leading/trailing punctuation."""
-    return [tok for tok in map(_strip_punct, text.casefold().split()) if tok]
-
-
 def dedup(
-    records: list[RawTweetRecord], threshold: float = 0.6
-) -> tuple[list[RawTweetRecord], list[tuple[RawTweetRecord, RawTweetRecord]]]:
-    """Greedy near-duplicate scan in input order: a record is dropped iff the
-    bag-of-words cosine ``dot / (norm * onorm)`` to some already-kept record
-    strictly exceeds the threshold, which must lie in [0, 1]; its collider is
-    the earliest such kept record. Returns (kept, removed-with-collision).
+    records: list[_Record], threshold: float = 0.6
+) -> tuple[list[_Record], list[tuple[_Record, _Record]]]:
+    """Greedy near-duplicate scan in input order of ``(id, text, line)``
+    records (parse_raw_records), of which only id and text are read: a record
+    is dropped iff the bag-of-words cosine ``dot / (norm * onorm)`` to some
+    already-kept record strictly exceeds the threshold, which must lie in
+    [0, 1]; its collider is the earliest such kept record. Returns (kept,
+    removed-with-collision).
 
     Exact symmetric prefix filter (Bayardo, Ma & Srikant 2007) with an l2
     prefix-norm cut (after L2AP, Anastasiu & Karypis 2014). Tokens rank rarest
@@ -297,25 +274,25 @@ def dedup(
     token_of: dict[str, str] = {}  # casefolded word -> token; equal tokens share one str
     docs: list[list] = []  # each record's tokens, turned into ranks in place below
     df: Counter = Counter()
-    for rec in records:
-        words = rec.text.casefold().split()
+    for item_id, text, _ in records:
+        words = text.casefold().split()
         for word in set(words).difference(token_of):
             tok = _strip_punct(word)
             token_of[word] = token_of.setdefault(tok, tok)
         docs.append(list(filter(None, map(token_of.__getitem__, words))))
         if not docs[-1]:
-            raise EmptyText(f"record {rec.id} has no tokens")
+            raise EmptyText(f"record {item_id} has no tokens")
         df.update(set(docs[-1]))
     del token_of
     rank = {tok: i for i, tok in enumerate(sorted(df, key=lambda t: (df[t], t)))}
     del df
     low = threshold * (1 - 1e-9)
     tf = [0] * len(rank)  # the record's term frequency by rank; all 0 between records
-    kept: list[RawTweetRecord] = []
+    kept: list[_Record] = []
     kept_ranks: list[list[int]] = []  # token ranks, repeats included
     kept_norms: list[float] = []
     index: defaultdict[int, tuple[array, array]] = defaultdict(lambda: (array("d"), array("l")))
-    removed: list[tuple[RawTweetRecord, RawTweetRecord]] = []
+    removed: list[tuple[_Record, _Record]] = []
     for rec, ranks in zip(records, docs):
         ranks[:] = map(rank.__getitem__, ranks)
         for tok in ranks:
@@ -353,21 +330,13 @@ def dedup(
     return kept, removed
 
 
-@dataclass
-class DatasetStats:
-    """Count summary shaped like the published dataset tables: class columns
-    most positive first."""
-
-    per_class: dict[int, int]
-    per_topic: dict[str, int]
-    total: int
-
-
 def stats(
     scale: Scale, counts: dict[str | None, Sequence[int]], min_size: int | None = None
-) -> DatasetStats:
+) -> tuple[dict[int, int], dict[str, int]]:
     """Sums per-topic class counts (see count_labels), or with min_size only
-    those of the topics holding at least min_size items."""
+    those of the topics holding at least min_size items, into the per-class
+    counts, most positive class first as in the published dataset tables, and
+    the per-topic item counts."""
     if min_size is not None:
         if min_size < 0:
             raise InvalidArgument(f"min_size must be nonnegative, got {min_size!r}")
@@ -375,8 +344,5 @@ def stats(
             raise NoTopics("topic filtering requires topics")
         counts = {topic: c for topic, c in counts.items() if sum(c) >= min_size}
     totals = [sum(col) for col in zip(*counts.values())] or [0] * len(scale.classes)
-    return DatasetStats(
-        per_class=dict(zip(scale.classes[::-1], totals[::-1])),
-        per_topic={topic: sum(c) for topic, c in counts.items() if topic is not None},
-        total=sum(totals),
-    )
+    return (dict(zip(scale.classes[::-1], totals[::-1])),
+            {topic: sum(c) for topic, c in counts.items() if topic is not None})

@@ -17,7 +17,7 @@ from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import DuplicateKey, EmptyInput, InvalidLabel, MissingPrediction, ScaleMismatch
+from .errors import DuplicateKey, EmptyInput, InvalidLabel, MissingPrediction
 
 # Canonical label names, shared across scales. Positive maps to +1 even on
 # the five-point scale, where +2 is HIGHLYPOSITIVE.
@@ -74,15 +74,12 @@ class Scale(Enum):
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """Gold-by-prediction counts on one scale: ``counts[i][j]`` items have
-    gold class ``scale.classes[i]`` and predicted class ``scale.classes[j]``."""
+    gold class ``scale.classes[i]`` and predicted class ``scale.classes[j]``.
+    The shape is not checked: join_rows and baselines.constant_classifier,
+    which build the tables, make them k x k."""
 
     scale: Scale
     counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        k = len(self.scale.classes)
-        if len(self.counts) != k or any(len(row) != k for row in self.counts):
-            raise ScaleMismatch(f"a {self.scale.name} confusion matrix must be {k}x{k}")
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         """Cell-wise sum: the table of both tables' items taken together."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import unicodedata
 from collections import Counter
 from functools import reduce
 from itertools import accumulate, count
@@ -10,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from topicsent.errors import EmptyInput, EmptyText, MissingPrediction
 from topicsent.evaluate import Mode, SubtaskSpec
-from topicsent.ingestion import RawTweetRecord, count_labels, label_rows, parse_labels, tokenize
+from topicsent.ingestion import count_labels, label_rows, parse_labels
 from topicsent.model import ConfusionMatrix, Scale, join_rows, key_fields, row_key
 from topicsent.quantification import column_metrics
 
@@ -234,9 +235,24 @@ def reference_class_counts(scale: Scale, rows: list[Row]) -> dict[str | None, tu
     }
 
 
+def loop_tokenize(text: str) -> list[str]:
+    """Reference tokenizer, one character at a time: casefold, split on
+    whitespace, then drop Unicode punctuation (category P) from both ends."""
+    tokens = []
+    for raw in text.casefold().split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if end > start:
+            tokens.append(raw[start:end])
+    return tokens
+
+
 def bow_cosine(a: str, b: str) -> float:
     """Cosine similarity of two texts' term-frequency vectors."""
-    va, vb = Counter(tokenize(a)), Counter(tokenize(b))
+    va, vb = Counter(loop_tokenize(a)), Counter(loop_tokenize(b))
     if not va or not vb:
         raise EmptyText("text has no tokens")
     dot = sum(va[t] * vb[t] for t in va.keys() & vb.keys())
@@ -246,19 +262,23 @@ def bow_cosine(a: str, b: str) -> float:
     return dot / norm
 
 
+Record = tuple[str, str, str]  # (id, text, output line), as parse_raw_records returns
+
+
 def reference_dedup(
-    records: list[RawTweetRecord], threshold: float = 0.6
-) -> tuple[list[RawTweetRecord], list[tuple[RawTweetRecord, RawTweetRecord]]]:
+    records: list[Record], threshold: float = 0.6
+) -> tuple[list[Record], list[tuple[Record, Record]]]:
     """Pairwise reference for dedup: each record is compared with every kept
     record in order, and is removed with the first one whose cosine strictly
     exceeds the threshold."""
-    kept: list[RawTweetRecord] = []
+    kept: list[Record] = []
     kept_vecs: list[tuple[Counter, float]] = []
-    removed: list[tuple[RawTweetRecord, RawTweetRecord]] = []
+    removed: list[tuple[Record, Record]] = []
     for rec in records:
-        vec = Counter(tokenize(rec.text))
+        item_id, text, _ = rec
+        vec = Counter(loop_tokenize(text))
         if not vec:
-            raise EmptyText(f"record {rec.id} has no tokens")
+            raise EmptyText(f"record {item_id} has no tokens")
         norm = math.sqrt(sum(c * c for c in vec.values()))
         collided = None
         for other, (ovec, onorm) in zip(kept, kept_vecs):

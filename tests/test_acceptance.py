@@ -5,6 +5,7 @@ scores must match the published baseline table rows to 3 decimals (rounding
 half away from zero).
 """
 
+import io
 import json
 import math
 import os
@@ -238,37 +239,30 @@ def test_criterion_7_metric_properties():
 
 
 def test_criterion_8_dedup_and_topic_filter():
-    from topicsent.ingestion import RawTweetRecord, dedup, stats
+    from topicsent.ingestion import dedup, parse_raw_records, stats
 
     assert bow_cosine("a b c", "a b d") == pytest.approx(2 / 3, abs=1e-12)
     kept, removed = dedup(
-        [
-            RawTweetRecord("t1", None, None, "a b c"),
-            RawTweetRecord("t2", None, None, "a b d"),
-        ],
-        threshold=0.6,
+        parse_raw_records(io.StringIO("t1\tNA\t\ta b c\nt2\tNA\t\ta b d\n")), threshold=0.6
     )
-    assert [r.id for r in kept] == ["t1"]
-    assert [r.id for r, _ in removed] == ["t2"]
+    assert [r[0] for r in kept] == ["t1"]
+    assert [r[0] for r, _ in removed] == ["t2"]
 
     rng = random.Random(13)
     words = ["apple", "bird", "cat", "dog", "egg", "fox", "goat", "hat"]
     for _ in range(100):
-        corpus = [
-            RawTweetRecord(
-                f"t{i}", None, None,
-                " ".join(rng.choices(words, k=rng.randint(1, 6))),
-            )
+        corpus = parse_raw_records(io.StringIO("".join(
+            f"t{i}\tNA\t\t{' '.join(rng.choices(words, k=rng.randint(1, 6)))}\n"
             for i in range(rng.randint(1, 20))
-        ]
+        )))
         kept, _ = dedup(corpus)
         kept_again, removed_again = dedup(kept)
         assert kept_again == kept and not removed_again
 
     a = rows_from_counts({1: 50, -1: 50}, topic="exactly100")
     b = rows_from_counts({1: 99}, topic="just99")
-    filtered = stats(Scale.TWO_POINT, class_counts(Scale.TWO_POINT, a + b), min_size=100)
-    assert set(filtered.per_topic) == {"exactly100"}
+    _, per_topic = stats(Scale.TWO_POINT, class_counts(Scale.TWO_POINT, a + b), min_size=100)
+    assert set(per_topic) == {"exactly100"}
     print("ACCEPTANCE 8 PASS: dedup threshold, idempotence, topic-size boundary")
 
 

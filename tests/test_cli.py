@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import label_text, parsed_rows, reference_join, rows_from_counts
 from topicsent.cli import _emit_report, main, round_display
-from topicsent.errors import MissingPrediction, ScoringError, TopicRequired
+from topicsent.errors import EmptyInput, MissingPrediction, ScoringError
 from topicsent.evaluate import SUBTASKS, Mode, ScoreReport
 from topicsent.ingestion import parse_prevalence_file
 
@@ -126,6 +126,19 @@ class TestScore:
         assert code == 1
         diag = json.loads(err.splitlines()[-1])
         assert diag["error"] == "INVALID_LABEL" and "line 1" in diag["message"]
+
+    @pytest.mark.parametrize("subtask", list("ABCDE"))
+    def test_empty_gold_is_empty_input(self, subtask, tmp_path, capsys):
+        """A gold file without rows leaves nothing to score, on the
+        topic-based subtasks as on A, for score and baseline alike."""
+        for text in ("", "\n\r\n"):
+            gold = tmp_path / "gold.tsv"
+            gold.write_text(text)
+            for argv in (["score", "--pred", str(gold)], ["baseline", "--kind", "constant:1"]):
+                code, out, err = run([*argv, "--subtask", subtask, "--gold", str(gold)], capsys)
+                assert (code, out) == (1, "")
+                assert json.loads(err) == {"error": "EMPTY_INPUT",
+                                           "message": "no gold/prediction pairs to score"}
 
     def test_quantification_prediction_file(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
@@ -839,7 +852,7 @@ def _reference_outcome(spec, gold_text, pred_text):
             pred = parse_prevalence_file(io.StringIO(pred_text), spec.scale)
             topics = sorted({t for _, t, _ in gold})
             if not topics:
-                raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
+                raise EmptyInput("no gold/prediction pairs to score")
             missing = [t for t in topics if t not in pred]
             if missing:
                 raise MissingPrediction(None, missing[0])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import (class_counts, constant_predictions, join, reference_metrics,
                       rows_from_counts)
 from topicsent.baselines import point_mass
-from topicsent.errors import MissingPrediction, TopicRequired
+from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
 from topicsent.evaluate import SUBTASKS, Mode, classification_report, quantification_report
 from topicsent.model import Prevalence, Scale, class_fractions
 
@@ -73,10 +73,14 @@ class TestMacroaverage:
         assert report.metrics["accuracy"] == 0.5
 
     def test_empty(self):
-        with pytest.raises(TopicRequired):
+        """No topics at all is empty input, as on subtask A; topicless gold
+        still lacks the topics a topic-based subtask needs."""
+        with pytest.raises(EmptyInput, match="^no gold/prediction pairs to score$"):
             classification_report(SUBTASKS["B"], {}, 0, False)
-        with pytest.raises(TopicRequired):
+        with pytest.raises(EmptyInput, match="^no gold/prediction pairs to score$"):
             quantification_report(SUBTASKS["D"], {}, {}, False)
+        with pytest.raises(TopicRequired):
+            quantification_report(SUBTASKS["D"], {None: (1, 1)}, {}, False)
 
     @given(st.lists(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
                     min_size=1, max_size=12), st.data())

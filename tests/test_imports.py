@@ -1,8 +1,11 @@
-"""No module imports a name it never uses. Folding one module's functions
-into another tends to leave such imports behind, and the check needs only
-``ast``: a name counts as used where the code reads it as a variable.
-``__init__.py`` re-exports its imports and ``from __future__`` imports are
-directives, so both are exempt."""
+"""No module imports a name it never uses, and the library defines no public
+function or class that it never names. Folding one module's functions into
+another tends to leave such imports and definitions behind, and the checks
+need only ``ast``: a name counts as used where the code reads it as a
+variable, an attribute or an imported name. ``__init__.py`` re-exports its
+imports and ``from __future__`` imports are directives, so both are exempt
+from the first check, and an ``__init__.py`` export counts as a use in the
+second."""
 
 import ast
 from pathlib import Path
@@ -12,6 +15,7 @@ FILES = sorted(
     path for pattern in ("src/topicsent/*.py", "scripts/*.py", "tests/*.py")
     for path in ROOT.glob(pattern) if path.name != "__init__.py"
 )
+LIBRARY = sorted(ROOT.glob("src/topicsent/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +40,32 @@ def test_every_import_is_used():
     unused = {str(path.relative_to(ROOT)): unused_imports(path.read_text(encoding="utf-8"))
               for path in FILES}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public module-level function or class that no
+    module of ``sources`` (module name -> source) names anywhere else."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in named]
+
+
+def test_unnamed_definitions_are_found():
+    sources = {"a": "def f(): pass\ndef g(): pass\nclass C: pass\ndef _h(): pass\n",
+               "b": "from a import f\nimport a\na.C\n"}
+    assert unnamed_definitions(sources) == ["a.g"]
+
+
+def test_every_public_definition_is_named():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in LIBRARY}
+    assert unnamed_definitions(sources) == []

@@ -4,7 +4,6 @@ import math
 import random
 import string
 import tracemalloc
-import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +20,6 @@ from topicsent.errors import (
 )
 from topicsent.evaluate import SUBTASKS
 from topicsent.ingestion import (
-    RawTweetRecord,
     count_labels,
     dedup,
     label_rows,
@@ -30,7 +28,6 @@ from topicsent.ingestion import (
     parse_labels,
     parse_prevalence_file,
     stats,
-    tokenize,
 )
 from topicsent.model import Prevalence, Scale, row_key
 
@@ -271,7 +268,8 @@ class TestBowCosine:
 
 
 def record(i, text):
-    return RawTweetRecord(id=f"t{i}", topic="x", label=None, text=text)
+    """The (id, text, line) tuple parse_raw_records gives for the row t<i>, x, no label, text."""
+    return f"t{i}", text, f"t{i}\tx\t\t{text}"
 
 
 def seeded_texts():
@@ -298,8 +296,8 @@ def seeded_texts():
 class TestDedup:
     def test_near_duplicate_removed(self):
         kept, removed = dedup([record(1, "a b c"), record(2, "a b d")])
-        assert [r.id for r in kept] == ["t1"]
-        assert removed[0][0].id == "t2" and removed[0][1].id == "t1"
+        assert [r[0] for r in kept] == ["t1"]
+        assert removed[0][0][0] == "t2" and removed[0][1][0] == "t1"
 
     def test_distinct_kept(self):
         kept, removed = dedup([record(1, "a b"), record(2, "c d"), record(3, "e f")])
@@ -347,7 +345,7 @@ class TestDedup:
         for corpus in (texts, [[rename[w] for w in words] for words in texts]):
             kept, removed = dedup([record(i, " ".join(words)) for i, words in enumerate(corpus)],
                                   threshold)
-            results.append(([r.id for r in kept], [(r.id, hit.id) for r, hit in removed]))
+            results.append(([r[0] for r in kept], [(r[0], hit[0]) for r, hit in removed]))
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("threshold", [0, 1])
@@ -358,26 +356,11 @@ class TestDedup:
         assert dedup(records, threshold) == dedup(records, float(threshold))
 
 
-def loop_tokenize(text):
-    """Reference tokenizer, one character at a time: casefold, split on
-    whitespace, then drop Unicode punctuation (category P) from both ends."""
-    tokens = []
-    for raw in text.casefold().split():
-        start, end = 0, len(raw)
-        while start < end and unicodedata.category(raw[start]).startswith("P"):
-            start += 1
-        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
-            end -= 1
-        if end > start:
-            tokens.append(raw[start:end])
-    return tokens
-
-
 def assert_matches_reference(records, threshold):
     kept, removed = dedup(records, threshold)
     ref_kept, ref_removed = reference_dedup(records, threshold)
-    assert [r.id for r in kept] == [r.id for r in ref_kept]
-    assert [(r.id, hit.id) for r, hit in removed] == [(r.id, hit.id) for r, hit in ref_removed]
+    assert [r[0] for r in kept] == [r[0] for r in ref_kept]
+    assert [(r[0], hit[0]) for r, hit in removed] == [(r[0], hit[0]) for r, hit in ref_removed]
 
 
 _TEXT = st.lists(st.sampled_from("a b c d e f".split()), min_size=1, max_size=8).map(" ".join)
@@ -459,12 +442,14 @@ class TestDedupMatchesReference:
 
 
 class TestTokenize:
-    @given(st.text() | _UNICODE_TEXT)
-    def test_matches_character_loop(self, text):
-        assert tokenize(text) == loop_tokenize(text)
-
     def test_casefold_and_punctuation(self):
-        assert tokenize("«Straße» ¿ﬁne? \u00a0İ…\u2003—!") == ["strasse", "fine", "i\u0307"]
+        """dedup's tokens are casefolded words without leading and trailing
+        punctuation: the text below has the tokens strasse, fine and i\u0307,
+        so the record of those three words is its copy, and two of them are not."""
+        records = [record(1, "«Straße» ¿ﬁne? \u00a0İ…\u2003—!"), record(2, "strasse fine"),
+                   record(3, "strasse fine i\u0307")]
+        _, removed = dedup(records, threshold=0.99)
+        assert [(r[0], hit[0]) for r, hit in removed] == [("t3", "t1")]
 
 
 class TestTopicFilter:
@@ -473,9 +458,9 @@ class TestTopicFilter:
     def test_boundary(self):
         counts = class_counts(Scale.TWO_POINT, rows_from_counts({1: 99}, topic="small")
                               + rows_from_counts({1: 100}, topic="big"))
-        out = stats(Scale.TWO_POINT, counts, min_size=100)
-        assert set(out.per_topic) == {"big"}
-        assert out.total == 100
+        per_class, per_topic = stats(Scale.TWO_POINT, counts, min_size=100)
+        assert set(per_topic) == {"big"}
+        assert sum(per_class.values()) == 100
 
     def test_min_size_one_is_identity(self):
         counts = {"x": (2, 3)}
@@ -499,24 +484,24 @@ class TestStats:
         counts = class_counts(
             Scale.FIVE_POINT, rows_from_counts({2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21}, topic="x")
         )
-        s = stats(Scale.FIVE_POINT, counts)
-        assert s.total == 6100
-        assert list(s.per_class) == [2, 1, 0, -1, -2]  # most positive first
-        assert s.per_class == {2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21}
-        assert sum(s.per_class.values()) == s.total
-        assert sum(s.per_topic.values()) == s.total
+        per_class, per_topic = stats(Scale.FIVE_POINT, counts)
+        assert list(per_class) == [2, 1, 0, -1, -2]  # most positive first
+        assert per_class == {2: 13, 1: 1548, 0: 3343, -1: 1175, -2: 21}
+        assert sum(per_class.values()) == 6100
+        assert per_topic == {"x": 6100}
 
     def test_empty(self):
-        s = stats(Scale.THREE_POINT, {})
-        assert s.total == 0 and all(v == 0 for v in s.per_class.values())
-        assert list(s.per_class) == [1, 0, -1] and s.per_topic == {}
+        per_class, per_topic = stats(Scale.THREE_POINT, {})
+        assert per_class == {1: 0, 0: 0, -1: 0} and list(per_class) == [1, 0, -1]
+        assert per_topic == {}
 
     def test_no_topics(self):
-        s = stats(Scale.THREE_POINT, {None: (1, 0, 2)})
-        assert s.per_class == {1: 2, 0: 0, -1: 1}
-        assert s.per_topic == {} and s.total == 3
+        per_class, per_topic = stats(Scale.THREE_POINT, {None: (1, 0, 2)})
+        assert per_class == {1: 2, 0: 0, -1: 1}
+        assert per_topic == {}
 
     def test_per_topic_in_count_order(self):
-        s = stats(Scale.TWO_POINT, {"a": (1, 0), "b": (2, 5), "c": (0, 0)}, min_size=1)
-        assert s.per_topic == {"a": 1, "b": 7} and list(s.per_topic) == ["a", "b"]
-        assert s.per_class == {1: 5, -1: 3} and s.total == 8
+        per_class, per_topic = stats(Scale.TWO_POINT, {"a": (1, 0), "b": (2, 5), "c": (0, 0)},
+                                     min_size=1)
+        assert per_topic == {"a": 1, "b": 7} and list(per_topic) == ["a", "b"]
+        assert per_class == {1: 5, -1: 3}
