@@ -7,7 +7,7 @@ from .classification import table_metrics
 from .errors import ScoringError
 from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
                        quantification_report)
-from .ingestion import count_labels, dedup, label_rows, parse_labels, stats
-from .model import ConfusionMatrix, Prevalence, Scale, class_fractions, join_rows
+from .ingestion import count_labels, dedup, join_labels, parse_labels, stats
+from .model import ConfusionMatrix, Prevalence, Scale, class_fractions
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .annotation import consolidate_labels
 from .errors import InvalidArgument, InvalidLabel, ScoringError
 from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
                        quantification_report)
-from .model import ascii_number, join_rows
+from .model import ascii_number
 
 
 def _ascii(kind: type[int] | type[float]) -> partial:
@@ -43,12 +43,13 @@ def round_display(x: float) -> float:
 
 @contextmanager
 def _open_in(path: str):
-    """Reads strict UTF-8, skipping a leading byte-order mark."""
+    """Reads strict UTF-8, skipping a leading byte-order mark. A line ends at
+    "\n" alone, on a path as on stdin, so that the same bytes read the same."""
     if path == "-":
-        sys.stdin.reconfigure(encoding="utf-8-sig")
+        sys.stdin.reconfigure(encoding="utf-8-sig", newline="\n")
         yield sys.stdin
     else:
-        with open(path, encoding="utf-8-sig") as f:
+        with open(path, encoding="utf-8-sig", newline="\n") as f:
             yield f
 
 
@@ -141,7 +142,7 @@ def cmd_score(args) -> int:
         with _open_in(args.gold) as f:
             gold = ingestion.parse_labels(f, spec)
         with _open_in(args.pred) as f:
-            tables, n_ignored = join_rows(spec.scale, gold, ingestion.label_rows(f, spec))
+            tables, n_ignored = ingestion.join_labels(f, spec, gold)
         report = classification_report(spec, tables, n_ignored, args.pooled)
     else:
         with _open_in(args.gold) as f:

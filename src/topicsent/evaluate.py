@@ -9,8 +9,9 @@ Subtasks:
   E - 5-point ordinal quantification, per topic
 
 Every score is a function of per-topic counts: ``classification_report``
-takes each topic's gold-by-prediction table (from ``model.join_rows``) and
-scores it with ``classification.table_metrics``, and
+takes each topic's gold-by-prediction table (from
+``ingestion.join_labels``) and scores it with
+``classification.table_metrics``, and
 ``quantification_report`` each topic's gold class counts (from
 ``ingestion.count_labels``) and a topic -> predicted fraction tuple map
 (such as a :class:`~topicsent.model.Prevalence` per topic), which it scores

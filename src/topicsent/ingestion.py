@@ -11,6 +11,8 @@ File formats (TSV, UTF-8, one record per line):
   * annotation files:   id <TAB> topic <TAB> label1 <TAB> ... <TAB> labelN
   * dedup files:        id <TAB> topic <TAB> label <TAB> text [<TAB> extra...]
 Numbers are ASCII, without the ``_`` separators of Python's literal syntax.
+A line loses its trailing "\\r" and "\\n" characters; a line that is then empty
+is skipped, and one of spaces is malformed.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ from .errors import (
     InvalidArgument,
     InvalidLabel,
     MalformedLine,
+    MissingPrediction,
     NoTopics,
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
-from .model import NO_TOPIC, Prevalence, Scale, ascii_number, duplicate_key, row_key
+from .model import (NO_TOPIC, ConfusionMatrix, Prevalence, Scale, ascii_number, duplicate_key,
+                    key_fields, row_key)
 
 PREVALENCE_SUM_TOL = 1e-6
 _Record = tuple[str, str, str]  # a dedup record: id, text and its output line
@@ -70,66 +74,160 @@ def _parse_topic(raw: str, line: int) -> str | None:
     return None if topic == NO_TOPIC else topic
 
 
-def label_rows(
-    stream: IO[str], spec: SubtaskSpec
-) -> Iterator[tuple[int, str, str | None, int]]:
-    """Yields each row of a gold or prediction label file as ``(line,
-    row_key, topic, label)``; every error carries its line number.
+# The label-file loops (parse_labels, count_labels, join_labels) split each
+# raw line once, line ending included, and call the three helpers below only
+# for a short or blank row and on the first line that carries a raw topic or
+# label field; an error names the line that a check of every row would name.
 
-    Each distinct raw topic and label field is parsed and checked once, on
-    the first line that carries it, so an error names the same line as a
-    check of every row would, and rows share one string per topic."""
-    topics: dict[str, tuple[str | None, str]] = {}  # raw field -> topic, canonical field
+def _bad_row(line: str, fields: list[str], n: int) -> None:
+    """Raises the fault of a row with fewer than 3 fields or an empty id, and
+    returns for a line that is empty once its line ending is removed, which
+    is skipped."""
+    if len(fields) >= 3:
+        raise MalformedLine("empty id field", line=n)
+    if line.rstrip("\r\n"):
+        raise MalformedLine("expected at least 3 tab-separated fields", line=n)
+
+
+def _row_topic(raw: str, spec: SubtaskSpec, n: int) -> str | None:
+    """The topic of a raw topic field, under the subtask's topic rule."""
+    topic = _parse_topic(raw, n)
+    if spec.topic_based and topic is None:
+        raise MalformedLine(f"subtask {spec.id} requires a topic, got NA", line=n)
+    if not spec.topic_based and topic is not None:
+        raise MalformedLine(f"subtask {spec.id} expects topic NA", line=n)
+    return topic
+
+
+def _row_label(fields: list[str], spec: SubtaskSpec, n: int) -> int:
+    """The label of a row's raw label field on the subtask's scale; the line
+    ending is removed first when the label is the last field, so that an
+    error never shows it."""
+    raw = fields[2] if len(fields) > 3 else fields[2].rstrip("\r\n")
+    return spec.scale.parse_label(raw, line=n)
+
+
+def parse_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str, int]:
+    """The row_key -> label map of a label file, in file order; every error
+    carries its line number, and a repeated (id, topic) pair is a hard
+    error. Each distinct raw topic and label field is checked once."""
     labels: dict[str, int] = {}
-    for n, line in _lines(stream):
+    topics: dict[str, str] = {}  # raw topic field -> canonical field
+    parsed: dict[str, int] = {}  # raw label field -> label
+    for n, line in enumerate(stream, 1):
         fields = line.split("\t")
-        if len(fields) < 3:
-            raise MalformedLine("expected at least 3 tab-separated fields", line=n)
         item_id = fields[0].strip()
-        if not item_id:
-            raise MalformedLine("empty id field", line=n)
-        raw_topic, raw_label = fields[1], fields[2]
+        if not item_id or len(fields) < 3:
+            _bad_row(line, fields, n)
+            continue
         try:
-            topic, text = topics[raw_topic]
+            text = topics[fields[1]]
         except KeyError:
-            topic = _parse_topic(raw_topic, n)
-            if spec.topic_based and topic is None:
-                raise MalformedLine(f"subtask {spec.id} requires a topic, got NA", line=n) from None
-            if not spec.topic_based and topic is not None:
-                raise MalformedLine(f"subtask {spec.id} expects topic NA", line=n) from None
-            topic, text = topics[raw_topic] = topic, raw_topic.strip()
+            _row_topic(fields[1], spec, n)
+            text = topics[fields[1]] = fields[1].strip()
         try:
-            label = labels[raw_label]
+            label = parsed[fields[2]]
         except KeyError:
-            label = labels[raw_label] = spec.scale.parse_label(raw_label, line=n)
-        yield n, f"{item_id}\t{text}", topic, label  # the row_key, without a call
-
-
-def parse_labels(stream: IO[str], spec: SubtaskSpec) -> dict[str, int]:
-    """The row_key -> label map of a label file, in file order; a repeated
-    (id, topic) pair is a hard error."""
-    labels: dict[str, int] = {}
-    for n, key, _, label in label_rows(stream, spec):
+            label = parsed[fields[2]] = _row_label(fields, spec, n)
+        key = f"{item_id}\t{text}"  # the row_key, without a call
         if key in labels:
             raise duplicate_key(key, n)
         labels[key] = label
     return labels
 
 
-def count_labels(stream: IO[str], spec: SubtaskSpec) -> dict[str | None, tuple[int, ...]]:
+def count_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str | None, tuple[int, ...]]:
     """Each topic's class counts in spec.scale.classes order from a label
     file, topics sorted; data without topics gives one count vector under the
-    key None. Only the set of row keys is held, and a repeated (id, topic)
-    pair is a hard error."""
-    index = {c: i for i, c in enumerate(spec.scale.classes)}
-    counts: dict[str | None, list[int]] = defaultdict(lambda: [0] * len(index))
+    key None. Checked as parse_labels checks; only the set of row keys is
+    held."""
+    k = len(spec.scale.classes)
+    counts: dict[str | None, list[int]] = {}
+    topics: dict[str, tuple[str, list[int]]] = {}  # raw topic field -> canonical field, counts
+    classes: dict[str, int] = {}  # raw label field -> class index
     seen: set[str] = set()
-    for n, key, topic, label in label_rows(stream, spec):
+    for n, line in enumerate(stream, 1):
+        fields = line.split("\t")
+        item_id = fields[0].strip()
+        if not item_id or len(fields) < 3:
+            _bad_row(line, fields, n)
+            continue
+        try:
+            text, row = topics[fields[1]]
+        except KeyError:
+            row = counts.setdefault(_row_topic(fields[1], spec, n), [0] * k)
+            text = fields[1].strip()
+            topics[fields[1]] = text, row
+        try:
+            j = classes[fields[2]]
+        except KeyError:
+            j = classes[fields[2]] = spec.scale.classes.index(_row_label(fields, spec, n))
+        key = f"{item_id}\t{text}"
         if key in seen:
             raise duplicate_key(key, n)
         seen.add(key)
-        counts[topic][index[label]] += 1
+        row[j] += 1
+    del seen, topics  # before the sorted map is built, so that they do not raise the peak
     return {t: tuple(counts[t]) for t in sorted(counts)}
+
+
+def join_labels(
+    stream: Iterable[str], spec: SubtaskSpec, gold: dict[str, int | None]
+) -> tuple[dict[str | None, ConfusionMatrix], int]:
+    """Joins the rows of a prediction label file, checked as parse_labels
+    checks, onto the row_key -> label gold map (parse_labels) and counts each
+    topic's gold/prediction class pairs. Topics come out sorted; data without
+    topics gives one table under the key None. Also returns the number of
+    prediction rows absent from gold, which are ignored.
+
+    The join consumes ``gold``: a matched entry is set to None, so a repeated
+    prediction key raises DuplicateKey at its line without a second map.
+    After the rows, the first gold key without a prediction, in gold order,
+    raises MissingPrediction.
+    """
+    index = {c: i for i, c in enumerate(spec.scale.classes)}
+    k = len(index)
+    cells: dict[str | None, list[list[int]]] = {}
+    topics: dict[str, tuple[str, list[list[int]]]] = {}  # raw topic field -> canonical field, cells
+    classes: dict[str, int] = {}  # raw label field -> class index
+    ignored: set[str] = set()
+    for n, line in enumerate(stream, 1):
+        fields = line.split("\t")
+        item_id = fields[0].strip()
+        if not item_id or len(fields) < 3:
+            _bad_row(line, fields, n)
+            continue
+        try:
+            text, rows = topics[fields[1]]
+        except KeyError:
+            rows = cells.setdefault(_row_topic(fields[1], spec, n), [[0] * k for _ in range(k)])
+            text = fields[1].strip()
+            topics[fields[1]] = text, rows
+        try:
+            j = classes[fields[2]]
+        except KeyError:
+            j = classes[fields[2]] = index[_row_label(fields, spec, n)]
+        key = f"{item_id}\t{text}"
+        try:
+            gold_label = gold[key]
+        except KeyError:
+            if key in ignored:
+                raise duplicate_key(key, n) from None
+            ignored.add(key)
+            continue
+        if gold_label is None:
+            raise duplicate_key(key, n)
+        rows[index[gold_label]][j] += 1
+        gold[key] = None
+    n_ignored = len(ignored)
+    del ignored, topics
+    for key, gold_label in gold.items():
+        if gold_label is not None:
+            raise MissingPrediction(*key_fields(key))
+    # a topic whose prediction rows all missed gold has an empty table and no entry
+    tables = {t: ConfusionMatrix(spec.scale, tuple(map(tuple, cells[t])))
+              for t in sorted(cells) if any(map(any, cells[t]))}
+    return tables, n_ignored
 
 
 def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence]:

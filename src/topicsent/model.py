@@ -1,23 +1,22 @@
 """Core data model: sentiment scales, per-topic count tables (confusion
-matrices), the row-key join that builds them, class fractions from counts,
+matrices), the row key that joins label files, class fractions from counts,
 and :class:`Prevalence`, the tuple type of predicted class fractions.
 
 Labels are plain integers validated against a :class:`Scale`:
 two-point {-1, +1}, three-point {-1, 0, +1}, five-point {-2 .. +2}.
-All types are immutable after construction; operations are pure functions,
-except that :func:`join_rows` consumes the gold dict it is handed.
+All types are immutable after construction, and operations are pure
+functions. ``ingestion.join_labels`` builds the count tables.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import DuplicateKey, EmptyInput, InvalidLabel, MissingPrediction
+from .errors import DuplicateKey, EmptyInput, InvalidLabel
 
 # Canonical label names, shared across scales. Positive maps to +1 even on
 # the five-point scale, where +2 is HIGHLYPOSITIVE.
@@ -75,8 +74,8 @@ class Scale(Enum):
 class ConfusionMatrix:
     """Gold-by-prediction counts on one scale: ``counts[i][j]`` items have
     gold class ``scale.classes[i]`` and predicted class ``scale.classes[j]``.
-    The shape is not checked: join_rows and baselines.constant_classifier,
-    which build the tables, make them k x k."""
+    The shape is not checked: ingestion.join_labels and
+    baselines.constant_classifier, which build the tables, make them k x k."""
 
     scale: Scale
     counts: tuple[tuple[int, ...], ...]
@@ -117,7 +116,6 @@ def ascii_number(kind: type[int] | type[float], text: str) -> int | float:
     return kind(text)
 
 
-_ABSENT = object()  # join_rows: key not in gold; None marks a matched gold key
 NO_TOPIC = "NA"  # the topic field of a row without a topic
 
 
@@ -135,42 +133,6 @@ def key_fields(key: str) -> tuple[str, str | None]:
 
 def duplicate_key(key: str, line: int | None) -> DuplicateKey:
     return DuplicateKey(f"duplicate (id, topic) pair {key_fields(key)}", line=line)
-
-
-def join_rows(
-    scale: Scale,
-    gold: dict[str, int | None],
-    pred_rows: Iterable[tuple[int | None, str, str | None, int]],
-) -> tuple[dict[str | None, ConfusionMatrix], int]:
-    """Joins ``(line, row_key, topic, label)`` prediction rows onto the
-    row_key -> label gold map and counts each topic's gold/prediction class
-    pairs. Topics come out sorted; data without topics gives one table under
-    the key None. Also returns the number of prediction rows absent from
-    gold, which are ignored.
-
-    The join consumes ``gold``: a matched entry is set to None, so a repeated
-    prediction key raises DuplicateKey at its line without a second map.
-    After the rows, the first gold key without a prediction, in gold order,
-    raises MissingPrediction.
-    """
-    index = {c: i for i, c in enumerate(scale.classes)}
-    k = len(index)
-    cells: dict[str | None, list[list[int]]] = defaultdict(lambda: [[0] * k for _ in range(k)])
-    ignored: set[str] = set()
-    for n, key, topic, label in pred_rows:
-        gold_label = gold.get(key, _ABSENT)
-        if gold_label is None or gold_label is _ABSENT and key in ignored:
-            raise duplicate_key(key, n)
-        if gold_label is _ABSENT:
-            ignored.add(key)
-        else:
-            cells[topic][index[gold_label]][index[label]] += 1
-            gold[key] = None
-    for key, gold_label in gold.items():
-        if gold_label is not None:
-            raise MissingPrediction(*key_fields(key))
-    tables = {t: ConfusionMatrix(scale, tuple(map(tuple, cells[t]))) for t in sorted(cells)}
-    return tables, len(ignored)
 
 
 def class_fractions(counts: Sequence[int]) -> tuple[float, ...]:

@@ -7,12 +7,12 @@ from collections import Counter
 from functools import reduce
 from itertools import accumulate, count
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from topicsent.errors import EmptyInput, EmptyText, MissingPrediction
+from topicsent.errors import EmptyInput, EmptyText, MalformedLine, MissingPrediction
 from topicsent.evaluate import Mode, SubtaskSpec
-from topicsent.ingestion import count_labels, label_rows, parse_labels
-from topicsent.model import ConfusionMatrix, Scale, join_rows, key_fields, row_key
+from topicsent.ingestion import count_labels, join_labels, parse_labels
+from topicsent.model import ConfusionMatrix, Scale, key_fields, row_key
 from topicsent.quantification import column_metrics
 
 Row = tuple[str, "str | None", int]  # (id, topic, label), topic None without topics
@@ -171,10 +171,10 @@ def join(
     scale: Scale, gold: list[Row], pred: list[Row]
 ) -> tuple[dict[str | None, ConfusionMatrix], int]:
     """The join of two label files, as ``score`` reads them: gold through
-    parse_labels, the predictions streamed through label_rows."""
+    parse_labels, the predictions streamed through join_labels."""
     spec = spec_for(scale, gold, pred)
     gold_labels = parse_labels(io.StringIO(label_text(gold)), spec)
-    return join_rows(scale, gold_labels, label_rows(io.StringIO(label_text(pred)), spec))
+    return join_labels(io.StringIO(label_text(pred)), spec, gold_labels)
 
 
 def table(scale: Scale, gold_pred: Iterable[tuple[int, int]]) -> ConfusionMatrix:
@@ -260,6 +260,35 @@ def bow_cosine(a: str, b: str) -> float:
         sum(c * c for c in vb.values())
     )
     return dot / norm
+
+
+def reference_label_rows(
+    stream: Iterable[str], spec: SubtaskSpec
+) -> Iterator[tuple[int, str, str | None, int]]:
+    """Per-row reference reader of a label file: yields each row as ``(line,
+    row_key, topic, label)``, checking every row in full. Each line loses its
+    trailing "\\r" and "\\n" and is skipped if nothing is left; then it needs
+    at least 3 tab-separated fields, a non-empty id, a non-blank topic field
+    that is NA exactly when the subtask has no topics, and a label on the
+    scale, in that order."""
+    for n, line in enumerate(stream, start=1):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise MalformedLine("expected at least 3 tab-separated fields", line=n)
+        item_id, text = fields[0].strip(), fields[1].strip()
+        if not item_id:
+            raise MalformedLine("empty id field", line=n)
+        if not text:
+            raise MalformedLine("empty topic field", line=n)
+        topic = None if text == "NA" else text
+        if spec.topic_based and topic is None:
+            raise MalformedLine(f"subtask {spec.id} requires a topic, got NA", line=n)
+        if not spec.topic_based and topic is not None:
+            raise MalformedLine(f"subtask {spec.id} expects topic NA", line=n)
+        yield n, f"{item_id}\t{text}", topic, spec.scale.parse_label(fields[2], line=n)
 
 
 Record = tuple[str, str, str]  # (id, text, output line), as parse_raw_records returns

@@ -510,6 +510,38 @@ class TestInputContract:
             assert json.loads(out)["metrics"]["avgrec"] == 0.5
 
     @pytest.mark.parametrize(
+        "argv, data, expected",
+        [
+            # a line that is empty once its line ending is removed is skipped ...
+            (["score", "--subtask", "B", "--gold", "@", "--pred", "@path"], b"\n\r\n",
+             (1, "", {"error": "EMPTY_INPUT", "message": "no gold/prediction pairs to score"})),
+            # ... and a line of spaces is malformed
+            (["score", "--subtask", "B", "--gold", "@", "--pred", "@path"], b"\n \n",
+             (1, "", {"error": "MALFORMED_LINE",
+                      "message": "line 2: expected at least 3 tab-separated fields"})),
+            # a line ends at "\n" alone, so a CR-only file is one line
+            (["score", "--subtask", "B", "--gold", "@", "--pred", "@path"],
+             b"t1\tx\tpositive\rt2\tx\tnegative\r",
+             (1, "", {"error": "INVALID_LABEL",
+                      "message": "line 1: unrecognized label 'positive\\rt2'"})),
+            (["stats", "--subtask", "B", "--input", "@", "--format", "tsv"],
+             b"t1\tx\tpositive\ta\rb\nt2\tx\tnegative\tc\r\n",
+             (0, "class\t1\t1\nclass\t-1\t1\ntopic\tx\t2\ntotal\t\t2\n", None)),
+        ],
+        ids=["blank", "space", "cr-only", "cr-in-text"],
+    )
+    def test_path_and_stdin_read_the_same(self, argv, data, expected, tmp_path, capsys,
+                                          monkeypatch):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(data)
+        results = []
+        for arg in (str(path), "-"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            code, out, err = run([{"@": arg, "@path": str(path)}.get(a, a) for a in argv], capsys)
+            results.append((code, out, json.loads(err) if err else None))
+        assert results == [expected, expected]
+
+    @pytest.mark.parametrize(
         "argv, options",
         [
             (["score", "--subtask", "B", "--gold", "-", "--pred", "-"], "--gold and --pred"),

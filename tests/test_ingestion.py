@@ -9,27 +9,37 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bow_cosine, class_counts, reference_class_counts, reference_dedup, rows_from_counts
+from conftest import (
+    bow_cosine,
+    class_counts,
+    reference_class_counts,
+    reference_dedup,
+    reference_label_rows,
+    rows_from_counts,
+    table,
+)
 from topicsent.errors import (
     DuplicateKey,
     EmptyText,
     InvalidArgument,
     InvalidLabel,
     MalformedLine,
+    MissingPrediction,
     NoTopics,
+    ScoringError,
 )
 from topicsent.evaluate import SUBTASKS
 from topicsent.ingestion import (
     count_labels,
     dedup,
-    label_rows,
+    join_labels,
     normalized_prevalence,
     parse_annotations,
     parse_labels,
     parse_prevalence_file,
     stats,
 )
-from topicsent.model import Prevalence, Scale, row_key
+from topicsent.model import Prevalence, Scale, duplicate_key, key_fields, row_key
 
 
 def parse(text, subtask):
@@ -59,9 +69,11 @@ class TestParseDataset:
             parse("t1\tTOPIC\n", "B")
 
     def test_rows_share_topic_strings(self):
+        # a padded topic field is the same topic, counted in the same row
         text = "t1\tTOPIC\tpositive\nt2\tTOPIC\tnegative\nt3\tTOPIC \t1\n"
-        first, second, third = (t for _, _, t, _ in label_rows(io.StringIO(text), SUBTASKS["B"]))
-        assert first is second and third == first
+        assert count_labels(io.StringIO(text), SUBTASKS["B"]) == {"TOPIC": (1, 2)}
+        tables, _ = join_labels(io.StringIO(text), SUBTASKS["B"], parse("t3\tTOPIC\t1\n", "B"))
+        assert list(tables) == ["TOPIC"]
 
     def test_topic_rules_per_subtask(self):
         with pytest.raises(MalformedLine):
@@ -150,6 +162,106 @@ class TestCountLabels:
         assert count_labels(io.StringIO(""), SUBTASKS["B"]) == {}
         text = "t1\tNA\t1\nt2\tNA\tneutral\nt3\tNA\t1\n"
         assert count_labels(io.StringIO(text), SUBTASKS["A"]) == {None: (0, 1, 2)}
+
+
+@st.composite
+def label_texts(draw, spec):
+    """A label file for the subtask as text: LF or CRLF endings, with or
+    without a final newline; padded and repeated ids and topics, a text
+    column or none, label names and integers and blank lines, and in about
+    half of the files one faulty line: short, blank but for a space, with an
+    empty id, a blank topic, a topic against the subtask's rule, a bad or
+    off-scale label in the last column, or a bad label ending in "\\r" before
+    a text column."""
+    ids = st.sampled_from(["t1", " t1", "t2", "t3 "])
+    topics = st.sampled_from(["a", " a", "b ", "c"] if spec.topic_based else ["NA", " NA "])
+    labels = st.sampled_from([str(c) for c in spec.scale.classes]
+                             + [spec.scale.class_name(c).lower() for c in spec.scale.classes])
+    texts = st.sampled_from(["", "", "\tsome text", "\ttext\textra", "\t"])
+    row = st.builds("{}\t{}\t{}{}".format, ids, topics, labels, texts) | st.just("")
+    rows = draw(st.lists(row, max_size=10))
+    right, wrong = ("NA", "x") if spec.id == "A" else ("a", "NA")
+    faults = [" ", "t9\ta", "\ta\t1", "t9\t \t1", f"t9\t{wrong}\t1",
+              *(f"t9\t{right}\t{label}" for label in ["2", "-3", "posit", "", "posit\r\tx"])]
+    fault = draw(st.none() | st.sampled_from(faults))
+    if fault is not None:
+        rows.insert(draw(st.integers(0, len(rows))), fault)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(rows) + draw(st.sampled_from(["", end]))
+
+
+def outcome(f):
+    """What f() returns, or the type and message of the ScoringError it raises."""
+    try:
+        return f()
+    except ScoringError as exc:
+        return type(exc), str(exc)
+
+
+def fold_labels(text, spec):
+    labels = {}
+    for n, key, _, label in reference_label_rows(io.StringIO(text), spec):
+        if key in labels:
+            raise duplicate_key(key, n)
+        labels[key] = label
+    return labels
+
+
+def fold_counts(text, spec):
+    seen, counts = set(), {}
+    for n, key, topic, label in reference_label_rows(io.StringIO(text), spec):
+        if key in seen:
+            raise duplicate_key(key, n)
+        seen.add(key)
+        counts.setdefault(topic, []).append(label)
+    return {t: tuple(map(counts[t].count, spec.scale.classes)) for t in sorted(counts)}
+
+
+def fold_join(gold_text, pred_text, spec):
+    gold, matched, ignored, pairs = fold_labels(gold_text, spec), set(), set(), {}
+    for n, key, topic, label in reference_label_rows(io.StringIO(pred_text), spec):
+        if key in matched or key in ignored:
+            raise duplicate_key(key, n)
+        if key in gold:
+            matched.add(key)
+            pairs.setdefault(topic, []).append((gold[key], label))
+        else:
+            ignored.add(key)
+    for key in gold:
+        if key not in matched:
+            raise MissingPrediction(*key_fields(key))
+    return {t: table(spec.scale, pairs[t]) for t in sorted(pairs)}, len(ignored)
+
+
+class TestLabelLoopsMatchReference:
+    """parse_labels, count_labels and join_labels each read a label file in
+    one loop that checks a raw topic or label field only the first time it
+    appears; each gives what a fold over reference_label_rows gives, or the
+    same error with the same message."""
+
+    @given(st.data())
+    def test_parse_and_count(self, data):
+        spec = SUBTASKS[data.draw(st.sampled_from("ABCDE"))]
+        text = data.draw(label_texts(spec))
+        for read, fold in [(parse_labels, fold_labels), (count_labels, fold_counts)]:
+            expected = outcome(lambda: list(fold(text, spec).items()))  # the order counts
+            assert outcome(lambda: list(read(io.StringIO(text), spec).items())) == expected
+
+    @given(st.data())
+    def test_join(self, data):
+        spec = SUBTASKS[data.draw(st.sampled_from("ABC"))]
+        gold_text, pred_text = data.draw(label_texts(spec)), data.draw(label_texts(spec))
+
+        def join():
+            gold = parse_labels(io.StringIO(gold_text), spec)
+            tables, n_ignored = join_labels(io.StringIO(pred_text), spec, gold)
+            return list(tables.items()), n_ignored
+
+        def reference():
+            tables, n_ignored = fold_join(gold_text, pred_text, spec)
+            return list(tables.items()), n_ignored
+
+        assert outcome(join) == outcome(reference)
 
 
 class TestParsePrevalenceFile:

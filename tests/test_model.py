@@ -26,14 +26,13 @@ from topicsent.errors import (
     MissingPrediction,
 )
 from topicsent.evaluate import SUBTASKS
-from topicsent.ingestion import normalized_prevalence, parse_labels
+from topicsent.ingestion import join_labels, normalized_prevalence, parse_labels
 from topicsent.model import (
     ConfusionMatrix,
     Prevalence,
     Scale,
     ascii_number,
     class_fractions,
-    join_rows,
 )
 
 
@@ -148,35 +147,39 @@ class TestAlign:
     """Joining predictions onto gold by row key into confusion matrices."""
 
     def test_direct_pairing(self):
-        gold = {"t1\tNA": 1, "t2\tNA": -1}
-        pred = [(1, "t1\tNA", None, 1), (2, "t2\tNA", None, 1)]
-        tables, ignored = join_rows(Scale.TWO_POINT, gold, pred)
+        gold = [("t1", None, 1), ("t2", None, -1)]
+        pred = [("t1", None, 1), ("t2", None, 1)]
+        tables, ignored = join(Scale.TWO_POINT, gold, pred)
         assert list(tables) == [None] and ignored == 0
         # rows are gold -1, +1; columns predicted -1, +1
         assert tables[None].counts == ((0, 1), (0, 1))
 
     def test_missing_prediction(self):
         with pytest.raises(MissingPrediction):
-            join_rows(Scale.TWO_POINT, {"t1\tNA": 1}, [])
+            join(Scale.TWO_POINT, [("t1", None, 1)], [])
 
     def test_extra_predictions_ignored_with_count(self):
-        pred = [(1, "t1\tNA", None, 1), (2, "t9\tNA", None, -1)]
-        tables, ignored = join_rows(Scale.TWO_POINT, {"t1\tNA": 1}, pred)
+        pred = [("t1", None, 1), ("t9", None, -1)]
+        tables, ignored = join(Scale.TWO_POINT, [("t1", None, 1)], pred)
         assert sum(map(sum, tables[None].counts)) == 1
         assert ignored == 1
 
     def test_streamed_rows(self):
-        """join_rows takes gold over and catches a repeated prediction key,
+        """join_labels takes gold over and catches a repeated prediction key,
         in gold or not, at its row's line."""
         gold = {"t1\ta": 1, "t2\ta": -1, "t3\ta": 1}
-        rows_in = [(1, "t3\ta", "a", 1), (2, "t9\ta", "a", 1), (3, "t1\ta", "a", -1)]
+        rows_in = "t3\ta\t1\nt9\ta\t1\nt1\ta\t-1\n"
+
+        def run(text, gold):
+            return join_labels(io.StringIO(rows_in + text), SUBTASKS["B"], gold)
+
         with pytest.raises(MissingPrediction, match=r"^no prediction for gold item t2 \(topic a\)$"):
-            join_rows(Scale.TWO_POINT, dict(gold), rows_in)
+            run("", dict(gold))
         with pytest.raises(DuplicateKey, match=r"^line 5: duplicate \(id, topic\) pair \('t3', 'a'\)$"):
-            join_rows(Scale.TWO_POINT, dict(gold), rows_in + [(5, "t3\ta", "a", 1)])
+            run("\nt3\ta\t1\n", dict(gold))
         with pytest.raises(DuplicateKey, match="line 6"):
-            join_rows(Scale.TWO_POINT, dict(gold), rows_in + [(6, "t9\ta", "a", -1)])
-        tables, ignored = join_rows(Scale.TWO_POINT, gold, rows_in + [(7, "t2\ta", "a", 1)])
+            run("\n\nt9\ta\t-1\n", dict(gold))
+        tables, ignored = run("\n\n\nt2\ta\t1\n", gold)
         assert tables["a"].counts == ((0, 1), (1, 1)) and ignored == 1
         assert set(gold.values()) == {None}
 
