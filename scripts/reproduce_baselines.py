@@ -34,10 +34,10 @@ def main():
             print(f"{'baseline':<16}" + "".join(f" {name:>7}" for name in columns))
             gold = {None: tuple(counts[subtask][g] for g in scale.classes)}
             for c in scale.classes:
-                (cm,) = constant_classifier(scale, gold, c).values()
+                (table,) = constant_classifier(scale, gold, c).values()
                 # as in the published tables, subtask C rows name the integer label
                 name = f"All {c}" if subtask == "C" else f"All {scale.class_name(c).title()}"
-                metrics = table_metrics(cm)
+                metrics = table_metrics(scale, table)
                 values = "".join(f" {round_display(metrics[k]):>7.3f}" for k in columns.values())
                 print(f"{name:<16}{values}")
 

@@ -8,6 +8,6 @@ from .errors import ScoringError
 from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
                        quantification_report)
 from .ingestion import count_labels, dedup, join_labels, parse_labels, stats
-from .model import ConfusionMatrix, Prevalence, Scale, class_fractions
+from .model import Prevalence, Scale, class_fractions
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
-"""Trivial baseline systems: constant-class classifiers, as confusion tables
-built from gold class counts, point-mass prevalences, and the maximum-likelihood
-quantifier that predicts the training class distribution."""
+"""Trivial baseline systems: constant-class classifiers, as gold-by-prediction
+count tables built from gold class counts, point-mass prevalences, and the
+maximum-likelihood quantifier that predicts the training class distribution."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import EmptyInput, NoTopics, ScaleMismatch
-from .model import ConfusionMatrix, Prevalence, Scale, class_fractions, left_sum
+from .model import Prevalence, Scale, class_fractions, left_sum
 
 
 class Averaging(Enum):
@@ -18,15 +18,13 @@ class Averaging(Enum):
 
 def constant_classifier(
     scale: Scale, counts: Mapping[str | None, Sequence[int]], c: int
-) -> dict[str | None, ConfusionMatrix]:
-    """Each topic's confusion table when every item is predicted as class c:
-    the topic's gold class counts, all in the column of c."""
+) -> dict[str | None, tuple[tuple[int, ...], ...]]:
+    """Each topic's gold-by-prediction table when every item is predicted as
+    class c: the topic's gold class counts, all in the column of c."""
     if c not in scale.classes:
         raise ScaleMismatch(f"class {c!r} not in scale {scale.name}")
     return {
-        topic: ConfusionMatrix(
-            scale, tuple(tuple(n if p == c else 0 for p in scale.classes) for n in row)
-        )
+        topic: tuple(tuple(n if p == c else 0 for p in scale.classes) for n in row)
         for topic, row in counts.items()
     }
 

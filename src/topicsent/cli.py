@@ -272,12 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "tsv", "table"], default="json")
         p.add_argument("--output", default="-", help="output path or - for stdout")
 
+    pooled_help = ("additionally report whole-set (non-macroaveraged) scores; subtask A "
+                   "is scored over the whole set already, so it adds nothing there")
+
     p = sub.add_parser("score", help="score a prediction file against gold")
     add_common(p)
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--pooled", action="store_true",
-                   help="additionally report whole-set (non-macroaveraged) scores")
+    p.add_argument("--pooled", action="store_true", help=pooled_help)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("baseline", help="score a trivial baseline against gold")
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    help="constant:<label> | prevalence:<f1,f2,...> | ml:micro | ml:macro")
     p.add_argument("--train", help="training file for the ML baseline")
-    p.add_argument("--pooled", action="store_true")
+    p.add_argument("--pooled", action="store_true", help=pooled_help)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("consolidate", help="consolidate crowd annotations into gold labels")

@@ -8,8 +8,8 @@ Subtasks:
   D - 2-point quantification, per topic
   E - 5-point ordinal quantification, per topic
 
-Every score is a function of per-topic counts: ``classification_report``
-takes each topic's gold-by-prediction table (from
+Every score is a function of per-topic counts, held as plain tuples:
+``classification_report`` takes each topic's gold-by-prediction table (from
 ``ingestion.join_labels``) and scores it with
 ``classification.table_metrics``, and
 ``quantification_report`` each topic's gold class counts (from
@@ -18,21 +18,22 @@ takes each topic's gold-by-prediction table (from
 one class column at a time with ``quantification.column_metrics``.
 Macroaveraging is the unweighted mean across topics. The optional pooled
 report treats the whole test set as a single group, which is what
-reproduces constant-baseline table values on imbalanced data.
+reproduces constant-baseline table values on imbalanced data; subtask A is
+scored that way already, so it has no pooled report. A report is an
+immutable :class:`ScoreReport`, built once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from operator import mul, truediv
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .classification import absent_classes, table_metrics
 from .errors import EmptyInput, MissingPrediction, ScaleMismatch, TopicRequired
-from .model import ConfusionMatrix, Scale
+from .model import Scale
 from .quantification import column_metrics
 
 
@@ -41,8 +42,7 @@ class Mode(Enum):
     QUANTIFICATION = "quantification"
 
 
-@dataclass(frozen=True)
-class SubtaskSpec:
+class SubtaskSpec(NamedTuple):
     id: str
     scale: Scale
     mode: Mode
@@ -61,12 +61,11 @@ SUBTASKS: dict[str, SubtaskSpec] = {
 }
 
 
-@dataclass
-class ScoreReport:
+class ScoreReport(NamedTuple):
     subtask: SubtaskSpec
     metrics: dict[str, float]
-    per_topic: dict[str, dict[str, float]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    per_topic: dict[str, dict[str, float]]  # empty on subtask A
+    warnings: Sequence[str] = ()
     pooled: dict[str, float] | None = None
 
 
@@ -84,24 +83,23 @@ def _columns(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
 
 def classification_report(
     spec: SubtaskSpec,
-    tables: Mapping[str | None, ConfusionMatrix],
+    tables: Mapping[str | None, Sequence[Sequence[int]]],
     n_ignored: int,
     pooled: bool,
 ) -> ScoreReport:
-    """Scores a classification subtask from the per-topic confusion tables
-    of a join and its count of ignored prediction rows."""
+    """Scores a classification subtask from the per-topic gold-by-prediction
+    tables of a join and its count of ignored prediction rows. Subtask A is
+    scored on the sum of the tables, so ``pooled`` adds nothing there."""
     warnings: list[str] = []
     if n_ignored:
         warnings.append(f"{n_ignored} prediction rows not in gold were ignored")
-    # the integer sum of the per-topic tables is exactly the pooled table
-    k = len(spec.scale.classes)
-    zero = ConfusionMatrix(spec.scale, ((0,) * k,) * k)
+    # the cell-wise integer sum of the per-topic tables is exactly the pooled table
+    total = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*tables.values()))
 
     if not spec.topic_based:
-        table = sum(tables.values(), zero)
-        report = ScoreReport(spec, table_metrics(table), warnings=warnings)
-        _warn_absent_classes(table, None, warnings)
-        return report
+        metrics = table_metrics(spec.scale, total)
+        _warn_absent_classes(spec.scale, total, None, warnings)
+        return ScoreReport(spec, metrics, {}, warnings)
 
     if not tables:
         raise EmptyInput("no gold/prediction pairs to score")
@@ -109,22 +107,22 @@ def classification_report(
     if None in tables:
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
     per_topic: dict[str, dict[str, float]] = {}
-    for topic, table in tables.items():
-        per_topic[topic] = table_metrics(table)
-        _warn_absent_classes(table, topic, warnings)
+    for topic, counts in tables.items():
+        per_topic[topic] = table_metrics(spec.scale, counts)
+        _warn_absent_classes(spec.scale, counts, topic, warnings)
     names = next(iter(per_topic.values()))
     metrics = {name: _mean([m[name] for m in per_topic.values()]) for name in names}
-    report = ScoreReport(spec, metrics, per_topic, warnings)
-    if pooled:
-        report.pooled = table_metrics(sum(tables.values(), zero))
-    return report
+    return ScoreReport(spec, metrics, per_topic, warnings,
+                       table_metrics(spec.scale, total) if pooled else None)
 
 
-def _warn_absent_classes(cm: ConfusionMatrix, topic: str | None, warnings: list[str]) -> None:
-    absent = absent_classes(cm)
+def _warn_absent_classes(
+    scale: Scale, counts: Sequence[Sequence[int]], topic: str | None, warnings: list[str]
+) -> None:
+    absent = absent_classes(scale, counts)
     if absent:
         where = f"topic {topic}" if topic is not None else "gold data"
-        names = ", ".join(cm.scale.class_name(c) for c in absent)
+        names = ", ".join(scale.class_name(c) for c in absent)
         warnings.append(f"{where}: classes absent from gold excluded from macro means: {names}")
 
 
@@ -155,7 +153,7 @@ def quantification_report(
     rows = map(dict, map(zip, repeat(list(values)), zip(*values.values())))
     per_topic = dict(zip(counts, rows))
     metrics = {name: _mean(col) for name, col in values.items()}
-    report = ScoreReport(spec, metrics, per_topic, warnings)
+    pooled_metrics = None
     if pooled:
         # pooled view: item-weighted mix of per-topic predictions vs. the
         # summed gold counts, epsilon from the total test size
@@ -164,5 +162,5 @@ def quantification_report(
         weights = list(map(truediv, map(sum, counts.values()), repeat(n_total)))
         mixed = [(math.fsum(map(mul, weights, col)),) for col in pred_columns]
         pooled_columns = column_metrics(spec.scale, mixed, [(n,) for n in totals])
-        report.pooled = {name: col[0] for name, col in pooled_columns.items()}
-    return report
+        pooled_metrics = {name: col[0] for name, col in pooled_columns.items()}
+    return ScoreReport(spec, metrics, per_topic, warnings, pooled_metrics)

@@ -38,8 +38,7 @@ from .errors import (
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
-from .model import (NO_TOPIC, ConfusionMatrix, Prevalence, Scale, ascii_number, duplicate_key,
-                    key_fields, row_key)
+from .model import NO_TOPIC, Prevalence, Scale, ascii_number, duplicate_key, key_fields, row_key
 
 PREVALENCE_SUM_TOL = 1e-6
 _Record = tuple[str, str, str]  # a dedup record: id, text and its output line
@@ -173,12 +172,13 @@ def count_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str | None, t
 
 def join_labels(
     stream: Iterable[str], spec: SubtaskSpec, gold: dict[str, int | None]
-) -> tuple[dict[str | None, ConfusionMatrix], int]:
+) -> tuple[dict[str | None, tuple[tuple[int, ...], ...]], int]:
     """Joins the rows of a prediction label file, checked as parse_labels
     checks, onto the row_key -> label gold map (parse_labels) and counts each
-    topic's gold/prediction class pairs. Topics come out sorted; data without
-    topics gives one table under the key None. Also returns the number of
-    prediction rows absent from gold, which are ignored.
+    topic's gold/prediction class pairs into a k x k table (see ``model``).
+    Topics come out sorted; data without topics gives one table under the key
+    None. Also returns the number of prediction rows absent from gold, which
+    are ignored.
 
     The join consumes ``gold``: a matched entry is set to None, so a repeated
     prediction key raises DuplicateKey at its line without a second map.
@@ -225,8 +225,7 @@ def join_labels(
         if gold_label is not None:
             raise MissingPrediction(*key_fields(key))
     # a topic whose prediction rows all missed gold has an empty table and no entry
-    tables = {t: ConfusionMatrix(spec.scale, tuple(map(tuple, cells[t])))
-              for t in sorted(cells) if any(map(any, cells[t]))}
+    tables = {t: tuple(map(tuple, cells[t])) for t in sorted(cells) if any(map(any, cells[t]))}
     return tables, n_ignored
 
 

@@ -1,16 +1,18 @@
-"""Core data model: sentiment scales, per-topic count tables (confusion
-matrices), the row key that joins label files, class fractions from counts,
-and :class:`Prevalence`, the tuple type of predicted class fractions.
+"""Core data model: sentiment scales, the row key that joins label files,
+class fractions from counts, and :class:`Prevalence`, the tuple type of
+predicted class fractions.
 
 Labels are plain integers validated against a :class:`Scale`:
 two-point {-1, +1}, three-point {-1, 0, +1}, five-point {-2 .. +2}.
-All types are immutable after construction, and operations are pure
-functions. ``ingestion.join_labels`` builds the count tables.
+Per-topic counts are plain tuples in scale.classes order: a class-count
+vector (``ingestion.count_labels``), or a gold-by-prediction table whose
+``counts[i][j]`` items have gold class ``scale.classes[i]`` and predicted
+class ``scale.classes[j]`` (``ingestion.join_labels``). All types are
+immutable, and operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
@@ -68,23 +70,6 @@ class Scale(Enum):
     def class_name(self, label: int) -> str:
         self.validate(label)
         return _INT_TO_NAME[label]
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Gold-by-prediction counts on one scale: ``counts[i][j]`` items have
-    gold class ``scale.classes[i]`` and predicted class ``scale.classes[j]``.
-    The shape is not checked: ingestion.join_labels and
-    baselines.constant_classifier, which build the tables, make them k x k."""
-
-    scale: Scale
-    counts: tuple[tuple[int, ...], ...]
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Cell-wise sum: the table of both tables' items taken together."""
-        return ConfusionMatrix(
-            self.scale, tuple(tuple(map(add, r, s)) for r, s in zip(self.counts, other.counts))
-        )
 
 
 class Prevalence(tuple):

@@ -12,10 +12,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from topicsent.errors import EmptyInput, EmptyText, MalformedLine, MissingPrediction
 from topicsent.evaluate import Mode, SubtaskSpec
 from topicsent.ingestion import count_labels, join_labels, parse_labels
-from topicsent.model import ConfusionMatrix, Scale, key_fields, row_key
+from topicsent.model import Scale, key_fields, row_key
 from topicsent.quantification import column_metrics
 
 Row = tuple[str, "str | None", int]  # (id, topic, label), topic None without topics
+Table = tuple[tuple[int, ...], ...]  # gold-by-prediction counts, as join_labels returns them
 
 _ids = count()
 
@@ -88,56 +89,57 @@ def reference_metrics(scale: Scale, pred: Sequence[float], counts: Sequence[int]
     return {name: measures[name] for name in names}
 
 
-def reference_recall(cm: ConfusionMatrix, c: int) -> float | None:
+def reference_recall(scale: Scale, counts: Table, c: int) -> float | None:
     """Recall of class c, TP / (TP + FN): None when gold has no c."""
-    classes = cm.scale.classes
-    tp = cm.counts[classes.index(c)][classes.index(c)]
-    fn = sum(n for p, n in zip(classes, cm.counts[classes.index(c)]) if p != c)
+    classes = scale.classes
+    tp = counts[classes.index(c)][classes.index(c)]
+    fn = sum(n for p, n in zip(classes, counts[classes.index(c)]) if p != c)
     return tp / (tp + fn) if tp + fn else None
 
 
-def reference_f1(cm: ConfusionMatrix, c: int) -> float:
+def reference_f1(scale: Scale, counts: Table, c: int) -> float:
     """F1 of class c from precision TP / (TP + FP) and recall, either 0 when
     its denominator is; 0 when both are 0."""
-    classes = cm.scale.classes
-    tp = cm.counts[classes.index(c)][classes.index(c)]
-    fp = sum(row[classes.index(c)] for g, row in zip(classes, cm.counts) if g != c)
+    classes = scale.classes
+    tp = counts[classes.index(c)][classes.index(c)]
+    fp = sum(row[classes.index(c)] for g, row in zip(classes, counts) if g != c)
     precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = reference_recall(cm, c) or 0.0
+    recall = reference_recall(scale, counts, c) or 0.0
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
 
 
-def reference_avg_rec(cm: ConfusionMatrix) -> float:
+def reference_avg_rec(scale: Scale, counts: Table) -> float:
     """Mean recall over the classes in gold, on any scale."""
-    recalls = [r for r in (reference_recall(cm, c) for c in cm.scale.classes) if r is not None]
+    recalls = [r for r in (reference_recall(scale, counts, c) for c in scale.classes)
+               if r is not None]
     return left_fold(recalls) / len(recalls)
 
 
-def reference_table_metrics(cm: ConfusionMatrix) -> dict[str, float]:
+def reference_table_metrics(scale: Scale, counts: Table) -> dict[str, float]:
     """The SemEval-2016 Task 4 measures of one table, from their per-class
     definitions, with every sum over classes a left fold in class order:
     AvgRec (mean recall over the classes in gold), F1_PN (mean F1 of +1 and
     -1) and accuracy, or on the five-point scale MAE^M (mean over the classes
     in gold of the class's mean |pred - gold|) and MAE^mu (mean |pred - gold|
     over items)."""
-    classes = cm.scale.classes
-    n_items = left_fold(map(left_fold, cm.counts))
+    classes = scale.classes
+    n_items = left_fold(map(left_fold, counts))
     if not n_items:
         raise EmptyInput("no gold/prediction pairs to score")
-    if cm.scale is Scale.FIVE_POINT:
-        cost = [[n * abs(p - g) for p, n in zip(classes, row)] for g, row in zip(classes, cm.counts)]
+    if scale is Scale.FIVE_POINT:
+        cost = [[n * abs(p - g) for p, n in zip(classes, row)] for g, row in zip(classes, counts)]
         class_mae = [left_fold(err) / left_fold(row)
-                     for err, row in zip(cost, cm.counts) if left_fold(row)]
+                     for err, row in zip(cost, counts) if left_fold(row)]
         return {
             "mae_macro": left_fold(class_mae) / len(class_mae),
             "mae_micro": left_fold(map(left_fold, cost)) / n_items,
         }
     return {
-        "avgrec": reference_avg_rec(cm),
-        "f1_pn": (reference_f1(cm, 1) + reference_f1(cm, -1)) / 2,
-        "accuracy": left_fold(cm.counts[i][i] for i in range(len(classes))) / n_items,
+        "avgrec": reference_avg_rec(scale, counts),
+        "f1_pn": (reference_f1(scale, counts, 1) + reference_f1(scale, counts, -1)) / 2,
+        "accuracy": left_fold(counts[i][i] for i in range(len(classes))) / n_items,
     }
 
 
@@ -167,9 +169,7 @@ def class_counts(scale: Scale, rows: list[Row]) -> dict[str | None, tuple[int, .
     return count_labels(io.StringIO(label_text(rows)), spec_for(scale, rows))
 
 
-def join(
-    scale: Scale, gold: list[Row], pred: list[Row]
-) -> tuple[dict[str | None, ConfusionMatrix], int]:
+def join(scale: Scale, gold: list[Row], pred: list[Row]) -> tuple[dict[str | None, Table], int]:
     """The join of two label files, as ``score`` reads them: gold through
     parse_labels, the predictions streamed through join_labels."""
     spec = spec_for(scale, gold, pred)
@@ -177,19 +177,17 @@ def join(
     return join_labels(io.StringIO(label_text(pred)), spec, gold_labels)
 
 
-def table(scale: Scale, gold_pred: Iterable[tuple[int, int]]) -> ConfusionMatrix:
-    """The confusion matrix of (gold, pred) label pairs."""
+def table(scale: Scale, gold_pred: Iterable[tuple[int, int]]) -> Table:
+    """The gold-by-prediction table of (gold, pred) label pairs."""
     n = Counter(gold_pred)
-    return ConfusionMatrix(
-        scale, tuple(tuple(n[g, p] for p in scale.classes) for g in scale.classes)
-    )
+    return tuple(tuple(n[g, p] for p in scale.classes) for g in scale.classes)
 
 
-def joined(scale: Scale, gold: list[Row], pred: list[Row] | None = None) -> ConfusionMatrix:
-    """The confusion matrix of single-topic (or topicless) gold joined with
-    pred, by default with gold itself."""
-    (cm,) = join(scale, gold, gold if pred is None else pred)[0].values()
-    return cm
+def joined(scale: Scale, gold: list[Row], pred: list[Row] | None = None) -> Table:
+    """The table of single-topic (or topicless) gold joined with pred, by
+    default with gold itself."""
+    (counts,) = join(scale, gold, gold if pred is None else pred)[0].values()
+    return counts
 
 
 def constant_predictions(gold: list[Row], pred_class: int) -> list[Row]:
@@ -198,14 +196,14 @@ def constant_predictions(gold: list[Row], pred_class: int) -> list[Row]:
     return [(item_id, topic, pred_class) for item_id, topic, _ in gold]
 
 
-def constant_table(scale: Scale, gold: list[Row], pred_class: int) -> ConfusionMatrix:
+def constant_table(scale: Scale, gold: list[Row], pred_class: int) -> Table:
     """Gold joined with an all-pred_class prediction."""
     return joined(scale, gold, constant_predictions(gold, pred_class))
 
 
 def reference_join(
     scale: Scale, gold: list[Row], pred: list[Row]
-) -> tuple[dict[str | None, ConfusionMatrix], int]:
+) -> tuple[dict[str | None, Table], int]:
     """Per-row reference for the join: each gold row finds its prediction by
     a scan over the prediction rows, and each topic's (gold, pred) pairs make
     its table. Also counts the prediction rows whose (id, topic) no gold row

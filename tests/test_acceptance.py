@@ -36,7 +36,7 @@ from topicsent.annotation import consolidate_labels
 from topicsent.classification import table_metrics
 from topicsent.cli import round_display
 from topicsent.evaluate import SUBTASKS, classification_report
-from topicsent.model import ConfusionMatrix, Scale, class_fractions
+from topicsent.model import Scale, class_fractions
 
 EN_TEST_A = {1: 2375, 0: 5937, -1: 3972}
 AR_TEST_A = {1: 1514, 0: 2364, -1: 2222}
@@ -72,7 +72,7 @@ def test_criterion_2_subtask_a_arabic_baselines():
 def test_criterion_3_subtask_b_pooled_baselines():
     def pooled_b(counts, pred_class):
         gold = rows_from_counts(counts)
-        metrics = table_metrics(constant_table(Scale.TWO_POINT, gold, pred_class))
+        metrics = table_metrics(Scale.TWO_POINT, constant_table(Scale.TWO_POINT, gold, pred_class))
         return tuple(round_display(metrics[k]) for k in ("avgrec", "f1_pn", "accuracy"))
 
     assert pooled_b(EN_TEST_B, -1) == (0.500, 0.376, 0.602)
@@ -88,7 +88,7 @@ def test_criterion_4_subtask_c_baselines():
     for counts, expected_micro in [(EN_TEST_C, expected_micro_en), (AR_TEST_C, expected_micro_ar)]:
         gold = rows_from_counts(counts)
         for c in Scale.FIVE_POINT.classes:
-            metrics = table_metrics(constant_table(Scale.FIVE_POINT, gold, c))
+            metrics = table_metrics(Scale.FIVE_POINT, constant_table(Scale.FIVE_POINT, gold, c))
             assert round_display(metrics["mae_macro"]) == expected_macro[c]
             assert round_display(metrics["mae_micro"]) == expected_micro[c]
     print("ACCEPTANCE 4 PASS: subtask C constant baselines, both languages")
@@ -195,9 +195,12 @@ def test_criterion_6_consolidation_brute_force():
 def test_criterion_7_metric_properties():
     rng = random.Random(42)
 
-    def swap(cm):
+    def swap(counts):
         # classes are -1, 0, +1: reversing both axes swaps Positive and Negative
-        return ConfusionMatrix(cm.scale, tuple(row[::-1] for row in cm.counts[::-1]))
+        return tuple(row[::-1] for row in counts[::-1])
+
+    def avg_rec(counts):
+        return table_metrics(Scale.THREE_POINT, counts)["avgrec"]
 
     # avg_rec label-swap invariance on random 3-class instances
     for _ in range(500):
@@ -207,14 +210,14 @@ def test_criterion_7_metric_properties():
         ]
         pd = table(Scale.THREE_POINT, pairs)
         if {1, -1} <= {g for g, _ in pairs}:
-            assert table_metrics(pd)["avgrec"] == pytest.approx(
-                table_metrics(swap(pd))["avgrec"], abs=1e-12)
+            assert avg_rec(pd) == pytest.approx(avg_rec(swap(pd)), abs=1e-12)
 
     # exhibited F1 counterexample under the positive/negative label swap.
     # Note: the swap moves the single-class F1 but provably cannot move
     # f1_pn, which averages F1 over both swapped classes.
     pd = table(Scale.THREE_POINT, [(1, 1), (1, 1), (1, 1), (-1, 1)])
-    assert reference_f1(pd, 1) != pytest.approx(reference_f1(swap(pd), 1))
+    assert (reference_f1(Scale.THREE_POINT, pd, 1)
+            != pytest.approx(reference_f1(Scale.THREE_POINT, swap(pd), 1)))
 
     # MAE^M == MAE^mu on 1,000 class-balanced instances
     for _ in range(1_000):
@@ -223,7 +226,7 @@ def test_criterion_7_metric_properties():
         for c in Scale.FIVE_POINT.classes:
             for _ in range(per_class):
                 pairs.append((c, rng.choice(range(-2, 3))))
-        metrics = table_metrics(table(Scale.FIVE_POINT, pairs))
+        metrics = table_metrics(Scale.FIVE_POINT, table(Scale.FIVE_POINT, pairs))
         assert metrics["mae_macro"] == pytest.approx(metrics["mae_micro"], abs=1e-12)
 
     # constant-classifier AvgRec = 1/k whenever all k classes are present
@@ -232,9 +235,9 @@ def test_criterion_7_metric_properties():
         gold = rows_from_counts(counts)
         for c in scale.classes:
             cm = constant_table(scale, gold, c)
-            assert reference_avg_rec(cm) == pytest.approx(1 / len(scale.classes), abs=1e-12)
+            assert reference_avg_rec(scale, cm) == pytest.approx(1 / len(scale.classes), abs=1e-12)
             if scale is not Scale.FIVE_POINT:  # where AvgRec is a subtask metric
-                assert table_metrics(cm)["avgrec"] == reference_avg_rec(cm)
+                assert table_metrics(scale, cm)["avgrec"] == reference_avg_rec(scale, cm)
     print("ACCEPTANCE 7 PASS: metric property suite")
 
 

@@ -8,21 +8,21 @@ from conftest import (constant_table, joined, left_fold, reference_f1, reference
                       reference_table_metrics, rows_from_counts, table)
 from topicsent.classification import absent_classes, table_metrics
 from topicsent.errors import EmptyInput
-from topicsent.model import ConfusionMatrix, Scale
+from topicsent.model import Scale
 
 EN_TEST_A = {1: 2375, 0: 5937, -1: 3972}  # positive / neutral / negative
 
 
-def avg_rec(cm):
-    return table_metrics(cm)["avgrec"]
+def avg_rec(scale, counts):
+    return table_metrics(scale, counts)["avgrec"]
 
 
-def accuracy(cm):
-    return table_metrics(cm)["accuracy"]
+def accuracy(scale, counts):
+    return table_metrics(scale, counts)["accuracy"]
 
 
-def f1_pn(cm):
-    return table_metrics(cm)["f1_pn"]
+def f1_pn(scale, counts):
+    return table_metrics(scale, counts)["f1_pn"]
 
 
 @st.composite
@@ -35,98 +35,105 @@ def tables(draw):
     cells = draw(st.lists(st.lists(counts, min_size=k, max_size=k), min_size=k, max_size=k))
     absent = draw(st.sets(st.integers(0, k - 1)))
     unpredicted = draw(st.sets(st.integers(0, k - 1)))
-    return ConfusionMatrix(scale, tuple(
+    return scale, tuple(
         tuple(0 if g in absent or p in unpredicted else n for p, n in enumerate(row))
-        for g, row in enumerate(cells)))
+        for g, row in enumerate(cells))
 
 
 class TestTableMetrics:
     @given(tables())
-    def test_equals_the_reference(self, cm):
-        if not any(map(any, cm.counts)):
+    def test_equals_the_reference(self, scale_counts):
+        scale, counts = scale_counts
+        if not any(map(any, counts)):
             with pytest.raises(EmptyInput, match="^no gold/prediction pairs to score$"):
-                table_metrics(cm)
+                table_metrics(scale, counts)
             return
-        metrics = table_metrics(cm)
-        assert metrics == reference_table_metrics(cm)
-        assert list(metrics) == list(reference_table_metrics(cm))
+        metrics = table_metrics(scale, counts)
+        assert metrics == reference_table_metrics(scale, counts)
+        assert list(metrics) == list(reference_table_metrics(scale, counts))
 
     @pytest.mark.parametrize("scale", list(Scale))
     def test_all_zero_table_raises(self, scale):
         k = len(scale.classes)
         with pytest.raises(EmptyInput, match="^no gold/prediction pairs to score$"):
-            table_metrics(ConfusionMatrix(scale, ((0,) * k,) * k))
+            table_metrics(scale, ((0,) * k,) * k)
 
     def test_bundle_per_scale(self):
-        assert list(table_metrics(table(Scale.TWO_POINT, [(1, 1)]))) == ["avgrec", "f1_pn",
-                                                                         "accuracy"]
-        assert list(table_metrics(table(Scale.THREE_POINT, [(0, 1)]))) == ["avgrec", "f1_pn",
-                                                                           "accuracy"]
-        assert list(table_metrics(table(Scale.FIVE_POINT, [(2, -2)]))) == ["mae_macro",
-                                                                           "mae_micro"]
+        for scale, pairs, names in [
+            (Scale.TWO_POINT, [(1, 1)], ["avgrec", "f1_pn", "accuracy"]),
+            (Scale.THREE_POINT, [(0, 1)], ["avgrec", "f1_pn", "accuracy"]),
+            (Scale.FIVE_POINT, [(2, -2)], ["mae_macro", "mae_micro"]),
+        ]:
+            assert list(table_metrics(scale, table(scale, pairs))) == names
 
     def test_absent_classes(self):
         pd = table(Scale.THREE_POINT, [(1, 1), (1, 0), (-1, 0)])
-        assert absent_classes(pd) == [0]
+        assert absent_classes(Scale.THREE_POINT, pd) == [0]
 
 
 class TestClassRecall:
     def test_hand_enumeration(self):
-        pd = table(Scale.TWO_POINT, [(1, 1), (1, -1), (-1, -1)])
-        assert reference_recall(pd, 1) == 0.5
-        assert reference_recall(pd, -1) == 1.0
-        assert avg_rec(pd) == 0.75
+        scale = Scale.TWO_POINT
+        pd = table(scale, [(1, 1), (1, -1), (-1, -1)])
+        assert reference_recall(scale, pd, 1) == 0.5
+        assert reference_recall(scale, pd, -1) == 1.0
+        assert avg_rec(scale, pd) == 0.75
 
     def test_perfect_predictions(self):
         pd = table(Scale.THREE_POINT, [(1, 1), (0, 0), (-1, -1)])
         for c in Scale.THREE_POINT.classes:
-            assert reference_recall(pd, c) == 1.0
+            assert reference_recall(Scale.THREE_POINT, pd, c) == 1.0
 
     def test_absent_class_is_undefined(self):
-        pd = table(Scale.TWO_POINT, [(1, 1), (1, -1)])
-        assert reference_recall(pd, -1) is None
-        assert avg_rec(pd) == reference_recall(pd, 1) == 0.5
+        scale = Scale.TWO_POINT
+        pd = table(scale, [(1, 1), (1, -1)])
+        assert reference_recall(scale, pd, -1) is None
+        assert avg_rec(scale, pd) == reference_recall(scale, pd, 1) == 0.5
 
 
 class TestAvgRec:
     def test_constant_prediction_one_third(self):
         gold = rows_from_counts(EN_TEST_A)
-        for c in Scale.THREE_POINT.classes:
-            assert avg_rec(constant_table(Scale.THREE_POINT, gold, c)) == pytest.approx(1 / 3)
+        scale = Scale.THREE_POINT
+        for c in scale.classes:
+            assert avg_rec(scale, constant_table(scale, gold, c)) == pytest.approx(1 / 3)
 
     def test_constant_prediction_two_point(self):
         gold = rows_from_counts({1: 7, -1: 3})
-        assert avg_rec(constant_table(Scale.TWO_POINT, gold, 1)) == pytest.approx(0.5)
+        pd = constant_table(Scale.TWO_POINT, gold, 1)
+        assert avg_rec(Scale.TWO_POINT, pd) == pytest.approx(0.5)
 
     def test_perfect(self):
         gold = rows_from_counts({1: 2, 0: 2, -1: 2})
         pd = joined(Scale.THREE_POINT, gold)
-        assert avg_rec(pd) == 1.0
+        assert avg_rec(Scale.THREE_POINT, pd) == 1.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            avg_rec(table(Scale.TWO_POINT, []))
+            avg_rec(Scale.TWO_POINT, table(Scale.TWO_POINT, []))
 
     def test_mean_of_a_left_fold(self):
-        cm = ConfusionMatrix(Scale.THREE_POINT, ((2, 9, 1), (4, 1, 7), (7, 7, 6)))
+        cm = ((2, 9, 1), (4, 1, 7), (7, 7, 6))
         recalls = [2 / 12, 1 / 12, 6 / 20]
         # correctly rounded, the recalls sum to 0.5499999999999999
         assert left_fold(recalls) == 0.55 != math.fsum(recalls)
-        assert avg_rec(cm) == 0.55 / 3
+        assert avg_rec(Scale.THREE_POINT, cm) == 0.55 / 3
 
 
 class TestAccuracy:
     def test_all_neutral_english_counts(self):
         gold = rows_from_counts(EN_TEST_A)
-        assert accuracy(constant_table(Scale.THREE_POINT, gold, 0)) == pytest.approx(5937 / 12284)
+        pd = constant_table(Scale.THREE_POINT, gold, 0)
+        assert accuracy(Scale.THREE_POINT, pd) == pytest.approx(5937 / 12284)
 
     def test_all_neutral_arabic_counts(self):
         gold = rows_from_counts({1: 1514, 0: 2364, -1: 2222})
-        assert accuracy(constant_table(Scale.THREE_POINT, gold, 0)) == pytest.approx(2364 / 6100)
+        pd = constant_table(Scale.THREE_POINT, gold, 0)
+        assert accuracy(Scale.THREE_POINT, pd) == pytest.approx(2364 / 6100)
 
     def test_perfect(self):
         gold = rows_from_counts({1: 2, 0: 2, -1: 2})
-        assert accuracy(joined(Scale.THREE_POINT, gold)) == 1.0
+        assert accuracy(Scale.THREE_POINT, joined(Scale.THREE_POINT, gold)) == 1.0
 
 
 class TestF1:
@@ -134,32 +141,33 @@ class TestF1:
         gold = rows_from_counts(EN_TEST_A)
         pd = constant_table(Scale.THREE_POINT, gold, 1)
         prev = 2375 / 12284
-        assert reference_f1(pd, 1) == pytest.approx(2 * prev / (1 + prev))
-        assert f1_pn(pd) == reference_f1(pd, 1) / 2
+        assert reference_f1(Scale.THREE_POINT, pd, 1) == pytest.approx(2 * prev / (1 + prev))
+        assert f1_pn(Scale.THREE_POINT, pd) == reference_f1(Scale.THREE_POINT, pd, 1) / 2
 
     def test_all_positive_f1_negative_zero(self):
         gold = rows_from_counts(EN_TEST_A)
-        assert reference_f1(constant_table(Scale.THREE_POINT, gold, 1), -1) == 0.0
+        pd = constant_table(Scale.THREE_POINT, gold, 1)
+        assert reference_f1(Scale.THREE_POINT, pd, -1) == 0.0
 
     def test_perfect_per_class(self):
         gold = rows_from_counts({1: 2, 0: 2, -1: 2})
         pd = joined(Scale.THREE_POINT, gold)
         for c in Scale.THREE_POINT.classes:
-            assert reference_f1(pd, c) == 1.0
-        assert f1_pn(pd) == 1.0
+            assert reference_f1(Scale.THREE_POINT, pd, c) == 1.0
+        assert f1_pn(Scale.THREE_POINT, pd) == 1.0
 
     @pytest.mark.parametrize(
         "pred_class,expected", [(1, 0.162), (-1, 0.244), (0, 0.000)]
     )
     def test_f1_pn_constant_baselines(self, pred_class, expected):
         gold = rows_from_counts(EN_TEST_A)
-        value = f1_pn(constant_table(Scale.THREE_POINT, gold, pred_class))
+        value = f1_pn(Scale.THREE_POINT, constant_table(Scale.THREE_POINT, gold, pred_class))
         assert round(value, 3) == expected
 
 
-def _swap_pn(cm):
+def _swap_pn(counts):
     # classes are -1, 0, +1: reversing both axes swaps Positive and Negative
-    return ConfusionMatrix(cm.scale, tuple(row[::-1] for row in cm.counts[::-1]))
+    return tuple(row[::-1] for row in counts[::-1])
 
 
 class TestLabelSwapInvariance:
@@ -172,13 +180,15 @@ class TestLabelSwapInvariance:
     )
     def test_avg_rec_invariant(self, gold_pred):
         pd = table(Scale.THREE_POINT, gold_pred)
-        assert avg_rec(pd) == pytest.approx(avg_rec(_swap_pn(pd)))
+        assert avg_rec(Scale.THREE_POINT, pd) == pytest.approx(
+            avg_rec(Scale.THREE_POINT, _swap_pn(pd)))
 
     def test_class_f1_counterexample(self):
         # single-class F1 depends on which class is called positive: swapping
         # the labels changes F1 of the positive class.
         pd = table(Scale.THREE_POINT, [(1, 1), (1, 1), (1, 1), (-1, 1)])
-        assert reference_f1(pd, 1) != pytest.approx(reference_f1(_swap_pn(pd), 1))
+        assert (reference_f1(Scale.THREE_POINT, pd, 1)
+                != pytest.approx(reference_f1(Scale.THREE_POINT, _swap_pn(pd), 1)))
 
     @given(
         st.lists(
@@ -191,7 +201,8 @@ class TestLabelSwapInvariance:
         # swapping both gold and predictions exchanges F1(P) and F1(N), so
         # their mean cannot change
         pd = table(Scale.THREE_POINT, gold_pred)
-        assert f1_pn(pd) == pytest.approx(f1_pn(_swap_pn(pd)))
+        assert f1_pn(Scale.THREE_POINT, pd) == pytest.approx(
+            f1_pn(Scale.THREE_POINT, _swap_pn(pd)))
 
 
 class TestMicroRecallEqualsAccuracy:
@@ -206,9 +217,9 @@ class TestMicroRecallEqualsAccuracy:
         pd = table(Scale.THREE_POINT, gold_pred)
         n = len(gold_pred)
         total = 0.0
-        for c in pd.scale.classes:
-            r = reference_recall(pd, c)
+        for c in Scale.THREE_POINT.classes:
+            r = reference_recall(Scale.THREE_POINT, pd, c)
             if r is not None:
                 support = sum(1 for g, _ in gold_pred if g == c)
                 total += r * support / n
-        assert total == pytest.approx(accuracy(pd))
+        assert total == pytest.approx(accuracy(Scale.THREE_POINT, pd))

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import label_text, parsed_rows, reference_join, rows_from_counts
+from conftest import (constant_predictions, label_text, parsed_rows, reference_join,
+                      rows_from_counts)
 from topicsent.cli import _emit_report, main, round_display
 from topicsent.errors import EmptyInput, MissingPrediction, ScoringError
 from topicsent.evaluate import SUBTASKS, Mode, ScoreReport
@@ -101,6 +102,18 @@ class TestScore:
         assert payload["primary_metric"] == "avgrec"
         assert payload["metrics"]["accuracy"] == pytest.approx(0.3)
         assert payload["metrics_display"]["avgrec"] == 0.333
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "table"])
+    def test_pooled_adds_nothing_on_subtask_a(self, fmt, tmp_path, capsys):
+        # subtask A is scored over the whole set, so there is no pooled block
+        gold = tmp_path / "gold.tsv"
+        rows = write_labels(gold, {1: 4, 0: 3, -1: 3})
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(label_text(constant_predictions(rows, 1)))
+        argv = ["score", "--subtask", "A", "--gold", str(gold), "--pred", str(pred),
+                "--format", fmt]
+        plain, pooled = run(argv, capsys), run([*argv, "--pooled"], capsys)
+        assert plain[0] == 0 and plain == pooled
 
     def test_missing_prediction_exit_code(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
@@ -282,6 +295,16 @@ class TestDedupCommand:
         kept_ids = [line.split("\t")[0] for line in out_path.read_text().splitlines()]
         assert kept_ids == ["t1", "t3"]
         assert removed_path.read_text() == "t2\tt1\n"
+
+    def test_line_ending_is_not_written(self, tmp_path, capsys):
+        # every "\r" before the "\n" is part of the line ending, not of the text
+        src = tmp_path / "raw.tsv"
+        src.write_bytes(b"t1\tx\tpositive\thello there\r\r\nt2\tx\tnegative\tq r s\r\n")
+        out_path = tmp_path / "kept.tsv"
+        code, _, err = run(["dedup", "--input", str(src), "--output", str(out_path)], capsys)
+        assert code == 0, err
+        assert out_path.read_bytes() == (b"t1\tx\tpositive\thello there\n"
+                                         b"t2\tx\tnegative\tq r s\n")
 
     def test_only_one_output_writes_stdout(self, tmp_path, capsys):
         # the kept records and the removed pairs would run together in one
@@ -515,6 +538,9 @@ class TestInputContract:
             # a line that is empty once its line ending is removed is skipped ...
             (["score", "--subtask", "B", "--gold", "@", "--pred", "@path"], b"\n\r\n",
              (1, "", {"error": "EMPTY_INPUT", "message": "no gold/prediction pairs to score"})),
+            # ... and every "\r" before the "\n" goes with the line ending
+            (["score", "--subtask", "B", "--gold", "@", "--pred", "@path"], b"\r\r\n",
+             (1, "", {"error": "EMPTY_INPUT", "message": "no gold/prediction pairs to score"})),
             # ... and a line of spaces is malformed
             (["score", "--subtask", "B", "--gold", "@", "--pred", "@path"], b"\n \n",
              (1, "", {"error": "MALFORMED_LINE",
@@ -528,7 +554,7 @@ class TestInputContract:
              b"t1\tx\tpositive\ta\rb\nt2\tx\tnegative\tc\r\n",
              (0, "class\t1\t1\nclass\t-1\t1\ntopic\tx\t2\ntotal\t\t2\n", None)),
         ],
-        ids=["blank", "space", "cr-only", "cr-in-text"],
+        ids=["blank", "cr-cr-lf", "space", "cr-only", "cr-in-text"],
     )
     def test_path_and_stdin_read_the_same(self, argv, data, expected, tmp_path, capsys,
                                           monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (class_counts, constant_predictions, join, reference_metrics,
-                      rows_from_counts)
+                      reference_table_metrics, rows_from_counts, table)
 from topicsent.baselines import point_mass
 from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
 from topicsent.evaluate import SUBTASKS, Mode, classification_report, quantification_report
@@ -139,6 +139,35 @@ class TestSubtaskBC:
         gold = self._two_topic_gold(Scale.TWO_POINT, {1: 3}, {1: 2, -1: 2})
         report = classify(SUBTASKS["B"], gold, constant_predictions(gold, 1))
         assert any("topic a" in w and "NEGATIVE" in w for w in report.warnings)
+
+
+@st.composite
+def classification_rows(draw):
+    """Gold and prediction rows of subtask A, B or C with a prediction for
+    every gold row: topicless, or over up to four topics."""
+    spec = SUBTASKS[draw(st.sampled_from(["A", "B", "C"]))]
+    topics = st.sampled_from(["a", "b", "c", "d"] if spec.topic_based else [None])
+    labels = st.sampled_from(spec.scale.classes)
+    pairs = draw(st.dictionaries(st.tuples(st.sampled_from([f"t{i}" for i in range(30)]), topics),
+                                 st.tuples(labels, labels), min_size=1))
+    gold = [(i, t, g) for (i, t), (g, _) in pairs.items()]
+    pred = [(i, t, p) for (i, t), (_, p) in pairs.items()]
+    return spec, gold, pred
+
+
+class TestPooledClassification:
+    """The cell-wise sum of the per-topic tables is the table of all rows."""
+
+    @given(classification_rows())
+    def test_equals_the_reference_of_all_rows(self, data):
+        spec, gold, pred = data
+        expected = reference_table_metrics(spec.scale, table(spec.scale, [
+            (g, p) for (_, _, g), (_, _, p) in zip(gold, pred)]))
+        report = classify(spec, gold, pred, pooled=True)
+        if spec.topic_based:
+            assert report.pooled == expected
+        else:
+            assert report.metrics == expected and report.pooled is None
 
 
 class TestQuantification:

@@ -5,9 +5,13 @@ need only ``ast``: a name counts as used where the code reads it as a
 variable, an attribute or an imported name. ``__init__.py`` re-exports its
 imports and ``from __future__`` imports are directives, so both are exempt
 from the first check, and an ``__init__.py`` export counts as a use in the
-second."""
+second. The CLI also starts without the modules that ``dataclasses``
+pulls in."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +73,12 @@ def test_unnamed_definitions_are_found():
 def test_every_public_definition_is_named():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in LIBRARY}
     assert unnamed_definitions(sources) == []
+
+
+def test_cli_start_imports_no_dataclasses():
+    code = ("import sys, topicsent.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
