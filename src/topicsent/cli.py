@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from decimal import ROUND_HALF_UP, Decimal
@@ -210,6 +211,10 @@ def cmd_consolidate(args) -> int:
 
 def cmd_dedup(args) -> int:
     _one_std_stream(args, "output", "removed", "stdout")
+    if args.removed not in (None, "-") and args.output != "-" and (
+            os.path.realpath(args.output) == os.path.realpath(args.removed)):
+        # the removed pairs would overwrite the kept records
+        raise InvalidArgument("--output and --removed cannot both name one file")
     with _open_in(args.input) as f:
         records = ingestion.parse_raw_records(f)
     kept, removed = ingestion.dedup(records, threshold=args.threshold)

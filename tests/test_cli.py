@@ -319,6 +319,23 @@ class TestDedupCommand:
             "error": "INVALID_ARGUMENT",
             "message": "--output and --removed cannot both be - (stdout)"}
 
+    @pytest.mark.parametrize("removed", ["kept.tsv", "./kept.tsv", "sub/../kept.tsv", "alias.tsv"])
+    def test_outputs_on_one_file_rejected(self, removed, tmp_path, monkeypatch, capsys):
+        # the removed pairs would overwrite the kept records; the missing input
+        # shows that nothing is read first, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "alias.tsv").symlink_to("kept.tsv")
+        code, out, err = run(
+            ["dedup", "--input", "missing.tsv", "--output", "kept.tsv", "--removed", removed],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "INVALID_ARGUMENT",
+            "message": "--output and --removed cannot both name one file"}
+        assert not (tmp_path / "kept.tsv").exists()
+
     @pytest.mark.parametrize("topic", ["", " "])
     def test_empty_topic_field_rejected(self, topic, tmp_path, capsys):
         # stats and score would reject the kept rows, so dedup must not write them

@@ -4,6 +4,7 @@ import math
 import random
 import string
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from topicsent.errors import (
     NoTopics,
     ScoringError,
 )
+from topicsent import ingestion
 from topicsent.evaluate import SUBTASKS
 from topicsent.ingestion import (
     count_labels,
@@ -496,6 +498,14 @@ _UNICODE_TEXT = st.lists(
 ).map(lambda pairs: "".join(w + sep for w, sep in pairs))
 
 
+# Bags over 400 words, each repeated 1-5 times: a corpus of a few bags holds
+# more distinct tokens than a bitmap has bits, so bits collide, and the
+# records' sorted tf tuples differ.
+_BAG_TEXT = st.lists(
+    st.tuples(st.integers(0, 399), st.integers(1, 5)), min_size=1, max_size=40
+).map(lambda bag: " ".join(" ".join([f"v{w}"] * n) for w, n in bag))
+
+
 class TestDedupMatchesReference:
     @settings(max_examples=300)
     @given(
@@ -547,10 +557,84 @@ class TestDedupMatchesReference:
         else:
             assert dedup(records, threshold) == expected
 
+    @settings(max_examples=300)
+    @given(
+        pool=st.lists(_BAG_TEXT, min_size=1, max_size=6),
+        picks=st.lists(
+            st.tuples(st.integers(0, 5), st.lists(st.integers(0, 399), max_size=3)), max_size=30
+        ),
+        threshold=_THRESHOLD,
+    )
+    # the slack-boundary pairs of test_small_corpora, through the bitmap filter
+    @example(pool=[f"r0 r1 r2 {_SHARED}", _SHARED], picks=[(0, []), (1, [])],
+             threshold=0.9258200997725515)
+    @example(pool=[f"r0 {_SHARED_TF}", _SHARED_TF], picks=[(0, []), (1, [])],
+             threshold=0.9534625892455922)
+    def test_bitmap_collisions(self, pool, picks, threshold):
+        """Every candidate list goes through the bitmap filter, whatever its
+        length; each record is a pool bag with up to three words added, so
+        near-duplicates are common."""
+        records = [record(i, " ".join([pool[p % len(pool)], *(f"v{w}" for w in extra)]))
+                   for i, (p, extra) in enumerate(picks)]
+        with mock.patch.object(ingestion, "_BITMAP_MIN", 1):
+            assert_matches_reference(records, threshold)
+
     @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.6, 0.9, 1.0])
     def test_seeded_corpus(self, threshold):
         records = [record(i, " ".join(words)) for i, words in enumerate(seeded_texts())]
         assert_matches_reference(records, threshold)
+
+
+def pair_cosine(tfs):
+    """The cosine of two records by dedup's float rule, from (tf in the first,
+    tf in the second) per token."""
+    dot = sum(a * b for a, b in tfs)
+    norm, onorm = (math.sqrt(sum(t * t for t in side)) for side in zip(*tfs))
+    return dot / (norm * onorm)
+
+
+def bitmap_limit(tfs, ranks, threshold):
+    """The bitmap distance h of two records and the limit _h_limit sets on it,
+    from (tf in the first, tf in the second) per token and its rank."""
+    bq, bo = (ingestion._bitmap([r for r, t in zip(ranks, side) if t]) for side in zip(*tfs))
+    energies = (ingestion._energy(filter(None, side)) for side in zip(*tfs))
+    return (bq ^ bo).bit_count(), ingestion._h_limit(threshold * ingestion._SLACK, *energies)
+
+
+class TestBitmapBound:
+    """The bitmap filter may drop a pair only when its cosine cannot pass."""
+
+    @settings(max_examples=500)
+    @given(
+        tfs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=24)
+        .filter(lambda tfs: all(map(any, zip(*tfs)))),
+        layout=st.sampled_from(["one bit each", "all on one bit", "random"]),
+        ranks=st.lists(st.integers(0, 3 * ingestion._BITS), min_size=24, max_size=24),
+        threshold=_THRESHOLD,
+    )
+    @example(tfs=[(1, 1)] * 18 + [(1, 0)] * 3, layout="one bit each", ranks=[0] * 24,
+             threshold=0.9258200997725515)
+    def test_limit_passes_every_colliding_pair(self, tfs, layout, ranks, threshold):
+        """Tokens on bits of their own give the largest h, the size of the
+        symmetric difference; all tokens on one bit give h = 0."""
+        if layout == "one bit each":
+            ranks = range(len(tfs))
+        elif layout == "all on one bit":
+            ranks = [ingestion._BITS * i for i in range(len(tfs))]
+        h, limit = bitmap_limit(tfs, ranks, threshold)
+        if pair_cosine(tfs) > threshold:
+            assert h <= limit
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.6, 0.9, 1.0])
+    def test_limit_extremes(self, threshold):
+        # identical records and all bits colliding: h = 0 always passes
+        same = [(2, 2), (1, 1), (1, 1)]
+        assert bitmap_limit(same, [0, 0, 0], threshold)[1] >= 0
+        # no shared token and a bit per token: h = d + od, which passes only
+        # at threshold 0, where the verify still finds cosine 0 not above it
+        apart = [(2, 0), (1, 0), (0, 3), (0, 1)]
+        h, limit = bitmap_limit(apart, range(4), threshold)
+        assert h == 4 and (h <= limit) == (threshold == 0)
 
 
 class TestTokenize:
