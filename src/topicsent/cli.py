@@ -56,7 +56,9 @@ def _open_in(path: str):
 
 @contextmanager
 def _open_out(path: str):
+    """Writes UTF-8, on a path as on stdout, whatever the locale."""
     if path == "-":
+        sys.stdout.reconfigure(encoding="utf-8")
         yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as f:

@@ -38,7 +38,7 @@ from .errors import (
     TooFewAnnotators,
 )
 from .evaluate import SubtaskSpec
-from .model import NO_TOPIC, Prevalence, Scale, ascii_number, duplicate_key, key_fields, row_key
+from .model import NO_TOPIC, Prevalence, Scale, ascii_number, duplicate_key, row_key
 
 PREVALENCE_SUM_TOL = 1e-6
 _Record = tuple[str, str, str]  # a dedup record: id, text and its output line
@@ -73,10 +73,11 @@ def _parse_topic(raw: str, line: int) -> str | None:
     return None if topic == NO_TOPIC else topic
 
 
-# The label-file loops (parse_labels, count_labels, join_labels) split each
-# raw line once, line ending included, and call the three helpers below only
-# for a short or blank row and on the first line that carries a raw topic or
-# label field; an error names the line that a check of every row would name.
+# The label-file loops (parse_labels, join_labels) split each raw line once,
+# line ending included, and call the three helpers below only for a short or
+# blank row, on the first line that carries a raw topic or label field, and
+# to name the topic of a repeated row; an error names the line that a check
+# of every row would name.
 
 def _bad_row(line: str, fields: list[str], n: int) -> None:
     """Raises the fault of a row with fewer than 3 fields or an empty id, and
@@ -106,12 +107,13 @@ def _row_label(fields: list[str], spec: SubtaskSpec, n: int) -> int:
     return spec.scale.parse_label(raw, line=n)
 
 
-def parse_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str, int]:
-    """The row_key -> label map of a label file, in file order; every error
-    carries its line number, and a repeated (id, topic) pair is a hard
-    error. Each distinct raw topic and label field is checked once."""
-    labels: dict[str, int] = {}
-    topics: dict[str, str] = {}  # raw topic field -> canonical field
+def parse_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str | None, dict[str, int]]:
+    """The topic -> id -> label map of a label file, topics and ids in file
+    order, and data without topics under the key None; every error carries
+    its line number, and a repeated (id, topic) pair is a hard error. Each
+    distinct raw topic and label field is checked once."""
+    gold: dict[str | None, dict[str, int]] = {}
+    topics: dict[str, dict[str, int]] = {}  # raw topic field -> its topic's ids
     parsed: dict[str, int] = {}  # raw label field -> label
     for n, line in enumerate(stream, 1):
         fields = line.split("\t")
@@ -120,77 +122,51 @@ def parse_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str, int]:
             _bad_row(line, fields, n)
             continue
         try:
-            text = topics[fields[1]]
+            ids = topics[fields[1]]
         except KeyError:
-            _row_topic(fields[1], spec, n)
-            text = topics[fields[1]] = fields[1].strip()
+            ids = topics[fields[1]] = gold.setdefault(_row_topic(fields[1], spec, n), {})
         try:
             label = parsed[fields[2]]
         except KeyError:
             label = parsed[fields[2]] = _row_label(fields, spec, n)
-        key = f"{item_id}\t{text}"  # the row_key, without a call
-        if key in labels:
-            raise duplicate_key(key, n)
-        labels[key] = label
-    return labels
+        if item_id in ids:
+            raise duplicate_key(item_id, _row_topic(fields[1], spec, n), n)
+        ids[item_id] = label
+    return gold
 
 
 def count_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str | None, tuple[int, ...]]:
     """Each topic's class counts in spec.scale.classes order from a label
-    file, topics sorted; data without topics gives one count vector under the
-    key None. Checked as parse_labels checks; only the set of row keys is
-    held."""
-    k = len(spec.scale.classes)
-    counts: dict[str | None, list[int]] = {}
-    topics: dict[str, tuple[str, list[int]]] = {}  # raw topic field -> canonical field, counts
-    classes: dict[str, int] = {}  # raw label field -> class index
-    seen: set[str] = set()
-    for n, line in enumerate(stream, 1):
-        fields = line.split("\t")
-        item_id = fields[0].strip()
-        if not item_id or len(fields) < 3:
-            _bad_row(line, fields, n)
-            continue
-        try:
-            text, row = topics[fields[1]]
-        except KeyError:
-            row = counts.setdefault(_row_topic(fields[1], spec, n), [0] * k)
-            text = fields[1].strip()
-            topics[fields[1]] = text, row
-        try:
-            j = classes[fields[2]]
-        except KeyError:
-            j = classes[fields[2]] = spec.scale.classes.index(_row_label(fields, spec, n))
-        key = f"{item_id}\t{text}"
-        if key in seen:
-            raise duplicate_key(key, n)
-        seen.add(key)
-        row[j] += 1
-    del seen, topics  # before the sorted map is built, so that they do not raise the peak
-    return {t: tuple(counts[t]) for t in sorted(counts)}
+    file read by parse_labels, topics sorted; data without topics gives one
+    count vector under the key None."""
+    gold = parse_labels(stream, spec)
+    classes = spec.scale.classes
+    return {t: tuple(map(list(gold[t].values()).count, classes)) for t in sorted(gold)}
 
 
 def join_labels(
-    stream: Iterable[str], spec: SubtaskSpec, gold: dict[str, int | None]
+    stream: Iterable[str], spec: SubtaskSpec, gold: dict[str | None, dict[str, int | None]]
 ) -> tuple[dict[str | None, tuple[tuple[int, ...], ...]], int]:
     """Joins the rows of a prediction label file, checked as parse_labels
-    checks, onto the row_key -> label gold map (parse_labels) and counts each
-    topic's gold/prediction class pairs into a k x k table (see ``model``).
-    Topics come out sorted; data without topics gives one table under the key
-    None. Also returns the number of prediction rows absent from gold, which
-    are ignored.
+    checks, onto the topic -> id -> label gold map (parse_labels) and counts
+    each topic's gold/prediction class pairs into a k x k table (see
+    ``model``). Topics come out sorted; data without topics gives one table
+    under the key None. Also returns the number of prediction rows absent
+    from gold, which are ignored.
 
-    The join consumes ``gold``: a matched entry is set to None, so a repeated
-    prediction key raises DuplicateKey at its line without a second map.
-    After the rows, the first gold key without a prediction, in gold order,
-    raises MissingPrediction.
+    The join consumes ``gold``: a matched entry is set to None, and an
+    unmatched prediction id is stored as None, so a repeated prediction
+    raises DuplicateKey at its line without a second map. After the rows,
+    the gold item of least (topic, id) without a prediction raises
+    MissingPrediction.
     """
     index = {c: i for i, c in enumerate(spec.scale.classes)}
     k = len(index)
     cells: dict[str | None, list[list[int]]] = {}
-    topics: dict[str, tuple[str, list[list[int]]]] = {}  # raw topic field -> canonical field, cells
+    # raw topic field -> its topic's gold ids and cells
+    topics: dict[str, tuple[dict[str, int | None], list[list[int]]]] = {}
     classes: dict[str, int] = {}  # raw label field -> class index
-    ignored: set[str] = set()
+    n_ignored = 0
     for n, line in enumerate(stream, 1):
         fields = line.split("\t")
         item_id = fields[0].strip()
@@ -198,32 +174,30 @@ def join_labels(
             _bad_row(line, fields, n)
             continue
         try:
-            text, rows = topics[fields[1]]
+            ids, rows = topics[fields[1]]
         except KeyError:
-            rows = cells.setdefault(_row_topic(fields[1], spec, n), [[0] * k for _ in range(k)])
-            text = fields[1].strip()
-            topics[fields[1]] = text, rows
+            topic = _row_topic(fields[1], spec, n)
+            ids = gold.setdefault(topic, {})
+            rows = cells.setdefault(topic, [[0] * k for _ in range(k)])
+            topics[fields[1]] = ids, rows
         try:
             j = classes[fields[2]]
         except KeyError:
             j = classes[fields[2]] = index[_row_label(fields, spec, n)]
-        key = f"{item_id}\t{text}"
         try:
-            gold_label = gold[key]
+            gold_label = ids[item_id]
         except KeyError:
-            if key in ignored:
-                raise duplicate_key(key, n) from None
-            ignored.add(key)
+            ids[item_id] = None
+            n_ignored += 1
             continue
         if gold_label is None:
-            raise duplicate_key(key, n)
+            raise duplicate_key(item_id, _row_topic(fields[1], spec, n), n)
         rows[index[gold_label]][j] += 1
-        gold[key] = None
-    n_ignored = len(ignored)
-    del ignored, topics
-    for key, gold_label in gold.items():
-        if gold_label is not None:
-            raise MissingPrediction(*key_fields(key))
+        ids[item_id] = None
+    missing = [(t, i) for t, ids in gold.items() for i, label in ids.items() if label is not None]
+    if missing:
+        topic, item_id = min(missing)
+        raise MissingPrediction(item_id, topic)
     # a topic whose prediction rows all missed gold has an empty table and no entry
     tables = {t: tuple(map(tuple, cells[t])) for t in sorted(cells) if any(map(any, cells[t]))}
     return tables, n_ignored
@@ -304,9 +278,10 @@ def parse_annotations(stream: IO[str]) -> list[tuple[str, list[int]]]:
         item_id = fields[0].strip()
         if not item_id:
             raise MalformedLine("empty id field", line=n)
-        key = row_key(item_id, _parse_topic(fields[1], n))
+        topic = _parse_topic(fields[1], n)
+        key = row_key(item_id, topic)
         if key in seen:
-            raise duplicate_key(key, n)
+            raise duplicate_key(item_id, topic, n)
         seen.add(key)
         try:
             labels = [ascii_number(int, f) for f in fields[2:]]

@@ -1,6 +1,6 @@
-"""Core data model: sentiment scales, the row key that joins label files,
-class fractions from counts, and :class:`Prevalence`, the tuple type of
-predicted class fractions.
+"""Core data model: sentiment scales, the row key that writes a row's id and
+topic fields in canonical form, class fractions from counts, and
+:class:`Prevalence`, the tuple type of predicted class fractions.
 
 Labels are plain integers validated against a :class:`Scale`:
 two-point {-1, +1}, three-point {-1, 0, +1}, five-point {-2 .. +2}.
@@ -110,14 +110,8 @@ def row_key(item_id: str, topic: str | None) -> str:
     return f"{item_id}\t{NO_TOPIC if topic is None else topic}"
 
 
-def key_fields(key: str) -> tuple[str, str | None]:
-    """The (id, topic) pair of a row_key."""
-    item_id, _, topic = key.partition("\t")
-    return item_id, None if topic == NO_TOPIC else topic
-
-
-def duplicate_key(key: str, line: int | None) -> DuplicateKey:
-    return DuplicateKey(f"duplicate (id, topic) pair {key_fields(key)}", line=line)
+def duplicate_key(item_id: str, topic: str | None, line: int | None) -> DuplicateKey:
+    return DuplicateKey(f"duplicate (id, topic) pair {(item_id, topic)}", line=line)
 
 
 def class_fractions(counts: Sequence[int]) -> tuple[float, ...]:

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from topicsent.errors import EmptyInput, EmptyText, MalformedLine, MissingPrediction
 from topicsent.evaluate import Mode, SubtaskSpec
 from topicsent.ingestion import count_labels, join_labels, parse_labels
-from topicsent.model import Scale, key_fields, row_key
+from topicsent.model import Scale, row_key
 from topicsent.quantification import column_metrics
 
 Row = tuple[str, "str | None", int]  # (id, topic, label), topic None without topics
@@ -160,8 +160,10 @@ def spec_for(scale: Scale, *rows: Iterable[Row]) -> SubtaskSpec:
 
 
 def parsed_rows(text: str, spec: SubtaskSpec) -> list[Row]:
-    """The rows of a label file, as parse_labels reads them."""
-    return [(*key_fields(key), label) for key, label in parse_labels(io.StringIO(text), spec).items()]
+    """The rows of a label file, as parse_labels reads them: grouped by topic,
+    topics and ids in file order."""
+    gold = parse_labels(io.StringIO(text), spec)
+    return [(item_id, t, label) for t, ids in gold.items() for item_id, label in ids.items()]
 
 
 def class_counts(scale: Scale, rows: list[Row]) -> dict[str | None, tuple[int, ...]]:
@@ -207,15 +209,20 @@ def reference_join(
     """Per-row reference for the join: each gold row finds its prediction by
     a scan over the prediction rows, and each topic's (gold, pred) pairs make
     its table. Also counts the prediction rows whose (id, topic) no gold row
-    has. The first gold row, in input order, without a prediction raises
-    MissingPrediction."""
+    has. Of the gold rows without a prediction, the one of least (topic, id)
+    raises MissingPrediction."""
     pairs: dict[str | None, list[tuple[int, int]]] = {}
+    missing = []
     for gold_id, gold_topic, gold_label in gold:
         matches = [p for i, t, p in pred if (i, t) == (gold_id, gold_topic)]
         if not matches:
-            raise MissingPrediction(gold_id, gold_topic)
+            missing.append((gold_topic, gold_id))
+            continue
         (pred_label,) = matches
         pairs.setdefault(gold_topic, []).append((gold_label, pred_label))
+    if missing:
+        topic, item_id = min(missing)
+        raise MissingPrediction(item_id, topic)
     gold_keys = [(i, t) for i, t, _ in gold]
     ignored = sum((i, t) not in gold_keys for i, t, _ in pred)
     return {t: table(scale, pairs[t]) for t in sorted(pairs)}, ignored
@@ -264,7 +271,7 @@ def reference_label_rows(
     stream: Iterable[str], spec: SubtaskSpec
 ) -> Iterator[tuple[int, str, str | None, int]]:
     """Per-row reference reader of a label file: yields each row as ``(line,
-    row_key, topic, label)``, checking every row in full. Each line loses its
+    id, topic, label)``, checking every row in full. Each line loses its
     trailing "\\r" and "\\n" and is skipped if nothing is left; then it needs
     at least 3 tab-separated fields, a non-empty id, a non-blank topic field
     that is NA exactly when the subtask has no topics, and a label on the
@@ -286,7 +293,7 @@ def reference_label_rows(
             raise MalformedLine(f"subtask {spec.id} requires a topic, got NA", line=n)
         if not spec.topic_based and topic is not None:
             raise MalformedLine(f"subtask {spec.id} expects topic NA", line=n)
-        yield n, f"{item_id}\t{text}", topic, spec.scale.parse_label(fields[2], line=n)
+        yield n, item_id, topic, spec.scale.parse_label(fields[2], line=n)
 
 
 Record = tuple[str, str, str]  # (id, text, output line), as parse_raw_records returns

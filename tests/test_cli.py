@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (constant_predictions, label_text, parsed_rows, reference_join,
                       rows_from_counts)
+import topicsent
 from topicsent.cli import _emit_report, main, round_display
 from topicsent.errors import EmptyInput, MissingPrediction, ScoringError
 from topicsent.evaluate import SUBTASKS, Mode, ScoreReport
@@ -624,6 +627,35 @@ class TestInputContract:
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "INVALID_ARGUMENT"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "--subtask", "B", "--gold", "gold", "--pred", "gold", "--format", "tsv"],
+            ["score", "--subtask", "B", "--gold", "gold", "--pred", "gold", "--format", "table"],
+            ["stats", "--subtask", "B", "--input", "gold", "--format", "tsv"],
+            ["dedup", "--input", "raw"],
+            ["consolidate", "--input", "annotations"],
+        ],
+        ids=["score-tsv", "score-table", "stats-tsv", "dedup", "consolidate"],
+    )
+    def test_stdout_is_utf8_whatever_the_locale(self, argv, tmp_path):
+        """With an ASCII stdout, non-ASCII topics and texts go to stdout as
+        the UTF-8 bytes that --output writes to a file."""
+        (tmp_path / "gold").write_text("t1\tcafé\tpositive\nt2\t東京\tnegative\n",
+                                       encoding="utf-8")
+        (tmp_path / "raw").write_text("t1\tcafé\tpositive\tcrème brûlée\n"
+                                      "t2\t東京\tnegative\tcrème brûlée!\n", encoding="utf-8")
+        (tmp_path / "annotations").write_text("a1\tcafé\t1\t1\t1\t2\t1\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(topicsent.__file__))
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": os.pathsep.join(path)}
+        command = [sys.executable, "-m", "topicsent.cli", *argv]
+        to_stdout = subprocess.run(command, capture_output=True, cwd=tmp_path, env=env)
+        to_file = subprocess.run([*command, "--output", "out"], capture_output=True,
+                                 cwd=tmp_path, env=env)
+        assert (to_stdout.returncode, to_file.returncode) == (0, 0), to_stdout.stderr
+        assert to_stdout.stdout == (tmp_path / "out").read_bytes()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -681,10 +713,16 @@ def test_score_arbitrary_bytes_exits_0_or_1(subtask, gold, pred):
                              "--pred", str(pred_path)])
 
 
+def dropped_stdout():
+    """A stand-in for stdout whose output is dropped: a text stream over
+    bytes, as the real one is, which the CLI reconfigures to UTF-8."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+
+
 def assert_exits_0_or_1(argv):
     """Runs the CLI, which must exit 0, or 1 with one JSON line on stderr."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(dropped_stdout()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1)
     if code == 1:
@@ -736,8 +774,10 @@ def test_baseline_arbitrary_bytes_exit_0_or_1(argv, gold, train):
 
 
 @st.composite
-def _scored_files(draw, subtask):
-    """Valid gold and prediction rows for one subtask, as text lines."""
+def _scored_files(draw, subtask, drop=False):
+    """Valid gold and prediction rows for one subtask, as text lines; with
+    ``drop``, the predictions may leave out some gold rows (A-C) or topics
+    (D, E)."""
     spec = SUBTASKS[subtask]
     classes = spec.scale.classes
     topics = ["a", "b", "c"] if spec.topic_based else ["NA"]
@@ -746,11 +786,13 @@ def _scored_files(draw, subtask):
                          min_size=1, max_size=40))
     gold = [f"t{i}\t{t}\t{g}" for i, (t, g, _) in enumerate(rows)]
     if spec.mode is Mode.CLASSIFICATION:
-        pred = [f"t{i}\t{t}\t{p}" for i, (t, _, p) in enumerate(rows)]
+        gone = draw(st.sets(st.integers(0, len(rows) - 1))) if drop else set()
+        pred = [f"t{i}\t{t}\t{p}" for i, (t, _, p) in enumerate(rows) if i not in gone]
         pred += [f"extra{i}\t{topics[0]}\t{classes[0]}" for i in range(draw(st.integers(0, 2)))]
         return gold, pred
+    gone = draw(st.sets(st.sampled_from(topics))) if drop else set()
     pred = []
-    for t in topics:
+    for t in sorted(set(topics) - gone):
         weights = draw(st.lists(st.integers(0, 9), min_size=len(classes),
                                 max_size=len(classes)).filter(any))
         pred += [f"{t}\t{c}\t{w / sum(weights)!r}" for c, w in zip(classes, weights)]
@@ -761,20 +803,23 @@ def _scored_files(draw, subtask):
 @settings(deadline=None)
 @given(data=st.data())
 def test_row_order_does_not_change_report(subtask, data):
-    gold, pred = data.draw(_scored_files(subtask))
+    """The same rows in another order give the same exit code, stderr and
+    report, also when some predictions are missing."""
+    gold, pred = data.draw(_scored_files(subtask, drop=True))
     shuffled = (data.draw(st.permutations(gold)), data.draw(st.permutations(pred)))
-    reports = []
+    outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, (gold_lines, pred_lines) in enumerate([(gold, pred), shuffled]):
             paths = [Path(tmp, f"{name}{i}") for name in ("gold", "pred", "out")]
             paths[0].write_text("".join(line + "\n" for line in gold_lines), encoding="utf-8")
             paths[1].write_text("".join(line + "\n" for line in pred_lines), encoding="utf-8")
-            with contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
                 code = main(["score", "--subtask", subtask, "--gold", str(paths[0]),
                              "--pred", str(paths[1]), "--pooled", "--output", str(paths[2])])
-            assert code == 0
-            reports.append(paths[2].read_bytes())
-    assert reports[0] == reports[1]
+            report = paths[2].read_bytes() if paths[2].exists() else None
+            outcomes.append((code, err.getvalue(), report))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("subtask", ["B", "C", "D", "E"])
@@ -917,8 +962,9 @@ def _faulty_prevalence_files(draw, subtask):
 
 def _reference_outcome(spec, gold_text, pred_text):
     """Exit code and diagnostic of scoring with both files parsed in full,
-    gold first, then joined by the per-row reference or, for
-    quantification, checked for a gold topic without a prediction."""
+    gold first, then joined by the per-row reference, which names the gold
+    item of least (topic, id) without a prediction, or, for quantification,
+    checked for a gold topic without a prediction."""
     try:
         gold = parsed_rows(gold_text, spec)
         if spec.mode is Mode.CLASSIFICATION:
@@ -942,8 +988,8 @@ def _reference_outcome(spec, gold_text, pred_text):
 def test_errors_keep_their_order(subtask, data):
     """Scoring reports the error that parsing gold, then the predictions,
     then matching them would: gold file errors first, then prediction file
-    errors, then the first gold key (A-C) or topic (D, E) without a
-    prediction."""
+    errors, then the least gold (topic, id) pair (A-C) or topic (D, E)
+    without a prediction."""
     if SUBTASKS[subtask].mode is Mode.CLASSIFICATION:
         gold, pred = data.draw(_faulty_label_files(subtask))
     else:
@@ -955,7 +1001,7 @@ def test_errors_keep_their_order(subtask, data):
         gold_path.write_text(gold_text, encoding="utf-8")
         pred_path.write_text(pred_text, encoding="utf-8")
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(dropped_stdout()), contextlib.redirect_stderr(err):
             code = main(["score", "--subtask", subtask, "--gold", str(gold_path),
                          "--pred", str(pred_path)])
     want_code, want_diag = _reference_outcome(SUBTASKS[subtask], gold_text, pred_text)

@@ -279,15 +279,18 @@ def _write(directory: Path, files: dict[str, str | bytes]) -> None:
 
 def run_case(argv: list[str], directory: Path) -> str:
     """The digest of one run: exit code, stdout, stderr and the --removed
-    file, with each ``@name`` in argv replaced by the path of that file."""
+    file, with each ``@name`` in argv replaced by the path of that file.
+    Stdout is a text stream over bytes, as the real one is, which the CLI
+    reconfigures to UTF-8."""
     argv = [str(directory / a[1:]) if a.startswith("@") else a for a in argv]
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="ascii"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    out.flush()
     removed = directory / "removed"
     written = removed.read_text(encoding="utf-8") if removed.exists() else None
     removed.unlink(missing_ok=True)
-    blob = json.dumps([code, out.getvalue(), err.getvalue(), written])
+    blob = json.dumps([code, out.buffer.getvalue().decode("utf-8"), err.getvalue(), written])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

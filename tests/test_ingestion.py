@@ -41,7 +41,7 @@ from topicsent.ingestion import (
     parse_prevalence_file,
     stats,
 )
-from topicsent.model import Prevalence, Scale, duplicate_key, key_fields, row_key
+from topicsent.model import Prevalence, Scale, duplicate_key, row_key
 
 
 def parse(text, subtask):
@@ -49,10 +49,10 @@ def parse(text, subtask):
 
 
 class TestParseDataset:
-    """Parsing a whole label file (a data set) into its row_key -> label map."""
+    """Parsing a whole label file (a data set) into its topic -> id -> label map."""
 
     def test_direct_parse(self):
-        assert parse("t1\tTOPIC\tpositive\tsome text\n", "B") == {"t1\tTOPIC": 1}
+        assert parse("t1\tTOPIC\tpositive\tsome text\n", "B") == {"TOPIC": {"t1": 1}}
 
     def test_invalid_label_carries_line(self):
         with pytest.raises(InvalidLabel) as exc:
@@ -89,24 +89,26 @@ class TestParseDataset:
         word = st.text(alphabet="abcxyz019_-", min_size=1, max_size=4)
         topic = word if spec.topic_based else st.none()
         keyed = data.draw(st.dictionaries(st.tuples(word, topic), st.sampled_from(spec.scale.classes)))
-        # a row written as its row_key and integer label parses back to that key and label
+        # a row written as its row_key and integer label parses back to its id,
+        # topic and label, topics and ids in file order
         text = "".join(f"{row_key(i, t)}\t{label}\n" for (i, t), label in keyed.items())
-        expected = {row_key(i, t): label for (i, t), label in keyed.items()}
-        parsed = parse_labels(io.StringIO(text), spec)
-        assert parsed == expected and list(parsed) == list(expected)
+        expected = {}
+        for (i, t), label in keyed.items():
+            expected.setdefault(t, {})[i] = label
+        assert in_order(parse_labels(io.StringIO(text), spec)) == in_order(expected)
 
 
 class TestParseLabels:
     def test_keys_are_canonical_fields(self):
         text = " t1 \t TOPIC\tpositive\nt2\tTOPIC\t-1\n"
-        assert parse_labels(io.StringIO(text), SUBTASKS["B"]) == {"t1\tTOPIC": 1, "t2\tTOPIC": -1}
-        assert parse_labels(io.StringIO("t1\t NA\t0\n"), SUBTASKS["A"]) == {"t1\tNA": 0}
+        assert parse_labels(io.StringIO(text), SUBTASKS["B"]) == {"TOPIC": {"t1": 1, "t2": -1}}
+        assert parse_labels(io.StringIO("t1\t NA\t0\n"), SUBTASKS["A"]) == {None: {"t1": 0}}
 
     def test_gold_map_memory(self):
-        """The score path holds gold as one string key per row: 20k subtask-C
-        rows with 18-digit ids in 200 topics keep under 125 traced bytes a
-        row, where an (id, topic) tuple key beside its id string keeps about
-        150."""
+        """The score path holds gold as one id -> label map per topic: 20k
+        subtask-C rows with 18-digit ids in 200 topics keep under 125 traced
+        bytes a row, where an (id, topic) tuple key beside its id string
+        keeps about 150."""
         rng = random.Random(14)
         names = ["highlynegative", "negative", "neutral", "positive", "highlypositive"]
         lines = [f"{i}\ttopic{rng.randrange(200):03d}\t{rng.choice(names)}\n"
@@ -117,7 +119,7 @@ class TestParseLabels:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(labels) == 20_000
+        assert sum(map(len, labels.values())) == 20_000
         assert kept / 20_000 < 125
 
 
@@ -200,54 +202,68 @@ def outcome(f):
         return type(exc), str(exc)
 
 
+def in_order(labels):
+    """A topic -> id -> label map, or a topic -> counts map, as a list of
+    (topic, value) pairs with each id map as a list of (id, label) pairs,
+    so that equality also compares the order."""
+    return [(t, list(v.items()) if isinstance(v, dict) else v) for t, v in labels.items()]
+
+
+def fold_rows(text, spec):
+    """The (topic, id) -> label map of a label file's rows, in file order."""
+    labels = {}
+    for n, item_id, topic, label in reference_label_rows(io.StringIO(text), spec):
+        if (topic, item_id) in labels:
+            raise duplicate_key(item_id, topic, n)
+        labels[topic, item_id] = label
+    return labels
+
+
 def fold_labels(text, spec):
     labels = {}
-    for n, key, _, label in reference_label_rows(io.StringIO(text), spec):
-        if key in labels:
-            raise duplicate_key(key, n)
-        labels[key] = label
+    for (topic, item_id), label in fold_rows(text, spec).items():
+        labels.setdefault(topic, {})[item_id] = label
     return labels
 
 
 def fold_counts(text, spec):
-    seen, counts = set(), {}
-    for n, key, topic, label in reference_label_rows(io.StringIO(text), spec):
-        if key in seen:
-            raise duplicate_key(key, n)
-        seen.add(key)
+    counts = {}
+    for (topic, _), label in fold_rows(text, spec).items():
         counts.setdefault(topic, []).append(label)
     return {t: tuple(map(counts[t].count, spec.scale.classes)) for t in sorted(counts)}
 
 
 def fold_join(gold_text, pred_text, spec):
-    gold, matched, ignored, pairs = fold_labels(gold_text, spec), set(), set(), {}
-    for n, key, topic, label in reference_label_rows(io.StringIO(pred_text), spec):
+    gold, matched, ignored, pairs = fold_rows(gold_text, spec), set(), set(), {}
+    for n, item_id, topic, label in reference_label_rows(io.StringIO(pred_text), spec):
+        key = topic, item_id
         if key in matched or key in ignored:
-            raise duplicate_key(key, n)
+            raise duplicate_key(item_id, topic, n)
         if key in gold:
             matched.add(key)
             pairs.setdefault(topic, []).append((gold[key], label))
         else:
             ignored.add(key)
-    for key in gold:
-        if key not in matched:
-            raise MissingPrediction(*key_fields(key))
+    missing = [key for key in gold if key not in matched]
+    if missing:
+        topic, item_id = min(missing)
+        raise MissingPrediction(item_id, topic)
     return {t: table(spec.scale, pairs[t]) for t in sorted(pairs)}, len(ignored)
 
 
 class TestLabelLoopsMatchReference:
-    """parse_labels, count_labels and join_labels each read a label file in
-    one loop that checks a raw topic or label field only the first time it
-    appears; each gives what a fold over reference_label_rows gives, or the
-    same error with the same message."""
+    """parse_labels and join_labels each read a label file in one loop that
+    checks a raw topic or label field only the first time it appears; they
+    and count_labels, a fold of parse_labels, give what a fold over
+    reference_label_rows gives, or the same error with the same message."""
 
     @given(st.data())
     def test_parse_and_count(self, data):
         spec = SUBTASKS[data.draw(st.sampled_from("ABCDE"))]
         text = data.draw(label_texts(spec))
         for read, fold in [(parse_labels, fold_labels), (count_labels, fold_counts)]:
-            expected = outcome(lambda: list(fold(text, spec).items()))  # the order counts
-            assert outcome(lambda: list(read(io.StringIO(text), spec).items())) == expected
+            expected = outcome(lambda: in_order(fold(text, spec)))
+            assert outcome(lambda: in_order(read(io.StringIO(text), spec))) == expected
 
     @given(st.data())
     def test_join(self, data):

@@ -91,7 +91,7 @@ class TestScale:
 
 
 def labels(text, subtask="B"):
-    """The row_key -> label map of a label file."""
+    """The topic -> id -> label map of a label file."""
     return parse_labels(io.StringIO(text), SUBTASKS[subtask])
 
 
@@ -103,7 +103,7 @@ class TestDataset:
             labels("t1\tx\t1\nt1\tx\t-1\n")
 
     def test_same_id_different_topic_allowed(self):
-        assert list(labels("t1\tx\t1\nt1\ty\t-1\n")) == ["t1\tx", "t1\ty"]
+        assert labels("t1\tx\t1\nt1\ty\t-1\n") == {"x": {"t1": 1}, "y": {"t1": -1}}
 
     def test_mixed_topic_presence_rejected(self):
         with pytest.raises(MalformedLine, match="subtask B requires a topic"):
@@ -135,7 +135,8 @@ class TestDataset:
         assert list(tables) == [None] and ignored == 0
 
     def test_labels_keyed_in_input_order(self):
-        assert list(labels("t2\tx\t1\nt1\tx\t-1\n").items()) == [("t2\tx", 1), ("t1\tx", -1)]
+        assert list(labels("t2\tx\t1\nt1\tx\t-1\n")["x"].items()) == [("t2", 1), ("t1", -1)]
+        assert list(labels("t2\ty\t1\nt1\tx\t-1\nt3\ty\t1\n")) == ["y", "x"]
 
 
 class TestAlign:
@@ -161,22 +162,26 @@ class TestAlign:
 
     def test_streamed_rows(self):
         """join_labels takes gold over and catches a repeated prediction key,
-        in gold or not, at its row's line."""
-        gold = {"t1\ta": 1, "t2\ta": -1, "t3\ta": 1}
+        in gold or not, at its row's line: each matched or unmatched
+        prediction id is left as None in its topic's map."""
+        gold = {"a": {"t1": 1, "t2": -1, "t3": 1}}
         rows_in = "t3\ta\t1\nt9\ta\t1\nt1\ta\t-1\n"
 
         def run(text, gold):
             return join_labels(io.StringIO(rows_in + text), SUBTASKS["B"], gold)
 
+        def copy():
+            return {t: dict(ids) for t, ids in gold.items()}
+
         with pytest.raises(MissingPrediction, match=r"^no prediction for gold item t2 \(topic a\)$"):
-            run("", dict(gold))
+            run("", copy())
         with pytest.raises(DuplicateKey, match=r"^line 5: duplicate \(id, topic\) pair \('t3', 'a'\)$"):
-            run("\nt3\ta\t1\n", dict(gold))
+            run("\nt3\ta\t1\n", copy())
         with pytest.raises(DuplicateKey, match="line 6"):
-            run("\n\nt9\ta\t-1\n", dict(gold))
+            run("\n\nt9\ta\t-1\n", copy())
         tables, ignored = run("\n\n\nt2\ta\t1\n", gold)
         assert tables["a"] == ((0, 1), (1, 1)) and ignored == 1
-        assert set(gold.values()) == {None}
+        assert gold == {"a": dict.fromkeys(["t1", "t2", "t3", "t9"])}
 
     def test_scale_mismatch(self):
         # predictions are read on the gold scale, so a label off it fails at its line
@@ -244,7 +249,10 @@ class TestReferenceJoin:
     def test_topic_class_counts(self, data):
         scale, gold, _ = data
         assert class_counts(scale, gold) == reference_class_counts(scale, gold)
-        assert parsed_rows(label_text(gold), spec_for(scale, gold)) == gold
+        # parse_labels groups the rows by topic, topics and ids in file order
+        topics = dict.fromkeys(t for _, t, _ in gold)
+        grouped = [row for topic in topics for row in gold if row[1] == topic]
+        assert parsed_rows(label_text(gold), spec_for(scale, gold)) == grouped
 
 
 def label_fractions(labels, scale):
