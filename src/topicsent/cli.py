@@ -9,6 +9,7 @@ values; TABLE output rounds to 3 decimals, half away from zero.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -321,6 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # warnings name topics, so stderr too is UTF-8 whatever the locale; a
+    # stream of str (io.StringIO) has no encoding to set
+    if isinstance(sys.stderr, io.TextIOWrapper):
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

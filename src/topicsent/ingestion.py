@@ -23,7 +23,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from itertools import accumulate, compress, repeat, tee
-from operator import le, lt, mod, mul, sub, truediv, xor
+from operator import countOf, le, lt, mod, mul, sub, truediv, xor
 from typing import IO, Iterable, Iterator, Sequence
 
 from .annotation import MIN_ANNOTATORS
@@ -108,13 +108,14 @@ def _row_label(fields: list[str], spec: SubtaskSpec, n: int) -> int:
 
 
 def parse_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str | None, dict[str, int]]:
-    """The topic -> id -> label map of a label file, topics and ids in file
-    order, and data without topics under the key None; every error carries
-    its line number, and a repeated (id, topic) pair is a hard error. Each
-    distinct raw topic and label field is checked once."""
+    """The topic -> id -> class index map of a label file, where an item's
+    class index is its label's position in spec.scale.classes; topics and
+    ids in file order, and data without topics under the key None. Every
+    error carries its line number, and a repeated (id, topic) pair is a hard
+    error. Each distinct raw topic and label field is checked once."""
     gold: dict[str | None, dict[str, int]] = {}
     topics: dict[str, dict[str, int]] = {}  # raw topic field -> its topic's ids
-    parsed: dict[str, int] = {}  # raw label field -> label
+    parsed: dict[str, int] = {}  # raw label field -> class index
     for n, line in enumerate(stream, 1):
         fields = line.split("\t")
         item_id = fields[0].strip()
@@ -126,30 +127,30 @@ def parse_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str | None, d
         except KeyError:
             ids = topics[fields[1]] = gold.setdefault(_row_topic(fields[1], spec, n), {})
         try:
-            label = parsed[fields[2]]
+            c = parsed[fields[2]]
         except KeyError:
-            label = parsed[fields[2]] = _row_label(fields, spec, n)
+            c = parsed[fields[2]] = spec.scale.classes.index(_row_label(fields, spec, n))
         if item_id in ids:
             raise duplicate_key(item_id, _row_topic(fields[1], spec, n), n)
-        ids[item_id] = label
+        ids[item_id] = c
     return gold
 
 
 def count_labels(stream: Iterable[str], spec: SubtaskSpec) -> dict[str | None, tuple[int, ...]]:
-    """Each topic's class counts in spec.scale.classes order from a label
-    file read by parse_labels, topics sorted; data without topics gives one
-    count vector under the key None."""
+    """Each topic's class counts in spec.scale.classes order, counted by
+    class index from a label file read by parse_labels, topics sorted; data
+    without topics gives one count vector under the key None."""
     gold = parse_labels(stream, spec)
-    classes = spec.scale.classes
-    return {t: tuple(map(list(gold[t].values()).count, classes)) for t in sorted(gold)}
+    indices = range(len(spec.scale.classes))
+    return {t: tuple(map(list(gold[t].values()).count, indices)) for t in sorted(gold)}
 
 
 def join_labels(
     stream: Iterable[str], spec: SubtaskSpec, gold: dict[str | None, dict[str, int | None]]
 ) -> tuple[dict[str | None, tuple[tuple[int, ...], ...]], int]:
     """Joins the rows of a prediction label file, checked as parse_labels
-    checks, onto the topic -> id -> label gold map (parse_labels) and counts
-    each topic's gold/prediction class pairs into a k x k table (see
+    checks, onto the topic -> id -> class index gold map (parse_labels) and
+    counts each topic's gold/prediction class pairs into a k x k table (see
     ``model``). Topics come out sorted; data without topics gives one table
     under the key None. Also returns the number of prediction rows absent
     from gold, which are ignored.
@@ -160,11 +161,10 @@ def join_labels(
     the gold item of least (topic, id) without a prediction raises
     MissingPrediction.
     """
-    index = {c: i for i, c in enumerate(spec.scale.classes)}
-    k = len(index)
-    cells: dict[str | None, list[list[int]]] = {}
+    k = len(spec.scale.classes)
+    cells: dict[str | None, list[int]] = {}  # topic -> its table's cells, row by row
     # raw topic field -> its topic's gold ids and cells
-    topics: dict[str, tuple[dict[str, int | None], list[list[int]]]] = {}
+    topics: dict[str, tuple[dict[str, int | None], list[int]]] = {}
     classes: dict[str, int] = {}  # raw label field -> class index
     n_ignored = 0
     for n, line in enumerate(stream, 1):
@@ -174,33 +174,32 @@ def join_labels(
             _bad_row(line, fields, n)
             continue
         try:
-            ids, rows = topics[fields[1]]
+            ids, table = topics[fields[1]]
         except KeyError:
             topic = _row_topic(fields[1], spec, n)
             ids = gold.setdefault(topic, {})
-            rows = cells.setdefault(topic, [[0] * k for _ in range(k)])
-            topics[fields[1]] = ids, rows
+            table = cells.setdefault(topic, [0] * (k * k))
+            topics[fields[1]] = ids, table
         try:
             j = classes[fields[2]]
         except KeyError:
-            j = classes[fields[2]] = index[_row_label(fields, spec, n)]
-        try:
-            gold_label = ids[item_id]
-        except KeyError:
-            ids[item_id] = None
-            n_ignored += 1
-            continue
-        if gold_label is None:
+            j = classes[fields[2]] = spec.scale.classes.index(_row_label(fields, spec, n))
+        g = ids.get(item_id, k)  # k for an id that gold lacks
+        if g is None:
             raise duplicate_key(item_id, _row_topic(fields[1], spec, n), n)
-        rows[index[gold_label]][j] += 1
         ids[item_id] = None
-    missing = [(t, i) for t, ids in gold.items() for i, label in ids.items() if label is not None]
-    if missing:
-        topic, item_id = min(missing)
+        if g == k:
+            n_ignored += 1
+        else:
+            table[g * k + j] += 1
+    # a C-level count per topic; the (topic, id) pairs are listed only if one is missing
+    if any(countOf(ids.values(), None) != len(ids) for ids in gold.values()):
+        topic, item_id = min((t, i) for t, ids in gold.items() for i, g in ids.items()
+                             if g is not None)
         raise MissingPrediction(item_id, topic)
     # a topic whose prediction rows all missed gold has an empty table and no entry
-    tables = {t: tuple(map(tuple, cells[t])) for t in sorted(cells) if any(map(any, cells[t]))}
-    return tables, n_ignored
+    return {t: tuple(tuple(cells[t][i:i + k]) for i in range(0, k * k, k))
+            for t in sorted(cells) if any(cells[t])}, n_ignored
 
 
 def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence]:
@@ -314,11 +313,6 @@ def parse_raw_records(stream: IO[str]) -> list[_Record]:
     return rows
 
 
-def _strip_punct(word: str) -> str:
-    """The word without leading and trailing punctuation; "" if it is all punctuation."""
-    return word.strip("".join([c for c in word if unicodedata.category(c)[0] == "P"]))
-
-
 _SLACK = 1 - 1e-9  # relative slack of dedup's cuts, which absorbs float rounding
 _BITS = 128  # bits in a dedup bitmap
 # A candidate list goes through the bitmap filter only if it holds _BITMAP_MIN
@@ -359,10 +353,10 @@ def _energy(tfs: Iterable[int]) -> list[int]:
     return list(accumulate(map(mul, tfs, tfs), initial=0))
 
 
-def _h_limit(low: float, energy: Sequence[int], other: Sequence[int]) -> int:
+def _h_limit(num: int, den: int, energy: Sequence[int], other: Sequence[int]) -> int:
     """The largest bitmap distance h at which two records of these energy
-    profiles (see _energy) can have a cosine of ``low`` or more, or -1 if at
-    none.
+    profiles (see _energy) can have a cosine of ``low`` or more, where
+    ``num / den`` is ``low**2`` as a float, or -1 if at none.
 
     Each bit set in the xor of two bitmaps (_bitmap) is set by a token of only
     one record, so records of d and od distinct tokens whose bitmaps differ in
@@ -370,7 +364,6 @@ def _h_limit(low: float, energy: Sequence[int], other: Sequence[int]) -> int:
     Cauchy-Schwarz their cosine is at most ``sqrt(P[m] * Po[m] / (P[d] *
     Po[od]))`` (Sandes, Teodoro & Melo 2020). The test is exact once
     ``low**2`` is rounded to a float."""
-    num, den = (low * low).as_integer_ratio()
     need = num * energy[-1] * other[-1]
     for m in range(min(len(energy), len(other))):
         if den * energy[m] * other[m] >= need:
@@ -410,13 +403,17 @@ def dedup(
     distinct word stripped, once."""
     if not 0.0 <= threshold <= 1.0:  # also rejects NaN
         raise InvalidArgument(f"threshold must be in [0, 1], got {threshold!r}")
+    # the punctuation of the casefolded words: casefold maps each char on its own,
+    # and split drops no punctuation
+    chars = {c for c in set().union(*[text for _, text, _ in records]) for c in c.casefold()}
+    punct = "".join([c for c in chars if unicodedata.category(c)[0] == "P"])
     token_of: dict[str, str] = {}  # casefolded word -> token; equal tokens share one str
     docs: list[list] = []  # each record's tokens, turned into ranks in place below
     df: Counter = Counter()
     for item_id, text, _ in records:
         words = text.casefold().split()
         for word in set(words).difference(token_of):
-            tok = _strip_punct(word)
+            tok = word.strip(punct)
             token_of[word] = token_of.setdefault(tok, tok)
         docs.append(list(filter(None, map(token_of.__getitem__, words))))
         if not docs[-1]:
@@ -449,7 +446,8 @@ def dedup(
     kept_bits = _Lazy(lambda o: _bitmap(kept_ranks[o]))
     kept_profiles = _Lazy(lambda o: profile(Counter(kept_ranks[o]).values()))
     # query profile id -> kept profile id -> the largest h at which a pair can pass
-    limits = _Lazy(lambda q: _Lazy(lambda o: _h_limit(low, energies[q], energies[o])))
+    low_sq = (low * low).as_integer_ratio()
+    limits = _Lazy(lambda q: _Lazy(lambda o: _h_limit(*low_sq, energies[q], energies[o])))
     for rec, ranks in zip(records, docs):
         for tok in ranks:
             tf[tok] += 1

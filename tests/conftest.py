@@ -160,10 +160,10 @@ def spec_for(scale: Scale, *rows: Iterable[Row]) -> SubtaskSpec:
 
 
 def parsed_rows(text: str, spec: SubtaskSpec) -> list[Row]:
-    """The rows of a label file, as parse_labels reads them: grouped by topic,
-    topics and ids in file order."""
+    """The rows of a label file as parse_labels reads them, each with its class
+    index in place of its label: grouped by topic, topics and ids in file order."""
     gold = parse_labels(io.StringIO(text), spec)
-    return [(item_id, t, label) for t, ids in gold.items() for item_id, label in ids.items()]
+    return [(item_id, t, c) for t, ids in gold.items() for item_id, c in ids.items()]
 
 
 def class_counts(scale: Scale, rows: list[Row]) -> dict[str | None, tuple[int, ...]]:

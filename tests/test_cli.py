@@ -656,6 +656,22 @@ class TestInputContract:
         assert (to_stdout.returncode, to_file.returncode) == (0, 0), to_stdout.stderr
         assert to_stdout.stdout == (tmp_path / "out").read_bytes()
 
+    def test_stderr_is_utf8_whatever_the_locale(self, tmp_path):
+        """A warning that names a non-ASCII topic is the same bytes on stderr
+        under an ASCII locale as under a UTF-8 one."""
+        (tmp_path / "gold").write_text("t1\tcafé\tpositive\nt2\tcafé\tpositive\n",
+                                       encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(topicsent.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "topicsent.cli", "score", "--subtask", "B",
+                   "--gold", "gold", "--pred", "gold"]
+        runs = [subprocess.run(command, capture_output=True, cwd=tmp_path,
+                               env={**os.environ, "PYTHONIOENCODING": encoding, "PYTHONPATH": path})
+                for encoding in ("ascii", "utf-8")]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert "warning: topic café: ".encode() in runs[1].stderr
+        assert runs[0].stderr == runs[1].stderr
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -49,7 +49,7 @@ def parse(text, subtask):
 
 
 class TestParseDataset:
-    """Parsing a whole label file (a data set) into its topic -> id -> label map."""
+    """Parsing a whole label file (a data set) into its topic -> id -> class index map."""
 
     def test_direct_parse(self):
         assert parse("t1\tTOPIC\tpositive\tsome text\n", "B") == {"TOPIC": {"t1": 1}}
@@ -90,22 +90,23 @@ class TestParseDataset:
         topic = word if spec.topic_based else st.none()
         keyed = data.draw(st.dictionaries(st.tuples(word, topic), st.sampled_from(spec.scale.classes)))
         # a row written as its row_key and integer label parses back to its id,
-        # topic and label, topics and ids in file order
+        # topic and class index, topics and ids in file order
         text = "".join(f"{row_key(i, t)}\t{label}\n" for (i, t), label in keyed.items())
         expected = {}
         for (i, t), label in keyed.items():
-            expected.setdefault(t, {})[i] = label
+            expected.setdefault(t, {})[i] = spec.scale.classes.index(label)
         assert in_order(parse_labels(io.StringIO(text), spec)) == in_order(expected)
 
 
 class TestParseLabels:
     def test_keys_are_canonical_fields(self):
         text = " t1 \t TOPIC\tpositive\nt2\tTOPIC\t-1\n"
-        assert parse_labels(io.StringIO(text), SUBTASKS["B"]) == {"TOPIC": {"t1": 1, "t2": -1}}
-        assert parse_labels(io.StringIO("t1\t NA\t0\n"), SUBTASKS["A"]) == {None: {"t1": 0}}
+        # class indices on the two-point scale (-1, 1) and the three-point (-1, 0, 1)
+        assert parse_labels(io.StringIO(text), SUBTASKS["B"]) == {"TOPIC": {"t1": 1, "t2": 0}}
+        assert parse_labels(io.StringIO("t1\t NA\t0\n"), SUBTASKS["A"]) == {None: {"t1": 1}}
 
     def test_gold_map_memory(self):
-        """The score path holds gold as one id -> label map per topic: 20k
+        """The score path holds gold as one id -> class index map per topic: 20k
         subtask-C rows with 18-digit ids in 200 topics keep under 125 traced
         bytes a row, where an (id, topic) tuple key beside its id string
         keeps about 150."""
@@ -203,8 +204,8 @@ def outcome(f):
 
 
 def in_order(labels):
-    """A topic -> id -> label map, or a topic -> counts map, as a list of
-    (topic, value) pairs with each id map as a list of (id, label) pairs,
+    """A topic -> id -> class index map, or a topic -> counts map, as a list of
+    (topic, value) pairs with each id map as a list of (id, class index) pairs,
     so that equality also compares the order."""
     return [(t, list(v.items()) if isinstance(v, dict) else v) for t, v in labels.items()]
 
@@ -220,9 +221,10 @@ def fold_rows(text, spec):
 
 
 def fold_labels(text, spec):
+    """The topic -> id -> class index map of fold_rows."""
     labels = {}
     for (topic, item_id), label in fold_rows(text, spec).items():
-        labels.setdefault(topic, {})[item_id] = label
+        labels.setdefault(topic, {})[item_id] = spec.scale.classes.index(label)
     return labels
 
 
@@ -614,7 +616,8 @@ def bitmap_limit(tfs, ranks, threshold):
     from (tf in the first, tf in the second) per token and its rank."""
     bq, bo = (ingestion._bitmap([r for r, t in zip(ranks, side) if t]) for side in zip(*tfs))
     energies = (ingestion._energy(filter(None, side)) for side in zip(*tfs))
-    return (bq ^ bo).bit_count(), ingestion._h_limit(threshold * ingestion._SLACK, *energies)
+    low = threshold * ingestion._SLACK
+    return (bq ^ bo).bit_count(), ingestion._h_limit(*(low * low).as_integer_ratio(), *energies)
 
 
 class TestBitmapBound:

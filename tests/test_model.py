@@ -91,7 +91,7 @@ class TestScale:
 
 
 def labels(text, subtask="B"):
-    """The topic -> id -> label map of a label file."""
+    """The topic -> id -> class index map of a label file."""
     return parse_labels(io.StringIO(text), SUBTASKS[subtask])
 
 
@@ -103,7 +103,7 @@ class TestDataset:
             labels("t1\tx\t1\nt1\tx\t-1\n")
 
     def test_same_id_different_topic_allowed(self):
-        assert labels("t1\tx\t1\nt1\ty\t-1\n") == {"x": {"t1": 1}, "y": {"t1": -1}}
+        assert labels("t1\tx\t1\nt1\ty\t-1\n") == {"x": {"t1": 1}, "y": {"t1": 0}}
 
     def test_mixed_topic_presence_rejected(self):
         with pytest.raises(MalformedLine, match="subtask B requires a topic"):
@@ -135,7 +135,7 @@ class TestDataset:
         assert list(tables) == [None] and ignored == 0
 
     def test_labels_keyed_in_input_order(self):
-        assert list(labels("t2\tx\t1\nt1\tx\t-1\n")["x"].items()) == [("t2", 1), ("t1", -1)]
+        assert list(labels("t2\tx\t1\nt1\tx\t-1\n")["x"].items()) == [("t2", 1), ("t1", 0)]
         assert list(labels("t2\ty\t1\nt1\tx\t-1\nt3\ty\t1\n")) == ["y", "x"]
 
 
@@ -164,7 +164,7 @@ class TestAlign:
         """join_labels takes gold over and catches a repeated prediction key,
         in gold or not, at its row's line: each matched or unmatched
         prediction id is left as None in its topic's map."""
-        gold = {"a": {"t1": 1, "t2": -1, "t3": 1}}
+        gold = {"a": {"t1": 1, "t2": 0, "t3": 1}}  # class indices: labels 1, -1, 1
         rows_in = "t3\ta\t1\nt9\ta\t1\nt1\ta\t-1\n"
 
         def run(text, gold):
@@ -182,6 +182,20 @@ class TestAlign:
         tables, ignored = run("\n\n\nt2\ta\t1\n", gold)
         assert tables["a"] == ((0, 1), (1, 1)) and ignored == 1
         assert gold == {"a": dict.fromkeys(["t1", "t2", "t3", "t9"])}
+
+    def test_missing_prediction_names_least_key(self):
+        """Missing predictions in two topics name the least (topic, id), not the
+        first of the file's first topic, and a gold item of class index 0 is
+        as missing as any other; a gold set of index-0 items, all predicted,
+        raises nothing."""
+        pred = io.StringIO("t2\tz\t1\nt4\tb\t1\n")
+        gold = labels("t1\tz\t1\nt2\tz\t1\nt3\tb\t-1\nt4\tb\t1\n")
+        assert gold["b"]["t3"] == 0
+        with pytest.raises(MissingPrediction, match=r"^no prediction for gold item t3 \(topic b\)$"):
+            join_labels(pred, SUBTASKS["B"], gold)
+        gold = labels("t1\tz\t-1\nt2\tb\t-1\n")
+        tables, _ = join_labels(io.StringIO("t2\tb\t1\nt1\tz\t-1\n"), SUBTASKS["B"], gold)
+        assert tables == {"b": ((0, 1), (0, 0)), "z": ((1, 0), (0, 0))}
 
     def test_scale_mismatch(self):
         # predictions are read on the gold scale, so a label off it fails at its line
@@ -251,7 +265,8 @@ class TestReferenceJoin:
         assert class_counts(scale, gold) == reference_class_counts(scale, gold)
         # parse_labels groups the rows by topic, topics and ids in file order
         topics = dict.fromkeys(t for _, t, _ in gold)
-        grouped = [row for topic in topics for row in gold if row[1] == topic]
+        grouped = [(i, t, scale.classes.index(label))
+                   for topic in topics for i, t, label in gold if t == topic]
         assert parsed_rows(label_text(gold), spec_for(scale, gold)) == grouped
 
 
