@@ -169,7 +169,7 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
         p = baselines.point_mass(spec.scale, c)
     elif kind == "prevalence":
         if spec.mode is not Mode.QUANTIFICATION:
-            raise ScoringError("prevalence baselines apply to subtasks D and E only")
+            raise InvalidArgument("prevalence baselines apply to subtasks D and E only")
         try:
             fractions = [ascii_number(float, v) for v in arg.split(",")]
         except ValueError:
@@ -177,18 +177,18 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
         p = ingestion.normalized_prevalence(spec.scale, fractions)
     elif kind == "ml":
         if spec.mode is not Mode.QUANTIFICATION:
-            raise ScoringError("the ML baseline applies to subtasks D and E only")
+            raise InvalidArgument("the ML baseline applies to subtasks D and E only")
         if not args.train:
-            raise ScoringError("the ML baseline requires --train")
+            raise InvalidArgument("the ML baseline requires --train")
         try:
             averaging = baselines.Averaging(arg or "micro")
         except ValueError:
-            raise ScoringError(f"unknown baseline kind {args.kind!r}") from None
+            raise InvalidArgument(f"unknown baseline kind {args.kind!r}") from None
         with _open_in(args.train) as f:
             train = ingestion.count_labels(f, spec)
         p = baselines.ml_quantifier(train, averaging)
     else:
-        raise ScoringError(f"unknown baseline kind {args.kind!r}")
+        raise InvalidArgument(f"unknown baseline kind {args.kind!r}")
     return quantification_report(spec, counts, dict.fromkeys(counts, p), args.pooled)
 
 

@@ -207,6 +207,22 @@ class TestBaseline:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("subtask,kind,message", [
+        ("B", "prevalence:0.5,0.5", "prevalence baselines apply to subtasks D and E only"),
+        ("B", "ml:micro", "the ML baseline applies to subtasks D and E only"),
+        ("D", "ml", "the ML baseline requires --train"),
+        ("D", "ml:bogus", "unknown baseline kind 'ml:bogus'"),
+        ("D", "bogus:1", "unknown baseline kind 'bogus:1'"),
+    ])
+    def test_bad_kind_is_an_invalid_argument(self, subtask, kind, message, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        write_labels(gold, {1: 3, -1: 1}, topic="x")
+        train = [] if message.endswith("--train") else ["--train", str(gold)]
+        code, out, err = run(["baseline", "--subtask", subtask, "--gold", str(gold),
+                              "--kind", kind, *train], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "INVALID_ARGUMENT", "message": message}
+
     def test_ml_baseline_scores(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
         write_labels(gold, {1: 3, -1: 1}, topic="x")

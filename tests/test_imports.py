@@ -6,7 +6,9 @@ variable, an attribute or an imported name. ``__init__.py`` re-exports its
 imports and ``from __future__`` imports are directives, so both are exempt
 from the first check, and an ``__init__.py`` export counts as a use in the
 second. The CLI also starts without the modules that ``dataclasses``
-pulls in."""
+pulls in. The tests mirror the library: each test module names the module
+it tests, and every module-level helper of the tests is named somewhere in
+them, as every public definition of the library is."""
 
 import ast
 import os
@@ -20,6 +22,9 @@ FILES = sorted(
     for path in ROOT.glob(pattern) if path.name != "__init__.py"
 )
 LIBRARY = sorted(ROOT.glob("src/topicsent/*.py"))
+TESTS = sorted(ROOT.glob("tests/*.py"))
+# test modules that test the package as a whole rather than one of its modules
+CROSS_CUTTING = {"acceptance", "cli_bytes", "imports", "readme", "scripts"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -73,6 +78,19 @@ def test_unnamed_definitions_are_found():
 def test_every_public_definition_is_named():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in LIBRARY}
     assert unnamed_definitions(sources) == []
+
+
+def test_every_test_helper_is_named():
+    # pytest collects the test_ functions and Test classes by their names
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in TESTS}
+    assert [name for name in unnamed_definitions(sources)
+            if not name.split(".")[1].startswith(("test_", "Test"))] == []
+
+
+def test_each_test_module_names_a_library_module():
+    modules = {path.stem for path in LIBRARY} | CROSS_CUTTING
+    assert [path.name for path in ROOT.glob("tests/test_*.py")
+            if path.stem.removeprefix("test_") not in modules] == []
 
 
 def test_cli_start_imports_no_dataclasses():

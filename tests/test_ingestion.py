@@ -4,6 +4,7 @@ import math
 import random
 import string
 import tracemalloc
+from operator import add
 from unittest import mock
 
 import pytest
@@ -13,11 +14,16 @@ from hypothesis import strategies as st
 from conftest import (
     bow_cosine,
     class_counts,
+    constant_predictions,
+    join,
+    label_text,
+    parsed_rows,
     reference_class_counts,
     reference_dedup,
+    reference_join,
     reference_label_rows,
     rows_from_counts,
-    table,
+    spec_for,
 )
 from topicsent.errors import (
     DuplicateKey,
@@ -44,12 +50,14 @@ from topicsent.ingestion import (
 from topicsent.model import Prevalence, Scale, duplicate_key, row_key
 
 
-def parse(text, subtask):
+def parse(text, subtask="B"):
+    """The topic -> id -> class index map of a label file."""
     return parse_labels(io.StringIO(text), SUBTASKS[subtask])
 
 
-class TestParseDataset:
-    """Parsing a whole label file (a data set) into its topic -> id -> class index map."""
+class TestParseLabels:
+    """Parsing a label file into its topic -> id -> class index map, under
+    the row rules that every label file follows."""
 
     def test_direct_parse(self):
         assert parse("t1\tTOPIC\tpositive\tsome text\n", "B") == {"TOPIC": {"t1": 1}}
@@ -97,8 +105,6 @@ class TestParseDataset:
             expected.setdefault(t, {})[i] = spec.scale.classes.index(label)
         assert in_order(parse_labels(io.StringIO(text), spec)) == in_order(expected)
 
-
-class TestParseLabels:
     def test_keys_are_canonical_fields(self):
         text = " t1 \t TOPIC\tpositive\nt2\tTOPIC\t-1\n"
         # class indices on the two-point scale (-1, 1) and the three-point (-1, 0, 1)
@@ -123,6 +129,46 @@ class TestParseLabels:
         assert sum(map(len, labels.values())) == 20_000
         assert kept / 20_000 < 125
 
+    def test_duplicate_key_is_hard_error(self):
+        with pytest.raises(DuplicateKey):
+            parse("t1\tx\t1\nt1\tx\t-1\n")
+
+    def test_same_id_different_topic_allowed(self):
+        assert parse("t1\tx\t1\nt1\ty\t-1\n") == {"x": {"t1": 1}, "y": {"t1": 0}}
+
+    def test_mixed_topic_presence_rejected(self):
+        with pytest.raises(MalformedLine, match="subtask B requires a topic"):
+            parse("t1\tx\t1\nt2\tNA\t-1\n", "B")
+        with pytest.raises(MalformedLine, match="subtask A expects topic NA"):
+            parse("t1\tNA\t1\nt2\tx\t-1\n", "A")
+
+    def test_label_outside_scale_rejected(self):
+        with pytest.raises(InvalidLabel):
+            parse("t1\tx\t0\n")
+
+    def test_empty_id_rejected(self):
+        with pytest.raises(MalformedLine, match="line 2: empty id field"):
+            parse("t1\tx\t1\n\tx\t-1\n")
+
+    @pytest.mark.parametrize("row", [("x\ty", "a", 1), ("x", "a\tb", 1), ("x", "NA", 1)])
+    def test_fields_no_file_can_hold_rejected(self, row):
+        # a tab ends a field, and the topic NA stands for no topic, so no
+        # line gives such an (id, topic) and row_key stays injective
+        error = MalformedLine if row[1] == "NA" else InvalidLabel
+        with pytest.raises(error):
+            parse("\t".join(map(str, row)) + "\n")
+
+    def test_na_topic_cannot_match_a_topicless_prediction(self):
+        # gold with the topic NA is topicless, which topic-based subtasks reject
+        with pytest.raises(MalformedLine, match="line 1: subtask B requires a topic"):
+            parse("x\tNA\t1\n", "B")
+        tables, ignored = join(Scale.THREE_POINT, [("x", None, 1)], [("x", None, 1)])
+        assert list(tables) == [None] and ignored == 0
+
+    def test_labels_keyed_in_input_order(self):
+        assert list(parse("t2\tx\t1\nt1\tx\t-1\n")["x"].items()) == [("t2", 1), ("t1", 0)]
+        assert list(parse("t2\ty\t1\nt1\tx\t-1\nt3\ty\t1\n")) == ["y", "x"]
+
 
 @st.composite
 def label_files(draw):
@@ -138,7 +184,27 @@ def label_files(draw):
     return spec, rows
 
 
+@st.composite
+def gold_and_pred(draw):
+    """A scale, and gold and prediction label files on it that share every
+    gold (id, topic) key; the predictions may hold extra keys. Ids repeat
+    across topics; the data is either topicless or spread over several
+    topics."""
+    scale = draw(st.sampled_from(list(Scale)))
+    topics = draw(st.sampled_from([[None], ["a", "b", "c"]]))
+    keys = st.tuples(st.sampled_from(["t1", "t2", "t3", "t4", "t5"]), st.sampled_from(topics))
+    label = st.sampled_from(scale.classes)
+    gold = draw(st.dictionaries(keys, label, min_size=1))
+    extra = draw(st.dictionaries(keys.filter(lambda k: k not in gold), label))
+    pred = [(k, draw(label)) for k in gold] + list(extra.items())
+    pred = draw(st.permutations(pred))
+    return scale, [(i, t, c) for (i, t), c in gold.items()], [(i, t, c) for (i, t), c in pred]
+
+
 class TestCountLabels:
+    """Per-topic class counts of a label file, topics sorted, and data
+    without topics under None."""
+
     @given(label_files())
     def test_equals_a_per_row_reference(self, data):
         spec, rows = data
@@ -167,6 +233,113 @@ class TestCountLabels:
         assert count_labels(io.StringIO(""), SUBTASKS["B"]) == {}
         text = "t1\tNA\t1\nt2\tNA\tneutral\nt3\tNA\t1\n"
         assert count_labels(io.StringIO(text), SUBTASKS["A"]) == {None: (0, 1, 2)}
+
+    def test_partition(self):
+        rows = [("t1", "a", 1), ("t2", "a", -1), ("t3", "b", 1)]
+        assert class_counts(Scale.TWO_POINT, rows) == {"a": (1, 1), "b": (0, 1)}
+
+    def test_keys_sorted(self):
+        rows = [("t1", "b", 1), ("t2", "a", 1), ("t3", "b", -1), ("t4", "a", -1)]
+        assert list(class_counts(Scale.TWO_POINT, rows)) == ["a", "b"]
+        assert list(join(Scale.TWO_POINT, rows, rows)[0]) == ["a", "b"]
+
+    def test_single_topic_is_identity(self):
+        rows = rows_from_counts({1: 3, -1: 2}, topic="only")
+        assert class_counts(Scale.TWO_POINT, rows) == {"only": (2, 3)}
+        tables, _ = join(Scale.TWO_POINT, rows, rows)
+        assert tables == {"only": ((2, 0), (0, 3))}
+
+    def test_no_topics_keyed_under_none(self):
+        rows = rows_from_counts({1: 1, -1: 2})
+        assert class_counts(Scale.THREE_POINT, rows) == {None: (2, 0, 1)}
+        assert class_counts(Scale.THREE_POINT, []) == {}
+
+    @given(gold_and_pred())
+    def test_topic_class_counts(self, data):
+        scale, gold, _ = data
+        assert class_counts(scale, gold) == reference_class_counts(scale, gold)
+        # parse_labels groups the rows by topic, topics and ids in file order
+        topics = dict.fromkeys(t for _, t, _ in gold)
+        grouped = [(i, t, scale.classes.index(label))
+                   for topic in topics for i, t, label in gold if t == topic]
+        assert parsed_rows(label_text(gold), spec_for(scale, gold)) == grouped
+
+
+class TestJoinLabels:
+    """Joining predictions onto gold by (id, topic) into per-topic
+    gold-by-prediction tables."""
+
+    def test_direct_pairing(self):
+        gold = [("t1", None, 1), ("t2", None, -1)]
+        pred = [("t1", None, 1), ("t2", None, 1)]
+        tables, ignored = join(Scale.TWO_POINT, gold, pred)
+        assert list(tables) == [None] and ignored == 0
+        # rows are gold -1, +1; columns predicted -1, +1
+        assert tables[None] == ((0, 1), (0, 1))
+
+    def test_missing_prediction(self):
+        with pytest.raises(MissingPrediction):
+            join(Scale.TWO_POINT, [("t1", None, 1)], [])
+
+    def test_extra_predictions_ignored_with_count(self):
+        pred = [("t1", None, 1), ("t9", None, -1)]
+        tables, ignored = join(Scale.TWO_POINT, [("t1", None, 1)], pred)
+        assert sum(map(sum, tables[None])) == 1
+        assert ignored == 1
+
+    def test_streamed_rows(self):
+        """join_labels takes gold over and catches a repeated prediction key,
+        in gold or not, at its row's line: each matched or unmatched
+        prediction id is left as None in its topic's map."""
+        gold = {"a": {"t1": 1, "t2": 0, "t3": 1}}  # class indices: labels 1, -1, 1
+        rows_in = "t3\ta\t1\nt9\ta\t1\nt1\ta\t-1\n"
+
+        def run(text, gold):
+            return join_labels(io.StringIO(rows_in + text), SUBTASKS["B"], gold)
+
+        def copy():
+            return {t: dict(ids) for t, ids in gold.items()}
+
+        with pytest.raises(MissingPrediction, match=r"^no prediction for gold item t2 \(topic a\)$"):
+            run("", copy())
+        with pytest.raises(DuplicateKey, match=r"^line 5: duplicate \(id, topic\) pair \('t3', 'a'\)$"):
+            run("\nt3\ta\t1\n", copy())
+        with pytest.raises(DuplicateKey, match="line 6"):
+            run("\n\nt9\ta\t-1\n", copy())
+        tables, ignored = run("\n\n\nt2\ta\t1\n", gold)
+        assert tables["a"] == ((0, 1), (1, 1)) and ignored == 1
+        assert gold == {"a": dict.fromkeys(["t1", "t2", "t3", "t9"])}
+
+    def test_missing_prediction_names_least_key(self):
+        """Missing predictions in two topics name the least (topic, id), not the
+        first of the file's first topic, and a gold item of class index 0 is
+        as missing as any other; a gold set of index-0 items, all predicted,
+        raises nothing."""
+        pred = io.StringIO("t2\tz\t1\nt4\tb\t1\n")
+        gold = parse("t1\tz\t1\nt2\tz\t1\nt3\tb\t-1\nt4\tb\t1\n")
+        assert gold["b"]["t3"] == 0
+        with pytest.raises(MissingPrediction, match=r"^no prediction for gold item t3 \(topic b\)$"):
+            join_labels(pred, SUBTASKS["B"], gold)
+        gold = parse("t1\tz\t-1\nt2\tb\t-1\n")
+        tables, _ = join_labels(io.StringIO("t2\tb\t1\nt1\tz\t-1\n"), SUBTASKS["B"], gold)
+        assert tables == {"b": ((0, 1), (0, 0)), "z": ((1, 0), (0, 0))}
+
+    def test_scale_mismatch(self):
+        # predictions are read on the gold scale, so a label off it fails at its line
+        with pytest.raises(InvalidLabel, match="line 1: label '0' invalid on scale TWO_POINT"):
+            join(Scale.TWO_POINT, [("t1", None, 1)], [("t1", None, 0)])
+
+    def test_table_counts_sum_to_total_after_join(self):
+        merged = rows_from_counts({1: 4, -1: 3}, topic="a") + rows_from_counts({1: 2}, topic="b")
+        tables, _ = join(Scale.TWO_POINT, merged, constant_predictions(merged, 1))
+        assert sum(sum(map(sum, t)) for t in tables.values()) == len(merged)
+        pooled = tuple(tuple(map(add, r, s)) for r, s in zip(tables["a"], tables["b"]))
+        assert pooled == ((0, 3), (0, 6))
+
+    @given(gold_and_pred())
+    def test_equals_a_per_row_reference(self, data):
+        scale, gold, pred = data
+        assert join(scale, gold, pred) == reference_join(scale, gold, pred)
 
 
 @st.composite
@@ -211,60 +384,36 @@ def in_order(labels):
 
 
 def fold_rows(text, spec):
-    """The (topic, id) -> label map of a label file's rows, in file order."""
+    """The (id, topic, label) rows of a label file, in file order."""
     labels = {}
     for n, item_id, topic, label in reference_label_rows(io.StringIO(text), spec):
-        if (topic, item_id) in labels:
+        if (item_id, topic) in labels:
             raise duplicate_key(item_id, topic, n)
-        labels[topic, item_id] = label
-    return labels
+        labels[item_id, topic] = label
+    return [(item_id, topic, label) for (item_id, topic), label in labels.items()]
 
 
-def fold_labels(text, spec):
-    """The topic -> id -> class index map of fold_rows."""
+def fold_labels(scale, rows):
+    """The topic -> id -> class index map of the rows."""
     labels = {}
-    for (topic, item_id), label in fold_rows(text, spec).items():
-        labels.setdefault(topic, {})[item_id] = spec.scale.classes.index(label)
+    for item_id, topic, label in rows:
+        labels.setdefault(topic, {})[item_id] = scale.classes.index(label)
     return labels
-
-
-def fold_counts(text, spec):
-    counts = {}
-    for (topic, _), label in fold_rows(text, spec).items():
-        counts.setdefault(topic, []).append(label)
-    return {t: tuple(map(counts[t].count, spec.scale.classes)) for t in sorted(counts)}
-
-
-def fold_join(gold_text, pred_text, spec):
-    gold, matched, ignored, pairs = fold_rows(gold_text, spec), set(), set(), {}
-    for n, item_id, topic, label in reference_label_rows(io.StringIO(pred_text), spec):
-        key = topic, item_id
-        if key in matched or key in ignored:
-            raise duplicate_key(item_id, topic, n)
-        if key in gold:
-            matched.add(key)
-            pairs.setdefault(topic, []).append((gold[key], label))
-        else:
-            ignored.add(key)
-    missing = [key for key in gold if key not in matched]
-    if missing:
-        topic, item_id = min(missing)
-        raise MissingPrediction(item_id, topic)
-    return {t: table(spec.scale, pairs[t]) for t in sorted(pairs)}, len(ignored)
 
 
 class TestLabelLoopsMatchReference:
     """parse_labels and join_labels each read a label file in one loop that
     checks a raw topic or label field only the first time it appears; they
-    and count_labels, a fold of parse_labels, give what a fold over
-    reference_label_rows gives, or the same error with the same message."""
+    and count_labels, a fold of parse_labels, give what fold_labels,
+    reference_class_counts and reference_join give over the fold_rows of the
+    same files, or the same error with the same message."""
 
     @given(st.data())
     def test_parse_and_count(self, data):
         spec = SUBTASKS[data.draw(st.sampled_from("ABCDE"))]
         text = data.draw(label_texts(spec))
-        for read, fold in [(parse_labels, fold_labels), (count_labels, fold_counts)]:
-            expected = outcome(lambda: in_order(fold(text, spec)))
+        for read, fold in [(parse_labels, fold_labels), (count_labels, reference_class_counts)]:
+            expected = outcome(lambda: in_order(fold(spec.scale, fold_rows(text, spec))))
             assert outcome(lambda: in_order(read(io.StringIO(text), spec))) == expected
 
     @given(st.data())
@@ -272,16 +421,17 @@ class TestLabelLoopsMatchReference:
         spec = SUBTASKS[data.draw(st.sampled_from("ABC"))]
         gold_text, pred_text = data.draw(label_texts(spec)), data.draw(label_texts(spec))
 
-        def join():
+        def streamed():
             gold = parse_labels(io.StringIO(gold_text), spec)
             tables, n_ignored = join_labels(io.StringIO(pred_text), spec, gold)
             return list(tables.items()), n_ignored
 
         def reference():
-            tables, n_ignored = fold_join(gold_text, pred_text, spec)
+            gold, pred = fold_rows(gold_text, spec), fold_rows(pred_text, spec)
+            tables, n_ignored = reference_join(spec.scale, gold, pred)
             return list(tables.items()), n_ignored
 
-        assert outcome(join) == outcome(reference)
+        assert outcome(streamed) == outcome(reference)
 
 
 class TestParsePrevalenceFile:
@@ -487,6 +637,15 @@ class TestDedup:
         records = [record(i, " ".join(words)) for i, words in enumerate(seeded_texts())]
         assert dedup(records, threshold) == dedup(records, float(threshold))
 
+    def test_casefold_and_punctuation(self):
+        """dedup's tokens are casefolded words without leading and trailing
+        punctuation: the text below has the tokens strasse, fine and i\u0307,
+        so the record of those three words is its copy, and two of them are not."""
+        records = [record(1, "«Straße» ¿ﬁne? \u00a0İ…\u2003—!"), record(2, "strasse fine"),
+                   record(3, "strasse fine i\u0307")]
+        _, removed = dedup(records, threshold=0.99)
+        assert [(r[0], hit[0]) for r, hit in removed] == [("t3", "t1")]
+
 
 def assert_matches_reference(records, threshold):
     kept, removed = dedup(records, threshold)
@@ -656,44 +815,9 @@ class TestBitmapBound:
         assert h == 4 and (h <= limit) == (threshold == 0)
 
 
-class TestTokenize:
-    def test_casefold_and_punctuation(self):
-        """dedup's tokens are casefolded words without leading and trailing
-        punctuation: the text below has the tokens strasse, fine and i\u0307,
-        so the record of those three words is its copy, and two of them are not."""
-        records = [record(1, "«Straße» ¿ﬁne? \u00a0İ…\u2003—!"), record(2, "strasse fine"),
-                   record(3, "strasse fine i\u0307")]
-        _, removed = dedup(records, threshold=0.99)
-        assert [(r[0], hit[0]) for r, hit in removed] == [("t3", "t1")]
-
-
-class TestTopicFilter:
-    """stats with min_size counts only the topics holding at least min_size items."""
-
-    def test_boundary(self):
-        counts = class_counts(Scale.TWO_POINT, rows_from_counts({1: 99}, topic="small")
-                              + rows_from_counts({1: 100}, topic="big"))
-        per_class, per_topic = stats(Scale.TWO_POINT, counts, min_size=100)
-        assert set(per_topic) == {"big"}
-        assert sum(per_class.values()) == 100
-
-    def test_min_size_one_is_identity(self):
-        counts = {"x": (2, 3)}
-        assert stats(Scale.TWO_POINT, counts, min_size=1) == stats(Scale.TWO_POINT, counts)
-
-    def test_negative_min_size_rejected(self):
-        with pytest.raises(InvalidArgument):
-            stats(Scale.TWO_POINT, {"x": (0, 3)}, min_size=-5)
-
-    def test_requires_topics(self):
-        with pytest.raises(NoTopics):
-            stats(Scale.TWO_POINT, {None: (0, 3)}, min_size=100)
-        with pytest.raises(NoTopics):
-            stats(Scale.TWO_POINT, {}, min_size=0)
-
-
 class TestStats:
-    """stats on per-topic class-count maps, as count_labels returns them."""
+    """stats on per-topic class-count maps, as count_labels returns them; with
+    min_size it counts only the topics holding at least min_size items."""
 
     def test_counts_and_total(self):
         counts = class_counts(
@@ -720,3 +844,24 @@ class TestStats:
                                      min_size=1)
         assert per_topic == {"a": 1, "b": 7} and list(per_topic) == ["a", "b"]
         assert per_class == {1: 5, -1: 3}
+
+    def test_boundary(self):
+        counts = class_counts(Scale.TWO_POINT, rows_from_counts({1: 99}, topic="small")
+                              + rows_from_counts({1: 100}, topic="big"))
+        per_class, per_topic = stats(Scale.TWO_POINT, counts, min_size=100)
+        assert set(per_topic) == {"big"}
+        assert sum(per_class.values()) == 100
+
+    def test_min_size_one_is_identity(self):
+        counts = {"x": (2, 3)}
+        assert stats(Scale.TWO_POINT, counts, min_size=1) == stats(Scale.TWO_POINT, counts)
+
+    def test_negative_min_size_rejected(self):
+        with pytest.raises(InvalidArgument):
+            stats(Scale.TWO_POINT, {"x": (0, 3)}, min_size=-5)
+
+    def test_requires_topics(self):
+        with pytest.raises(NoTopics):
+            stats(Scale.TWO_POINT, {None: (0, 3)}, min_size=100)
+        with pytest.raises(NoTopics):
+            stats(Scale.TWO_POINT, {}, min_size=0)
