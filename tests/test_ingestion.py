@@ -55,9 +55,8 @@ def parse(text, subtask="B"):
     return parse_labels(io.StringIO(text), SUBTASKS[subtask])
 
 
-class TestParseLabels:
-    """Parsing a label file into its topic -> id -> class index map, under
-    the row rules that every label file follows."""
+class TestParseDataset:
+    """Parsing a whole label file (a data set) into its topic -> id -> class index map."""
 
     def test_direct_parse(self):
         assert parse("t1\tTOPIC\tpositive\tsome text\n", "B") == {"TOPIC": {"t1": 1}}
@@ -104,6 +103,10 @@ class TestParseLabels:
         for (i, t), label in keyed.items():
             expected.setdefault(t, {})[i] = spec.scale.classes.index(label)
         assert in_order(parse_labels(io.StringIO(text), spec)) == in_order(expected)
+
+
+class TestParseLabels:
+    """parse_labels under the row rules that every label file follows."""
 
     def test_keys_are_canonical_fields(self):
         text = " t1 \t TOPIC\tpositive\nt2\tTOPIC\t-1\n"
@@ -815,9 +818,33 @@ class TestBitmapBound:
         assert h == 4 and (h <= limit) == (threshold == 0)
 
 
+class TestTopicFilter:
+    """stats with min_size counts only the topics holding at least min_size items."""
+
+    def test_boundary(self):
+        counts = class_counts(Scale.TWO_POINT, rows_from_counts({1: 99}, topic="small")
+                              + rows_from_counts({1: 100}, topic="big"))
+        per_class, per_topic = stats(Scale.TWO_POINT, counts, min_size=100)
+        assert set(per_topic) == {"big"}
+        assert sum(per_class.values()) == 100
+
+    def test_min_size_one_is_identity(self):
+        counts = {"x": (2, 3)}
+        assert stats(Scale.TWO_POINT, counts, min_size=1) == stats(Scale.TWO_POINT, counts)
+
+    def test_negative_min_size_rejected(self):
+        with pytest.raises(InvalidArgument):
+            stats(Scale.TWO_POINT, {"x": (0, 3)}, min_size=-5)
+
+    def test_requires_topics(self):
+        with pytest.raises(NoTopics):
+            stats(Scale.TWO_POINT, {None: (0, 3)}, min_size=100)
+        with pytest.raises(NoTopics):
+            stats(Scale.TWO_POINT, {}, min_size=0)
+
+
 class TestStats:
-    """stats on per-topic class-count maps, as count_labels returns them; with
-    min_size it counts only the topics holding at least min_size items."""
+    """stats on per-topic class-count maps, as count_labels returns them."""
 
     def test_counts_and_total(self):
         counts = class_counts(
@@ -844,24 +871,3 @@ class TestStats:
                                      min_size=1)
         assert per_topic == {"a": 1, "b": 7} and list(per_topic) == ["a", "b"]
         assert per_class == {1: 5, -1: 3}
-
-    def test_boundary(self):
-        counts = class_counts(Scale.TWO_POINT, rows_from_counts({1: 99}, topic="small")
-                              + rows_from_counts({1: 100}, topic="big"))
-        per_class, per_topic = stats(Scale.TWO_POINT, counts, min_size=100)
-        assert set(per_topic) == {"big"}
-        assert sum(per_class.values()) == 100
-
-    def test_min_size_one_is_identity(self):
-        counts = {"x": (2, 3)}
-        assert stats(Scale.TWO_POINT, counts, min_size=1) == stats(Scale.TWO_POINT, counts)
-
-    def test_negative_min_size_rejected(self):
-        with pytest.raises(InvalidArgument):
-            stats(Scale.TWO_POINT, {"x": (0, 3)}, min_size=-5)
-
-    def test_requires_topics(self):
-        with pytest.raises(NoTopics):
-            stats(Scale.TWO_POINT, {None: (0, 3)}, min_size=100)
-        with pytest.raises(NoTopics):
-            stats(Scale.TWO_POINT, {}, min_size=0)
