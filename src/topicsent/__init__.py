@@ -2,7 +2,7 @@
 and quantification on 2-, 3- and 5-point scales."""
 
 from .annotation import consolidate_labels
-from .baselines import Averaging, constant_classifier, ml_quantifier, point_mass
+from .baselines import Averaging, constant_classifier, ml_quantifier
 from .classification import table_metrics
 from .errors import ScoringError
 from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,

@@ -1,6 +1,6 @@
 """Trivial baseline systems: constant-class classifiers, as gold-by-prediction
-count tables built from gold class counts, point-mass prevalences, and the
-maximum-likelihood quantifier that predicts the training class distribution."""
+count tables built from gold class counts, and the maximum-likelihood
+quantifier that predicts the training class distribution."""
 
 from __future__ import annotations
 
@@ -27,12 +27,6 @@ def constant_classifier(
         topic: tuple(tuple(n if p == c else 0 for p in scale.classes) for n in row)
         for topic, row in counts.items()
     }
-
-
-def point_mass(scale, c: int) -> Prevalence:
-    """Prevalence 1 for class c, 0 elsewhere."""
-    scale.validate(c)
-    return Prevalence(1.0 if cls == c else 0.0 for cls in scale.classes)
 
 
 def ml_quantifier(

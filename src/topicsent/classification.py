@@ -48,7 +48,3 @@ def table_metrics(scale: Scale, counts: Sequence[Sequence[int]]) -> dict[str, fl
         "accuracy": sum(hits) / n,
     }
 
-
-def absent_classes(scale: Scale, counts: Sequence[Sequence[int]]) -> list[int]:
-    """Scale classes with no gold item, i.e. those excluded from the macro means."""
-    return [c for c, row in zip(scale.classes, counts) if not any(row)]

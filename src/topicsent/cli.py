@@ -166,7 +166,8 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
         if spec.mode is Mode.CLASSIFICATION:
             tables = baselines.constant_classifier(spec.scale, counts, c)
             return classification_report(spec, tables, 0, args.pooled)
-        p = baselines.point_mass(spec.scale, c)
+        p = ingestion.normalized_prevalence(spec.scale,
+                                            [float(x == c) for x in spec.scale.classes])
     elif kind == "prevalence":
         if spec.mode is not Mode.QUANTIFICATION:
             raise InvalidArgument("prevalence baselines apply to subtasks D and E only")

@@ -16,11 +16,12 @@ Every score is a function of per-topic counts, held as plain tuples:
 ``ingestion.count_labels``) and a topic -> predicted fraction tuple map
 (such as a :class:`~topicsent.model.Prevalence` per topic), which it scores
 one class column at a time with ``quantification.column_metrics``.
-Macroaveraging is the unweighted mean across topics. The optional pooled
-report treats the whole test set as a single group, which is what
-reproduces constant-baseline table values on imbalanced data; subtask A is
-scored that way already, so it has no pooled report. A report is an
-immutable :class:`ScoreReport`, built once.
+Macroaveraging is the unweighted mean across topics; subtask A is one
+topicless table, scored as one topic, and reports no per-topic block. The
+optional pooled report treats the whole test set as a single group, which
+reproduces constant-baseline table values on imbalanced data; A is one
+group already, so it has no pooled report. A report is an immutable
+:class:`ScoreReport`, built once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Mapping, NamedTuple, Sequence
 
-from .classification import absent_classes, table_metrics
+from .classification import table_metrics
 from .errors import EmptyInput, MissingPrediction, ScaleMismatch, TopicRequired
 from .model import Scale
 from .quantification import column_metrics
@@ -89,41 +90,31 @@ def classification_report(
 ) -> ScoreReport:
     """Scores a classification subtask from the per-topic gold-by-prediction
     tables of a join and its count of ignored prediction rows. Subtask A is
-    scored on the sum of the tables, so ``pooled`` adds nothing there."""
+    its one topicless table, under the key None, scored as a topic is."""
     warnings: list[str] = []
     if n_ignored:
         warnings.append(f"{n_ignored} prediction rows not in gold were ignored")
-    # the cell-wise integer sum of the per-topic tables is exactly the pooled table
-    total = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*tables.values()))
-
-    if not spec.topic_based:
-        metrics = table_metrics(spec.scale, total)
-        _warn_absent_classes(spec.scale, total, None, warnings)
-        return ScoreReport(spec, metrics, {}, warnings)
-
     if not tables:
         raise EmptyInput("no gold/prediction pairs to score")
     # topics are all-or-none: a topicless gold set gives one table under None
-    if None in tables:
+    if spec.topic_based and None in tables:
         raise TopicRequired(f"subtask {spec.id} requires topics in the gold data")
     per_topic: dict[str, dict[str, float]] = {}
     for topic, counts in tables.items():
         per_topic[topic] = table_metrics(spec.scale, counts)
-        _warn_absent_classes(spec.scale, counts, topic, warnings)
-    names = next(iter(per_topic.values()))
-    metrics = {name: _mean([m[name] for m in per_topic.values()]) for name in names}
+        absent = [c for c, row in zip(spec.scale.classes, counts) if not any(row)]
+        if absent:
+            loc = "gold data" if topic is None else f"topic {topic}"
+            names = ", ".join(map(spec.scale.class_name, absent))
+            warnings.append(f"{loc}: classes absent from gold excluded from macro means: {names}")
+    first = next(iter(per_topic.values()))
+    metrics = {name: _mean([m[name] for m in per_topic.values()]) for name in first}
+    if not spec.topic_based:
+        return ScoreReport(spec, metrics, {}, warnings)
+    # the cell-wise integer sum of the per-topic tables is exactly the pooled table
+    total = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*tables.values()))
     return ScoreReport(spec, metrics, per_topic, warnings,
                        table_metrics(spec.scale, total) if pooled else None)
-
-
-def _warn_absent_classes(
-    scale: Scale, counts: Sequence[Sequence[int]], topic: str | None, warnings: list[str]
-) -> None:
-    absent = absent_classes(scale, counts)
-    if absent:
-        where = f"topic {topic}" if topic is not None else "gold data"
-        names = ", ".join(scale.class_name(c) for c in absent)
-        warnings.append(f"{where}: classes absent from gold excluded from macro means: {names}")
 
 
 def quantification_report(

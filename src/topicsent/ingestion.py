@@ -153,7 +153,8 @@ def join_labels(
     counts each topic's gold/prediction class pairs into a k x k table (see
     ``model``). Topics come out sorted; data without topics gives one table
     under the key None. Also returns the number of prediction rows absent
-    from gold, which are ignored.
+    from gold, which are ignored: row k of a topic's cells counts them, and
+    a topic with only such rows has no table.
 
     The join consumes ``gold``: a matched entry is set to None, and an
     unmatched prediction id is stored as None, so a repeated prediction
@@ -166,7 +167,6 @@ def join_labels(
     # raw topic field -> its topic's gold ids and cells
     topics: dict[str, tuple[dict[str, int | None], list[int]]] = {}
     classes: dict[str, int] = {}  # raw label field -> class index
-    n_ignored = 0
     for n, line in enumerate(stream, 1):
         fields = line.split("\t")
         item_id = fields[0].strip()
@@ -178,28 +178,25 @@ def join_labels(
         except KeyError:
             topic = _row_topic(fields[1], spec, n)
             ids = gold.setdefault(topic, {})
-            table = cells.setdefault(topic, [0] * (k * k))
+            table = cells.setdefault(topic, [0] * (k * k + k))
             topics[fields[1]] = ids, table
         try:
             j = classes[fields[2]]
         except KeyError:
             j = classes[fields[2]] = spec.scale.classes.index(_row_label(fields, spec, n))
-        g = ids.get(item_id, k)  # k for an id that gold lacks
+        g = ids.get(item_id, k)  # row k for an id that gold lacks
         if g is None:
             raise duplicate_key(item_id, _row_topic(fields[1], spec, n), n)
         ids[item_id] = None
-        if g == k:
-            n_ignored += 1
-        else:
-            table[g * k + j] += 1
+        table[g * k + j] += 1
     # a C-level count per topic; the (topic, id) pairs are listed only if one is missing
     if any(countOf(ids.values(), None) != len(ids) for ids in gold.values()):
         topic, item_id = min((t, i) for t, ids in gold.items() for i, g in ids.items()
                              if g is not None)
         raise MissingPrediction(item_id, topic)
-    # a topic whose prediction rows all missed gold has an empty table and no entry
-    return {t: tuple(tuple(cells[t][i:i + k]) for i in range(0, k * k, k))
-            for t in sorted(cells) if any(cells[t])}, n_ignored
+    tables = {t: tuple(tuple(cells[t][i:i + k]) for i in range(0, k * k, k))
+              for t in sorted(cells) if any(cells[t][:k * k])}
+    return tables, sum(sum(table[k * k:]) for table in cells.values())
 
 
 def parse_prevalence_file(stream: IO[str], scale: Scale) -> dict[str, Prevalence]:

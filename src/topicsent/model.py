@@ -46,11 +46,6 @@ class Scale(Enum):
     def classes(self) -> tuple[int, ...]:
         return self.value
 
-    def validate(self, label: int) -> int:
-        if label not in self.value:
-            raise InvalidLabel(f"label {label!r} not in scale {self.name}")
-        return label
-
     def parse_label(self, raw: str, *, line: int | None = None) -> int:
         """Accepts ASCII integer surface forms and canonical names,
         case-insensitive."""
@@ -68,7 +63,8 @@ class Scale(Enum):
         return label
 
     def class_name(self, label: int) -> str:
-        self.validate(label)
+        if label not in self.value:
+            raise InvalidLabel(f"label {label!r} not in scale {self.name}")
         return _INT_TO_NAME[label]
 
 

@@ -255,18 +255,6 @@ def loop_tokenize(text: str) -> list[str]:
     return tokens
 
 
-def bow_cosine(a: str, b: str) -> float:
-    """Cosine similarity of two texts' term-frequency vectors."""
-    va, vb = Counter(loop_tokenize(a)), Counter(loop_tokenize(b))
-    if not va or not vb:
-        raise EmptyText("text has no tokens")
-    dot = sum(va[t] * vb[t] for t in va.keys() & vb.keys())
-    norm = math.sqrt(sum(c * c for c in va.values())) * math.sqrt(
-        sum(c * c for c in vb.values())
-    )
-    return dot / norm
-
-
 def reference_label_rows(
     stream: Iterable[str], spec: SubtaskSpec
 ) -> Iterator[tuple[int, str, str | None, int]]:

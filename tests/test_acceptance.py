@@ -19,7 +19,6 @@ import pytest
 
 import topicsent
 from conftest import (
-    bow_cosine,
     class_counts,
     constant_predictions,
     constant_table,
@@ -244,10 +243,12 @@ def test_criterion_7_metric_properties():
 def test_criterion_8_dedup_and_topic_filter():
     from topicsent.ingestion import dedup, parse_raw_records, stats
 
-    assert bow_cosine("a b c", "a b d") == pytest.approx(2 / 3, abs=1e-12)
-    kept, removed = dedup(
-        parse_raw_records(io.StringIO("t1\tNA\t\ta b c\nt2\tNA\t\ta b d\n")), threshold=0.6
-    )
+    # "a b c" and "a b d" have cosine 2/3: a near-duplicate below it, kept above it
+    pair = "t1\tNA\t\ta b c\nt2\tNA\t\ta b d\n"
+    for threshold, kept_ids in [(0.66, ["t1"]), (0.67, ["t1", "t2"])]:
+        kept, _ = dedup(parse_raw_records(io.StringIO(pair)), threshold=threshold)
+        assert [r[0] for r in kept] == kept_ids
+    kept, removed = dedup(parse_raw_records(io.StringIO(pair)), threshold=0.6)
     assert [r[0] for r in kept] == ["t1"]
     assert [r[0] for r, _ in removed] == ["t2"]
 

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import (class_counts, constant_predictions, constant_table, join, left_fold,
                       reference_avg_rec, rows_from_counts, topic_emd, topic_kld)
-from topicsent.baselines import Averaging, constant_classifier, ml_quantifier, point_mass
+from topicsent.baselines import Averaging, constant_classifier, ml_quantifier
 from topicsent.classification import table_metrics
 from topicsent.errors import EmptyInput, NoTopics, ScaleMismatch
 from topicsent.evaluate import SUBTASKS
-from topicsent.ingestion import count_labels
+from topicsent.ingestion import count_labels, normalized_prevalence
 from topicsent.model import Scale, class_fractions
 
 
@@ -59,12 +59,16 @@ class TestConstantClassifier:
 
 
 class TestConstantQuantifier:
+    """A constant quantifier predicts a point mass: the stated one-hot
+    fractions of its class, as ``baseline --kind constant:c`` builds them."""
+
     def test_point_mass_five_point(self):
-        p = point_mass(Scale.FIVE_POINT, 1)
+        one_hot = [float(x == 1) for x in Scale.FIVE_POINT.classes]
+        p = normalized_prevalence(Scale.FIVE_POINT, one_hot)
         assert p.fractions == (0.0, 0.0, 0.0, 1.0, 0.0)
 
     def test_perfect_quantifier_scores_zero(self):
-        p = point_mass(Scale.FIVE_POINT, 0).fractions
+        p = normalized_prevalence(Scale.FIVE_POINT, [0.0, 0.0, 1.0, 0.0, 0.0]).fractions
         assert topic_emd(p, (0, 0, 100, 0, 0)) == 0.0
         assert topic_kld(p, (0, 0, 100, 0, 0)) == pytest.approx(0.0, abs=1e-15)
 

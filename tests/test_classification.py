@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (constant_table, joined, left_fold, reference_f1, reference_recall,
                       reference_table_metrics, rows_from_counts, table)
-from topicsent.classification import absent_classes, table_metrics
+from topicsent.classification import table_metrics
 from topicsent.errors import EmptyInput
 from topicsent.model import Scale
 
@@ -76,10 +76,6 @@ class TestTableMetrics:
             (Scale.FIVE_POINT, [(2, -2)], ["mae_macro", "mae_micro"]),
         ]:
             assert list(table_metrics(scale, table(scale, pairs))) == names
-
-    def test_absent_classes(self):
-        pd = table(Scale.THREE_POINT, [(1, 1), (1, 0), (-1, 0)])
-        assert absent_classes(Scale.THREE_POINT, pd) == [0]
 
 
 class TestClassRecall:

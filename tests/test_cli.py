@@ -29,6 +29,15 @@ def write_labels(path, counts, topic=None):
     return rows
 
 
+def cli_in_subprocess(encoding):
+    """The command that starts the CLI in a new process from this checkout,
+    and that process's environment, whose standard streams use the encoding."""
+    src = os.path.dirname(os.path.dirname(topicsent.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONIOENCODING": encoding, "PYTHONPATH": path}
+    return [sys.executable, "-m", "topicsent.cli"], env
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
@@ -662,10 +671,8 @@ class TestInputContract:
         (tmp_path / "raw").write_text("t1\tcafé\tpositive\tcrème brûlée\n"
                                       "t2\t東京\tnegative\tcrème brûlée!\n", encoding="utf-8")
         (tmp_path / "annotations").write_text("a1\tcafé\t1\t1\t1\t2\t1\n", encoding="utf-8")
-        src = os.path.dirname(os.path.dirname(topicsent.__file__))
-        path = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": os.pathsep.join(path)}
-        command = [sys.executable, "-m", "topicsent.cli", *argv]
+        cli, env = cli_in_subprocess("ascii")
+        command = [*cli, *argv]
         to_stdout = subprocess.run(command, capture_output=True, cwd=tmp_path, env=env)
         to_file = subprocess.run([*command, "--output", "out"], capture_output=True,
                                  cwd=tmp_path, env=env)
@@ -677,16 +684,34 @@ class TestInputContract:
         under an ASCII locale as under a UTF-8 one."""
         (tmp_path / "gold").write_text("t1\tcafé\tpositive\nt2\tcafé\tpositive\n",
                                        encoding="utf-8")
-        src = os.path.dirname(os.path.dirname(topicsent.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        command = [sys.executable, "-m", "topicsent.cli", "score", "--subtask", "B",
-                   "--gold", "gold", "--pred", "gold"]
-        runs = [subprocess.run(command, capture_output=True, cwd=tmp_path,
-                               env={**os.environ, "PYTHONIOENCODING": encoding, "PYTHONPATH": path})
-                for encoding in ("ascii", "utf-8")]
+        argv = ["score", "--subtask", "B", "--gold", "gold", "--pred", "gold"]
+        runs = []
+        for encoding in ("ascii", "utf-8"):
+            cli, env = cli_in_subprocess(encoding)
+            runs.append(subprocess.run([*cli, *argv], capture_output=True, cwd=tmp_path, env=env))
         assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
         assert "warning: topic café: ".encode() in runs[1].stderr
         assert runs[0].stderr == runs[1].stderr
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "utf-8"])
+    def test_stdin_reads_as_a_path_whatever_the_locale(self, encoding, tmp_path):
+        """A gold file with a byte-order mark, a non-ASCII topic and CRLF line
+        endings gives the same bytes through the real stdin as through its
+        path; the in-process tests replace sys.stdin with a stream that has
+        none of the real one's locale defaults."""
+        gold = "\ufefft1\tcafé\tpositive\r\nt2\tcafé\tnegative\r\n".encode()
+        (tmp_path / "gold").write_bytes(gold)
+        (tmp_path / "pred").write_text("t1\tcafé\t1\nt2\tcafé\t1\n", encoding="utf-8")
+        cli, env = cli_in_subprocess(encoding)
+        command = [*cli, "score", "--subtask", "B", "--pred", "pred", "--format", "tsv"]
+        by_path = subprocess.run([*command, "--gold", "gold"], capture_output=True,
+                                 cwd=tmp_path, env=env)
+        by_stdin = subprocess.run([*command, "--gold", "-"], input=gold, capture_output=True,
+                                  cwd=tmp_path, env=env)
+        assert by_path.returncode == 0, by_path.stderr
+        assert "café\tavgrec".encode() in by_path.stdout
+        assert (by_stdin.returncode, by_stdin.stdout, by_stdin.stderr) == (
+            0, by_path.stdout, by_path.stderr)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

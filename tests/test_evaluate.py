@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import (class_counts, constant_predictions, join, reference_metrics,
                       reference_table_metrics, rows_from_counts, table)
-from topicsent.baselines import point_mass
+from topicsent.classification import table_metrics
 from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
 from topicsent.evaluate import SUBTASKS, Mode, classification_report, quantification_report
+from topicsent.ingestion import normalized_prevalence
 from topicsent.model import Prevalence, Scale, class_fractions
 
 
@@ -98,7 +99,12 @@ class TestMacroaverage:
                                          False).metrics)
 
 
+three_point_rows = st.one_of(st.just((0, 0, 0)), st.tuples(*[st.integers(0, 4)] * 3))
+
+
 class TestSubtaskA:
+    """Subtask A is its one topicless table, scored as a topic is."""
+
     def test_constant_neutral_english_counts(self):
         gold = rows_from_counts({1: 2375, 0: 5937, -1: 3972})
         report = classify(SUBTASKS["A"], gold, constant_predictions(gold, 0))
@@ -106,6 +112,27 @@ class TestSubtaskA:
         assert round(report.metrics["f1_pn"], 3) == 0.000
         assert round(report.metrics["accuracy"], 3) == 0.483
         assert not report.per_topic
+
+    @given(st.tuples(*[three_point_rows] * 3).filter(lambda t: any(map(any, t))),
+           st.integers(0, 2))
+    def test_scores_its_one_table(self, t, n_ignored):
+        """Rows of zeros are classes absent from gold, which the warning names."""
+        scale = Scale.THREE_POINT
+        absent = ", ".join(scale.class_name(c) for c, row in zip(scale.classes, t) if not any(row))
+        warnings = [f"{n_ignored} prediction rows not in gold were ignored"] if n_ignored else []
+        if absent:
+            warnings.append(f"gold data: classes absent from gold excluded from macro means: {absent}")
+        for pooled in (False, True):
+            report = classification_report(SUBTASKS["A"], {None: t}, n_ignored, pooled)
+            assert report.metrics == table_metrics(scale, t)
+            assert report.per_topic == {} and report.pooled is None
+            assert report.warnings == warnings
+
+    def test_absent_classes_warned(self):
+        t = table(Scale.THREE_POINT, [(1, 1), (1, 0), (-1, 0)])
+        report = classification_report(SUBTASKS["A"], {None: t}, 0, False)
+        assert report.warnings == [
+            "gold data: classes absent from gold excluded from macro means: NEUTRAL"]
 
 
 class TestSubtaskBC:
@@ -200,7 +227,7 @@ class TestQuantification:
 
     def test_extra_topic_warned_and_excluded(self):
         gold = rows_from_counts({1: 3, -1: 2}, topic="x")
-        preds = dict.fromkeys(["x", "ghost"], point_mass(Scale.TWO_POINT, 1))
+        preds = dict.fromkeys(["x", "ghost"], normalized_prevalence(Scale.TWO_POINT, [0.0, 1.0]))
         report = quantify(SUBTASKS["D"], gold, preds)
         assert any("ghost" in w for w in report.warnings)
         assert list(report.per_topic) == ["x"]

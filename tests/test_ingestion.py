@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    bow_cosine,
     class_counts,
     constant_predictions,
     join,
@@ -55,23 +54,12 @@ def parse(text, subtask="B"):
     return parse_labels(io.StringIO(text), SUBTASKS[subtask])
 
 
-class TestParseDataset:
-    """Parsing a whole label file (a data set) into its topic -> id -> class index map."""
+class TestParseLabels:
+    """Parsing a whole label file into its topic -> id -> class index map,
+    under the row rules that every label file follows."""
 
     def test_direct_parse(self):
         assert parse("t1\tTOPIC\tpositive\tsome text\n", "B") == {"TOPIC": {"t1": 1}}
-
-    def test_invalid_label_carries_line(self):
-        with pytest.raises(InvalidLabel) as exc:
-            parse("t1\tNA\t-3\ttext\n", "A")
-        assert exc.value.line == 1
-        with pytest.raises(InvalidLabel) as exc:
-            parse("t1\tNA\tpositive\nt2\tNA\tpositve\nt3\tNA\tpositve\n", "A")
-        assert exc.value.line == 2
-
-    def test_duplicate_key(self):
-        with pytest.raises(DuplicateKey):
-            parse("t1\tTOPIC\tpositive\nt1\tTOPIC\tnegative\n", "B")
 
     def test_malformed_line(self):
         with pytest.raises(MalformedLine):
@@ -83,12 +71,6 @@ class TestParseDataset:
         assert count_labels(io.StringIO(text), SUBTASKS["B"]) == {"TOPIC": (1, 2)}
         tables, _ = join_labels(io.StringIO(text), SUBTASKS["B"], parse("t3\tTOPIC\t1\n", "B"))
         assert list(tables) == ["TOPIC"]
-
-    def test_topic_rules_per_subtask(self):
-        with pytest.raises(MalformedLine):
-            parse("t1\tNA\tpositive\n", "B")
-        with pytest.raises(MalformedLine):
-            parse("t1\tTOPIC\tpositive\n", "A")
 
     @given(st.data())
     def test_round_trip(self, data):
@@ -103,10 +85,6 @@ class TestParseDataset:
         for (i, t), label in keyed.items():
             expected.setdefault(t, {})[i] = spec.scale.classes.index(label)
         assert in_order(parse_labels(io.StringIO(text), spec)) == in_order(expected)
-
-
-class TestParseLabels:
-    """parse_labels under the row rules that every label file follows."""
 
     def test_keys_are_canonical_fields(self):
         text = " t1 \t TOPIC\tpositive\nt2\tTOPIC\t-1\n"
@@ -135,19 +113,32 @@ class TestParseLabels:
     def test_duplicate_key_is_hard_error(self):
         with pytest.raises(DuplicateKey):
             parse("t1\tx\t1\nt1\tx\t-1\n")
+        with pytest.raises(DuplicateKey, match="^line 2: "):
+            parse("t1\tTOPIC\tpositive\nt1\tTOPIC\tnegative\n", "B")
 
     def test_same_id_different_topic_allowed(self):
         assert parse("t1\tx\t1\nt1\ty\t-1\n") == {"x": {"t1": 1}, "y": {"t1": 0}}
 
     def test_mixed_topic_presence_rejected(self):
-        with pytest.raises(MalformedLine, match="subtask B requires a topic"):
+        # a topic-based subtask needs a topic on every row, and A none on any
+        with pytest.raises(MalformedLine, match="^line 1: subtask B requires a topic"):
+            parse("t1\tNA\tpositive\n", "B")
+        with pytest.raises(MalformedLine, match="^line 1: subtask A expects topic NA"):
+            parse("t1\tTOPIC\tpositive\n", "A")
+        with pytest.raises(MalformedLine, match="^line 2: subtask B requires a topic"):
             parse("t1\tx\t1\nt2\tNA\t-1\n", "B")
-        with pytest.raises(MalformedLine, match="subtask A expects topic NA"):
+        with pytest.raises(MalformedLine, match="^line 2: subtask A expects topic NA"):
             parse("t1\tNA\t1\nt2\tx\t-1\n", "A")
 
     def test_label_outside_scale_rejected(self):
         with pytest.raises(InvalidLabel):
             parse("t1\tx\t0\n")
+        with pytest.raises(InvalidLabel) as exc:
+            parse("t1\tNA\t-3\ttext\n", "A")
+        assert exc.value.line == 1
+        with pytest.raises(InvalidLabel) as exc:
+            parse("t1\tNA\tpositive\nt2\tNA\tpositve\nt3\tNA\tpositve\n", "A")
+        assert exc.value.line == 2
 
     def test_empty_id_rejected(self):
         with pytest.raises(MalformedLine, match="line 2: empty id field"):
@@ -289,6 +280,11 @@ class TestJoinLabels:
         tables, ignored = join(Scale.TWO_POINT, [("t1", None, 1)], pred)
         assert sum(map(sum, tables[None])) == 1
         assert ignored == 1
+        # rows of a topic that gold lacks are ignored too, and give no table
+        pred = [("t1", "a", 1), ("t9", "ghost", -1), ("t1", "ghost", 1), ("t9", "a", 1)]
+        tables, ignored = join(Scale.TWO_POINT, [("t1", "a", 1)], pred)
+        assert tables == {"a": ((0, 0), (0, 1))}
+        assert ignored == 3
 
     def test_streamed_rows(self):
         """join_labels takes gold over and catches a repeated prediction key,
@@ -345,30 +341,85 @@ class TestJoinLabels:
         assert join(scale, gold, pred) == reference_join(scale, gold, pred)
 
 
+def faulty_lines(spec):
+    """Lines that no label file for the subtask may hold: short, blank but for
+    a space, with an empty id, a blank topic, a topic against the subtask's
+    rule, a bad or off-scale label in the last column, or a bad label ending
+    in "\\r" before a text column."""
+    right, wrong = ("NA", "x") if spec.id == "A" else ("a", "NA")
+    return [" ", "t9\ta", "\ta\t1", "t9\t \t1", f"t9\t{wrong}\t1",
+            *(f"t9\t{right}\t{label}" for label in ["2", "-3", "posit", "", "posit\r\tx"])]
+
+
+def labels_of(spec):
+    """The label fields of the subtask's scale: integers and lowercase names."""
+    return st.sampled_from([str(c) for c in spec.scale.classes]
+                           + [spec.scale.class_name(c).lower() for c in spec.scale.classes])
+
+
+def padded(word):
+    """The word as a raw field: as it is, or with a space before or after it."""
+    return st.sampled_from([word, f" {word}", f"{word} "])
+
+
+TEXTS = st.sampled_from(["", "", "\tsome text", "\ttext\textra", "\t"])  # after the label
+
+
+def written(draw, rows, fault):
+    """The rows as a file's text, with the fault line, unless None, at a
+    drawn place: LF or CRLF endings, with or without a final one."""
+    if fault is not None:
+        rows.insert(draw(st.integers(0, len(rows))), fault)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(rows) + draw(st.sampled_from(["", end]))
+
+
 @st.composite
 def label_texts(draw, spec):
     """A label file for the subtask as text: LF or CRLF endings, with or
     without a final newline; padded and repeated ids and topics, a text
     column or none, label names and integers and blank lines, and in about
-    half of the files one faulty line: short, blank but for a space, with an
-    empty id, a blank topic, a topic against the subtask's rule, a bad or
-    off-scale label in the last column, or a bad label ending in "\\r" before
-    a text column."""
+    half of the files one of the faulty_lines."""
     ids = st.sampled_from(["t1", " t1", "t2", "t3 "])
     topics = st.sampled_from(["a", " a", "b ", "c"] if spec.topic_based else ["NA", " NA "])
-    labels = st.sampled_from([str(c) for c in spec.scale.classes]
-                             + [spec.scale.class_name(c).lower() for c in spec.scale.classes])
-    texts = st.sampled_from(["", "", "\tsome text", "\ttext\textra", "\t"])
-    row = st.builds("{}\t{}\t{}{}".format, ids, topics, labels, texts) | st.just("")
+    row = st.builds("{}\t{}\t{}{}".format, ids, topics, labels_of(spec), TEXTS) | st.just("")
     rows = draw(st.lists(row, max_size=10))
-    right, wrong = ("NA", "x") if spec.id == "A" else ("a", "NA")
-    faults = [" ", "t9\ta", "\ta\t1", "t9\t \t1", f"t9\t{wrong}\t1",
-              *(f"t9\t{right}\t{label}" for label in ["2", "-3", "posit", "", "posit\r\tx"])]
-    fault = draw(st.none() | st.sampled_from(faults))
-    if fault is not None:
-        rows.insert(draw(st.integers(0, len(rows))), fault)
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(rows) + draw(st.sampled_from(["", end]))
+    return written(draw, rows, draw(st.none() | st.sampled_from(faulty_lines(spec))))
+
+
+@st.composite
+def gold_and_pred_texts(draw, spec):
+    """Gold and prediction label files for the subtask, written as
+    label_texts writes them, whose prediction rows come from gold's (id,
+    topic) keys as in gold_and_pred: in about half of the examples two or more
+    gold keys dropped, and ids that gold lacks added, in gold's topics and
+    in one that gold lacks, one of them sometimes twice, in any order. Each
+    field may be padded, and in a third of the examples one file holds one
+    of the faulty_lines."""
+    topics = ["a", "b", "c"] if spec.topic_based else ["NA"]
+    ids = ["t1", "t2", "t3", "t4", "t5"]
+    gold = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(topics)),
+                         unique=True, max_size=10))
+    dropped = set()
+    if len(gold) > 1 and draw(st.booleans()):
+        dropped = draw(st.sets(st.sampled_from(gold), min_size=2))
+    extra_keys = st.tuples(st.sampled_from(ids + ["t8", "t9"]),
+                           st.sampled_from(topics + ["d"] if spec.topic_based else topics))
+    extra = draw(st.lists(extra_keys.filter(lambda key: key not in gold), unique=True,
+                          max_size=3))
+    if extra and draw(st.booleans()):
+        extra.append(draw(st.sampled_from(extra)))
+    pred = draw(st.permutations([key for key in gold if key not in dropped] + extra))
+    faulty = draw(st.sampled_from([None, None, None, None, "gold", "pred"]))
+    texts = []
+    for name, keys in [("gold", gold), ("pred", pred)]:
+        rows = [draw(st.builds("{}\t{}\t{}{}".format, padded(item_id), padded(topic),
+                               labels_of(spec), TEXTS)) for item_id, topic in keys]
+        for _ in range(draw(st.integers(0, 2))):
+            rows.insert(draw(st.integers(0, len(rows))), "")
+        fault = draw(st.sampled_from(faulty_lines(spec))) if faulty == name else None
+        texts.append(written(draw, rows, fault))
+    return texts
 
 
 def outcome(f):
@@ -422,7 +473,7 @@ class TestLabelLoopsMatchReference:
     @given(st.data())
     def test_join(self, data):
         spec = SUBTASKS[data.draw(st.sampled_from("ABC"))]
-        gold_text, pred_text = data.draw(label_texts(spec)), data.draw(label_texts(spec))
+        gold_text, pred_text = data.draw(gold_and_pred_texts(spec))
 
         def streamed():
             gold = parse_labels(io.StringIO(gold_text), spec)
@@ -525,31 +576,6 @@ class TestParseAnnotations:
         text = f"t1\tx\t1\t1\t1\t0\t0\nt2\tx\t1\t1\t1\t0\t{label}\n"
         with pytest.raises(InvalidLabel, match="^line 2: annotator labels must be integers"):
             parse_annotations(io.StringIO(text))
-
-
-class TestBowCosine:
-    def test_identical(self):
-        assert bow_cosine("Some tweet text", "some tweet text") == pytest.approx(1.0)
-
-    def test_disjoint(self):
-        assert bow_cosine("a b", "c d") == 0.0
-
-    def test_hand_dot_product(self):
-        assert bow_cosine("a b c", "a b d") == pytest.approx(2 / 3)
-
-    def test_punctuation_stripped(self):
-        assert bow_cosine("hello, world!", "hello world") == pytest.approx(1.0)
-
-    def test_empty_text(self):
-        with pytest.raises(EmptyText):
-            bow_cosine("...", "words here")
-
-    @given(st.text(alphabet="abc d", min_size=1), st.text(alphabet="abc d", min_size=1))
-    def test_symmetric(self, a, b):
-        try:
-            assert bow_cosine(a, b) == pytest.approx(bow_cosine(b, a))
-        except EmptyText:
-            pass
 
 
 def record(i, text):
@@ -818,33 +844,9 @@ class TestBitmapBound:
         assert h == 4 and (h <= limit) == (threshold == 0)
 
 
-class TestTopicFilter:
-    """stats with min_size counts only the topics holding at least min_size items."""
-
-    def test_boundary(self):
-        counts = class_counts(Scale.TWO_POINT, rows_from_counts({1: 99}, topic="small")
-                              + rows_from_counts({1: 100}, topic="big"))
-        per_class, per_topic = stats(Scale.TWO_POINT, counts, min_size=100)
-        assert set(per_topic) == {"big"}
-        assert sum(per_class.values()) == 100
-
-    def test_min_size_one_is_identity(self):
-        counts = {"x": (2, 3)}
-        assert stats(Scale.TWO_POINT, counts, min_size=1) == stats(Scale.TWO_POINT, counts)
-
-    def test_negative_min_size_rejected(self):
-        with pytest.raises(InvalidArgument):
-            stats(Scale.TWO_POINT, {"x": (0, 3)}, min_size=-5)
-
-    def test_requires_topics(self):
-        with pytest.raises(NoTopics):
-            stats(Scale.TWO_POINT, {None: (0, 3)}, min_size=100)
-        with pytest.raises(NoTopics):
-            stats(Scale.TWO_POINT, {}, min_size=0)
-
-
 class TestStats:
-    """stats on per-topic class-count maps, as count_labels returns them."""
+    """stats on per-topic class-count maps, as count_labels returns them;
+    with min_size, only the topics holding at least min_size items count."""
 
     def test_counts_and_total(self):
         counts = class_counts(
@@ -871,3 +873,24 @@ class TestStats:
                                      min_size=1)
         assert per_topic == {"a": 1, "b": 7} and list(per_topic) == ["a", "b"]
         assert per_class == {1: 5, -1: 3}
+
+    def test_min_size_boundary(self):
+        counts = class_counts(Scale.TWO_POINT, rows_from_counts({1: 99}, topic="small")
+                              + rows_from_counts({1: 100}, topic="big"))
+        per_class, per_topic = stats(Scale.TWO_POINT, counts, min_size=100)
+        assert set(per_topic) == {"big"}
+        assert sum(per_class.values()) == 100
+
+    def test_min_size_one_is_identity(self):
+        counts = {"x": (2, 3)}
+        assert stats(Scale.TWO_POINT, counts, min_size=1) == stats(Scale.TWO_POINT, counts)
+
+    def test_negative_min_size_rejected(self):
+        with pytest.raises(InvalidArgument):
+            stats(Scale.TWO_POINT, {"x": (0, 3)}, min_size=-5)
+
+    def test_min_size_requires_topics(self):
+        with pytest.raises(NoTopics):
+            stats(Scale.TWO_POINT, {None: (0, 3)}, min_size=100)
+        with pytest.raises(NoTopics):
+            stats(Scale.TWO_POINT, {}, min_size=0)
