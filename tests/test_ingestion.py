@@ -54,6 +54,29 @@ def parse(text, subtask="B"):
     return parse_labels(io.StringIO(text), SUBTASKS[subtask])
 
 
+class TestParseDataset:
+    """The faults of a whole label file, each reported with the line it is on."""
+
+    def test_duplicate_key(self):
+        with pytest.raises(DuplicateKey, match="^line 2: "):
+            parse("t1\tTOPIC\tpositive\nt1\tTOPIC\tnegative\n", "B")
+
+    def test_topic_rules_per_subtask(self):
+        # a topic-based subtask needs a topic on every row, and A none on any
+        with pytest.raises(MalformedLine, match="^line 1: subtask B requires a topic"):
+            parse("t1\tNA\tpositive\n", "B")
+        with pytest.raises(MalformedLine, match="^line 1: subtask A expects topic NA"):
+            parse("t1\tTOPIC\tpositive\n", "A")
+
+    def test_invalid_label_carries_line(self):
+        with pytest.raises(InvalidLabel) as exc:
+            parse("t1\tNA\t-3\ttext\n", "A")
+        assert exc.value.line == 1
+        with pytest.raises(InvalidLabel) as exc:
+            parse("t1\tNA\tpositive\nt2\tNA\tpositve\nt3\tNA\tpositve\n", "A")
+        assert exc.value.line == 2
+
+
 class TestParseLabels:
     """Parsing a whole label file into its topic -> id -> class index map,
     under the row rules that every label file follows."""
@@ -113,18 +136,12 @@ class TestParseLabels:
     def test_duplicate_key_is_hard_error(self):
         with pytest.raises(DuplicateKey):
             parse("t1\tx\t1\nt1\tx\t-1\n")
-        with pytest.raises(DuplicateKey, match="^line 2: "):
-            parse("t1\tTOPIC\tpositive\nt1\tTOPIC\tnegative\n", "B")
 
     def test_same_id_different_topic_allowed(self):
         assert parse("t1\tx\t1\nt1\ty\t-1\n") == {"x": {"t1": 1}, "y": {"t1": 0}}
 
     def test_mixed_topic_presence_rejected(self):
-        # a topic-based subtask needs a topic on every row, and A none on any
-        with pytest.raises(MalformedLine, match="^line 1: subtask B requires a topic"):
-            parse("t1\tNA\tpositive\n", "B")
-        with pytest.raises(MalformedLine, match="^line 1: subtask A expects topic NA"):
-            parse("t1\tTOPIC\tpositive\n", "A")
+        # a topic on some rows and none on others is refused at the first odd row
         with pytest.raises(MalformedLine, match="^line 2: subtask B requires a topic"):
             parse("t1\tx\t1\nt2\tNA\t-1\n", "B")
         with pytest.raises(MalformedLine, match="^line 2: subtask A expects topic NA"):
@@ -133,12 +150,6 @@ class TestParseLabels:
     def test_label_outside_scale_rejected(self):
         with pytest.raises(InvalidLabel):
             parse("t1\tx\t0\n")
-        with pytest.raises(InvalidLabel) as exc:
-            parse("t1\tNA\t-3\ttext\n", "A")
-        assert exc.value.line == 1
-        with pytest.raises(InvalidLabel) as exc:
-            parse("t1\tNA\tpositive\nt2\tNA\tpositve\nt3\tNA\tpositve\n", "A")
-        assert exc.value.line == 2
 
     def test_empty_id_rejected(self):
         with pytest.raises(MalformedLine, match="line 2: empty id field"):
