@@ -8,7 +8,7 @@ Run: PYTHONPATH=src python3 scripts/reproduce_baselines.py
 from topicsent.baselines import constant_classifier
 from topicsent.classification import table_metrics
 from topicsent.cli import round_display
-from topicsent.evaluate import SUBTASKS
+from topicsent.model import SUBTASKS
 
 COUNTS = {
     "English": {

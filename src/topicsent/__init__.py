@@ -1,13 +1,27 @@
 """Scoring and evaluation toolkit for topic-based sentiment classification
-and quantification on 2-, 3- and 5-point scales."""
+and quantification on 2-, 3- and 5-point scales.
 
-from .annotation import consolidate_labels
-from .baselines import Averaging, constant_classifier, ml_quantifier
-from .classification import table_metrics
-from .errors import ScoringError
-from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
-                       quantification_report)
-from .ingestion import count_labels, dedup, join_labels, parse_labels, stats
-from .model import Prevalence, Scale, class_fractions
+Each public name loads its module the first time it is read (PEP 562), so
+``import topicsent`` loads none of the package's modules."""
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "annotation": ("consolidate_labels",),
+    "baselines": ("Averaging", "constant_classifier", "ml_quantifier"),
+    "classification": ("table_metrics",),
+    "errors": ("ScoringError",),
+    "evaluate": ("ScoreReport", "classification_report", "quantification_report"),
+    "ingestion": ("count_labels", "dedup", "join_labels", "parse_labels", "stats"),
+    "model": ("SUBTASKS", "Mode", "Prevalence", "Scale", "SubtaskSpec", "class_fractions"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value

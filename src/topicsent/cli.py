@@ -4,29 +4,28 @@ Subcommands: score, baseline, consolidate, dedup, stats. Inputs and outputs
 are explicit paths or ``-`` for the standard streams. Exit codes: 0 success,
 1 input/validation error, 2 internal error. JSON output carries full-precision
 values; TABLE output rounds to 3 decimals, half away from zero.
+
+Each command imports the layers it runs when it runs, so that ``--help``
+and the commands that do not score load no scoring code.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
-import math
 import os
 import sys
 from contextlib import contextmanager
-from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from itertools import chain, filterfalse
-from json.encoder import encode_basestring_ascii as _json_str
-from typing import IO
+from operator import itemgetter
+from typing import IO, TYPE_CHECKING
 
-from . import baselines, ingestion
-from .annotation import consolidate_labels
 from .errors import InvalidArgument, InvalidLabel, ScoringError
-from .evaluate import (SUBTASKS, Mode, ScoreReport, SubtaskSpec, classification_report,
-                       quantification_report)
-from .model import ascii_number
+from .model import SUBTASKS, Mode, SubtaskSpec, ascii_number
+
+if TYPE_CHECKING:
+    from .evaluate import ScoreReport
 
 
 def _ascii(kind: type[int] | type[float]) -> partial:
@@ -40,6 +39,7 @@ def _ascii(kind: type[int] | type[float]) -> partial:
 def round_display(x: float) -> float:
     """Rounds to 3 decimals half away from zero, the convention the score
     tables use."""
+    from decimal import ROUND_HALF_UP, Decimal
     return float(Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
@@ -71,14 +71,22 @@ def _write_per_topic(per_topic: dict[str, dict[str, float]], out: IO[str]) -> No
     ``indent=2`` would at its depth, one topic at a time: keys sorted and
     ASCII-escaped, floats by repr, and a non-finite value raising ValueError
     before anything is written. Each topic holds at least one metric."""
+    import math
+    from json.encoder import encode_basestring_ascii as json_str
     values = chain.from_iterable(map(dict.values, per_topic.values()))
     for value in filterfalse(math.isfinite, values):
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    # one template per run of topics with the same metric names (a report's
+    # topics all have the same names); itemgetter gives a lone name's value bare
+    names = None
     sep = "{\n    "
     for topic in sorted(per_topic):
-        items = sorted(per_topic[topic].items())
-        fields = ",\n      ".join([f"{_json_str(name)}: {value!r}" for name, value in items])
-        out.write(f"{sep}{_json_str(topic)}: {{\n      {fields}\n    }}")
+        metrics = per_topic[topic]
+        if metrics.keys() != names:
+            names, ordered = metrics.keys(), sorted(metrics)
+            fields = ",\n      ".join([f"{json_str(n).replace('%', '%%')}: %r" for n in ordered])
+            template, row = f": {{\n      {fields}\n    }}", itemgetter(*ordered)
+        out.write(sep + json_str(topic) + template % row(metrics))
         sep = ",\n    "
     out.write("\n  }" if per_topic else "{}")
 
@@ -92,6 +100,7 @@ def _one_std_stream(args, first: str, second: str, stream: str) -> None:
 
 def _emit_report(report: ScoreReport, fmt: str, out: IO[str]) -> None:
     if fmt == "json":
+        import json
         payload = {
             "subtask": report.subtask.id,
             "primary_metric": report.subtask.primary_metric,
@@ -140,6 +149,8 @@ def cmd_score(args) -> int:
     quantification, reduces gold to class counts before the prediction file
     is read. Errors come from the gold file first, then the prediction file,
     then missing predictions."""
+    from . import ingestion
+    from .evaluate import classification_report, quantification_report
     _one_std_stream(args, "gold", "pred", "stdin")
     spec = SUBTASKS[args.subtask]
     if spec.mode is Mode.CLASSIFICATION:
@@ -160,6 +171,8 @@ def cmd_score(args) -> int:
 
 
 def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
+    from . import baselines, ingestion
+    from .evaluate import classification_report, quantification_report
     kind, _, arg = args.kind.partition(":")
     if kind == "constant":
         c = spec.scale.parse_label(arg)
@@ -194,10 +207,11 @@ def _baseline_report(spec: SubtaskSpec, counts, args) -> ScoreReport:
 
 
 def cmd_baseline(args) -> int:
+    from .ingestion import count_labels
     _one_std_stream(args, "gold", "train", "stdin")
     spec = SUBTASKS[args.subtask]
     with _open_in(args.gold) as f:
-        counts = ingestion.count_labels(f, spec)
+        counts = count_labels(f, spec)
     report = _baseline_report(spec, counts, args)
     with _open_out(args.output) as out:
         _emit_report(report, args.format, out)
@@ -205,8 +219,10 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_consolidate(args) -> int:
+    from .annotation import consolidate_labels
+    from .ingestion import parse_annotations
     with _open_in(args.input) as f:
-        annotations = ingestion.parse_annotations(f)
+        annotations = parse_annotations(f)
     with _open_out(args.output) as out:
         for key, labels in annotations:
             out.write(f"{key}\t{consolidate_labels(labels)}\n")
@@ -214,14 +230,15 @@ def cmd_consolidate(args) -> int:
 
 
 def cmd_dedup(args) -> int:
+    from .ingestion import dedup, parse_raw_records
     _one_std_stream(args, "output", "removed", "stdout")
     if args.removed not in (None, "-") and args.output != "-" and (
             os.path.realpath(args.output) == os.path.realpath(args.removed)):
         # the removed pairs would overwrite the kept records
         raise InvalidArgument("--output and --removed cannot both name one file")
     with _open_in(args.input) as f:
-        records = ingestion.parse_raw_records(f)
-    kept, removed = ingestion.dedup(records, threshold=args.threshold)
+        records = parse_raw_records(f)
+    kept, removed = dedup(records, threshold=args.threshold)
     with _open_out(args.output) as out:
         out.writelines(f"{line}\n" for _, _, line in kept)
     if args.removed:
@@ -232,13 +249,14 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .ingestion import count_labels, stats
     spec = SUBTASKS[args.subtask]
     with _open_in(args.input) as f:
-        per_class, per_topic = ingestion.stats(spec.scale, ingestion.count_labels(f, spec),
-                                               args.min_size)
+        per_class, per_topic = stats(spec.scale, count_labels(f, spec), args.min_size)
     total = sum(per_class.values())
     with _open_out(args.output) as out:
         if args.format == "json":
+            import json
             json.dump({
                 "per_class": {str(c): n for c, n in per_class.items()},
                 "per_topic": per_topic,
@@ -331,17 +349,18 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ScoringError as exc:
-        diag = {"error": exc.code, "message": str(exc)}
-        print(json.dumps(diag, sort_keys=True), file=sys.stderr)
-        return 1
+        return _diagnose(exc.code, exc, 1)
     except (OSError, UnicodeDecodeError) as exc:
-        print(json.dumps({"error": "IO_ERROR", "message": str(exc)}, sort_keys=True),
-              file=sys.stderr)
-        return 1
+        return _diagnose("IO_ERROR", exc, 1)
     except Exception as exc:  # pragma: no cover - internal failure path
-        print(json.dumps({"error": "INTERNAL", "message": str(exc)}, sort_keys=True),
-              file=sys.stderr)
-        return 2
+        return _diagnose("INTERNAL", exc, 2)
+
+
+def _diagnose(code: str, exc: Exception, exit_code: int) -> int:
+    """Writes the one-line JSON diagnostic of a failed run; returns its exit code."""
+    import json
+    print(json.dumps({"error": code, "message": str(exc)}, sort_keys=True), file=sys.stderr)
+    return exit_code
 
 
 if __name__ == "__main__":

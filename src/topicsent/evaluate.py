@@ -27,39 +27,14 @@ group already, so it has no pooled report. A report is an immutable
 from __future__ import annotations
 
 import math
-from enum import Enum
 from itertools import repeat
 from operator import mul, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .classification import table_metrics
 from .errors import EmptyInput, MissingPrediction, ScaleMismatch, TopicRequired
-from .model import Scale
+from .model import SubtaskSpec
 from .quantification import column_metrics
-
-
-class Mode(Enum):
-    CLASSIFICATION = "classification"
-    QUANTIFICATION = "quantification"
-
-
-class SubtaskSpec(NamedTuple):
-    id: str
-    scale: Scale
-    mode: Mode
-    topic_based: bool
-    primary_metric: str
-    # reported with each score; nothing in the scorer ranks by it
-    higher_is_better: bool
-
-
-SUBTASKS: dict[str, SubtaskSpec] = {
-    "A": SubtaskSpec("A", Scale.THREE_POINT, Mode.CLASSIFICATION, False, "avgrec", True),
-    "B": SubtaskSpec("B", Scale.TWO_POINT, Mode.CLASSIFICATION, True, "avgrec", True),
-    "C": SubtaskSpec("C", Scale.FIVE_POINT, Mode.CLASSIFICATION, True, "mae_macro", False),
-    "D": SubtaskSpec("D", Scale.TWO_POINT, Mode.QUANTIFICATION, True, "kld", False),
-    "E": SubtaskSpec("E", Scale.FIVE_POINT, Mode.QUANTIFICATION, True, "emd", False),
-}
 
 
 class ScoreReport(NamedTuple):

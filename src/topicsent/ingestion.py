@@ -37,8 +37,7 @@ from .errors import (
     NoTopics,
     TooFewAnnotators,
 )
-from .evaluate import SubtaskSpec
-from .model import NO_TOPIC, Prevalence, Scale, ascii_number, duplicate_key, row_key
+from .model import NO_TOPIC, Prevalence, Scale, SubtaskSpec, ascii_number, duplicate_key, row_key
 
 PREVALENCE_SUM_TOL = 1e-6
 _Record = tuple[str, str, str]  # a dedup record: id, text and its output line

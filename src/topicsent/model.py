@@ -1,6 +1,7 @@
-"""Core data model: sentiment scales, the row key that writes a row's id and
-topic fields in canonical form, class fractions from counts, and
-:class:`Prevalence`, the tuple type of predicted class fractions.
+"""Core data model: sentiment scales, the subtask definitions, the row key
+that writes a row's id and topic fields in canonical form, class fractions
+from counts, and :class:`Prevalence`, the tuple type of predicted class
+fractions.
 
 Labels are plain integers validated against a :class:`Scale`:
 two-point {-1, +1}, three-point {-1, 0, +1}, five-point {-2 .. +2}.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateKey, EmptyInput, InvalidLabel
 
@@ -66,6 +67,30 @@ class Scale(Enum):
         if label not in self.value:
             raise InvalidLabel(f"label {label!r} not in scale {self.name}")
         return _INT_TO_NAME[label]
+
+
+class Mode(Enum):
+    CLASSIFICATION = "classification"
+    QUANTIFICATION = "quantification"
+
+
+class SubtaskSpec(NamedTuple):
+    id: str
+    scale: Scale
+    mode: Mode
+    topic_based: bool
+    primary_metric: str
+    # reported with each score; nothing in the scorer ranks by it
+    higher_is_better: bool
+
+
+SUBTASKS: dict[str, SubtaskSpec] = {
+    "A": SubtaskSpec("A", Scale.THREE_POINT, Mode.CLASSIFICATION, False, "avgrec", True),
+    "B": SubtaskSpec("B", Scale.TWO_POINT, Mode.CLASSIFICATION, True, "avgrec", True),
+    "C": SubtaskSpec("C", Scale.FIVE_POINT, Mode.CLASSIFICATION, True, "mae_macro", False),
+    "D": SubtaskSpec("D", Scale.TWO_POINT, Mode.QUANTIFICATION, True, "kld", False),
+    "E": SubtaskSpec("E", Scale.FIVE_POINT, Mode.QUANTIFICATION, True, "emd", False),
+}
 
 
 class Prevalence(tuple):

@@ -10,9 +10,8 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from topicsent.errors import EmptyInput, EmptyText, MalformedLine, MissingPrediction
-from topicsent.evaluate import Mode, SubtaskSpec
 from topicsent.ingestion import count_labels, join_labels, parse_labels
-from topicsent.model import Scale, row_key
+from topicsent.model import Mode, Scale, SubtaskSpec, row_key
 from topicsent.quantification import column_metrics
 
 Row = tuple[str, "str | None", int]  # (id, topic, label), topic None without topics

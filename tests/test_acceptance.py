@@ -34,8 +34,8 @@ from conftest import (
 from topicsent.annotation import consolidate_labels
 from topicsent.classification import table_metrics
 from topicsent.cli import round_display
-from topicsent.evaluate import SUBTASKS, classification_report
-from topicsent.model import Scale, class_fractions
+from topicsent.evaluate import classification_report
+from topicsent.model import SUBTASKS, Scale, class_fractions
 
 EN_TEST_A = {1: 2375, 0: 5937, -1: 3972}
 AR_TEST_A = {1: 1514, 0: 2364, -1: 2222}

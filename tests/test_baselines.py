@@ -9,9 +9,8 @@ from conftest import (class_counts, constant_predictions, constant_table, join, 
 from topicsent.baselines import Averaging, constant_classifier, ml_quantifier
 from topicsent.classification import table_metrics
 from topicsent.errors import EmptyInput, NoTopics, ScaleMismatch
-from topicsent.evaluate import SUBTASKS
 from topicsent.ingestion import count_labels, normalized_prevalence
-from topicsent.model import Scale, class_fractions
+from topicsent.model import SUBTASKS, Scale, class_fractions
 
 
 @st.composite

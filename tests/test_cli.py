@@ -18,8 +18,9 @@ from conftest import (constant_predictions, label_text, parsed_rows, reference_j
 import topicsent
 from topicsent.cli import _emit_report, main, round_display
 from topicsent.errors import EmptyInput, MissingPrediction, ScoringError
-from topicsent.evaluate import SUBTASKS, Mode, ScoreReport
+from topicsent.evaluate import ScoreReport
 from topicsent.ingestion import parse_prevalence_file
+from topicsent.model import SUBTASKS, Mode
 
 
 def write_labels(path, counts, topic=None):
@@ -712,6 +713,21 @@ class TestInputContract:
         assert "café\tavgrec".encode() in by_path.stdout
         assert (by_stdin.returncode, by_stdin.stdout, by_stdin.stderr) == (
             0, by_path.stdout, by_path.stderr)
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--subtask", "Z", "--gold", "gold"], "INVALID_ARGUMENT"),
+        (["--subtask", "B", "--gold", "missing"], "IO_ERROR"),
+    ], ids=["unknown-subtask", "missing-gold"])
+    def test_exit_1_writes_one_json_line_from_a_new_process(self, argv, error, tmp_path):
+        """main imports json only on its error path; a new process, which has
+        not imported it elsewhere, still writes the one diagnostic line."""
+        (tmp_path / "gold").write_text("t1\tx\tpositive\n", encoding="utf-8")
+        cli, env = cli_in_subprocess("utf-8")
+        proc = subprocess.run([*cli, "score", *argv, "--pred", "gold"], capture_output=True,
+                              cwd=tmp_path, env=env, text=True)
+        line, _, rest = proc.stderr.partition("\n")
+        assert (proc.returncode, proc.stdout, rest) == (1, "", ""), proc.stderr
+        assert json.loads(line)["error"] == error
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

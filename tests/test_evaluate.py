@@ -8,9 +8,9 @@ from conftest import (class_counts, constant_predictions, join, reference_metric
                       reference_table_metrics, rows_from_counts, table)
 from topicsent.classification import table_metrics
 from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
-from topicsent.evaluate import SUBTASKS, Mode, classification_report, quantification_report
+from topicsent.evaluate import classification_report, quantification_report
 from topicsent.ingestion import normalized_prevalence
-from topicsent.model import Prevalence, Scale, class_fractions
+from topicsent.model import SUBTASKS, Mode, Prevalence, Scale, class_fractions
 
 
 def classify(spec, gold, pred, pooled=False):

@@ -4,17 +4,24 @@ another tends to leave such imports and definitions behind, and the checks
 need only ``ast``: a name counts as used where the code reads it as a
 variable, an attribute or an imported name. ``__init__.py`` re-exports its
 imports and ``from __future__`` imports are directives, so both are exempt
-from the first check, and an ``__init__.py`` export counts as a use in the
-second. The CLI also starts without the modules that ``dataclasses``
-pulls in. The tests mirror the library: each test module names the module
-it tests, and every module-level helper of the tests is named somewhere in
-them, as every public definition of the library is."""
+from the first check, and an ``__init__.py`` export, a string there, counts as
+a use in the second. The CLI also starts without the modules that
+``dataclasses`` pulls in, each command loads only the layers it runs, and the
+package loads an export's module only when the export is read. The tests
+mirror the library: each test module names the module it tests, and every
+module-level helper of the tests is named somewhere in them, as every public
+definition of the library is."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import topicsent
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -53,10 +60,11 @@ def test_every_import_is_used():
 
 def unnamed_definitions(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each public module-level function or class that no
-    module of ``sources`` (module name -> source) names anywhere else."""
+    module of ``sources`` (module name -> source) names anywhere else; the
+    strings of ``__init__``, which lists the package exports, name too."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     named = set()
-    for tree in trees.values():
+    for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -64,14 +72,17 @@ def unnamed_definitions(sources: dict[str, str]) -> list[str]:
                 named.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
+            elif module == "__init__" and isinstance(node, ast.Constant):
+                named.add(node.value)
     return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_") and node.name not in named]
 
 
 def test_unnamed_definitions_are_found():
-    sources = {"a": "def f(): pass\ndef g(): pass\nclass C: pass\ndef _h(): pass\n",
-               "b": "from a import f\nimport a\na.C\n"}
+    sources = {"a": "def f(): pass\ndef g(): pass\nclass C: pass\ndef _h(): pass\ndef k(): pass",
+               "b": "from a import f\nimport a\na.C\n",
+               "__init__": '_EXPORTS = {"a": ("k",)}\n'}
     assert unnamed_definitions(sources) == ["a.g"]
 
 
@@ -93,10 +104,76 @@ def test_each_test_module_names_a_library_module():
             if path.stem.removeprefix("test_") not in modules] == []
 
 
-def test_cli_start_imports_no_dataclasses():
-    code = ("import sys, topicsent.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def modules_after(code: str, *argv: str, cwd: Path = ROOT) -> set[str]:
+    """The modules that a fresh ``python -S`` process holds after it runs
+    ``code`` with ``argv`` as ``sys.argv[1:]``, where no site hook has
+    loaded any of them first."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout == "[]\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", f"{code}\nprint(sorted(sys.modules))",
+                           *argv], cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_start_imports_no_dataclasses():
+    assert {"dataclasses", "inspect"} & modules_after("import sys, topicsent.cli") == set()
+
+
+RUN_CLI = """import sys
+from topicsent.cli import main
+try:
+    assert main(sys.argv[1:]) == 0
+except SystemExit as exc:
+    assert exc.code == 0"""
+SCORING = {f"topicsent.{m}" for m in ("evaluate", "classification", "quantification")}
+BASELINES, INGESTION = "topicsent.baselines", "topicsent.ingestion"
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["--help"], set(), {INGESTION, BASELINES, "json", "decimal", *SCORING}),
+    (["dedup", "--input", "raw", "--output", "kept"], {INGESTION},
+     {BASELINES, "json", "decimal", *SCORING}),
+    (["score", "--subtask", "C", "--gold", "gold", "--pred", "gold", "--output", "report"],
+     {INGESTION, "json", "decimal", *SCORING}, {BASELINES}),
+], ids=["help", "dedup", "score"])
+def test_command_loads_only_its_layers(argv, loaded, absent, tmp_path):
+    (tmp_path / "raw").write_text("t1\tx\tpositive\ta b c\nt2\tx\tnegative\ta b c!\n")
+    (tmp_path / "gold").write_text("t1\tx\t2\nt2\tx\t-1\n")
+    modules = modules_after(RUN_CLI, *argv, cwd=tmp_path)
+    assert (loaded - modules, absent & modules) == (set(), set())
+
+
+def test_package_loads_an_export_with_its_module():
+    code = ("import sys, topicsent\nbare = sorted(sys.modules)\n"
+            "assert not [m for m in bare if m.startswith('topicsent.')], bare\n"
+            "topicsent.Scale")
+    modules = {m for m in modules_after(code) if m.startswith("topicsent")}
+    assert modules == {"topicsent", "topicsent.errors", "topicsent.model"}
+
+
+def defining_module(name: str) -> str | None:
+    """The library module whose top level defines or assigns ``name``."""
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [node])
+            if name in [getattr(t, "id", getattr(t, "name", None)) for t in targets]:
+                return path.stem
+    return None
+
+
+def test_each_export_is_its_modules_object():
+    homes = {name: defining_module(name) for name in topicsent.__all__}
+    assert [name for name, home in homes.items() if home in (None, "__init__")
+            or getattr(topicsent, name) is not getattr(importlib.import_module(
+                f"topicsent.{home}"), name)] == []
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        topicsent.no_such_name
+
+
+def test_star_import_binds_the_exports():
+    namespace = {}
+    exec("from topicsent import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(topicsent.__all__)

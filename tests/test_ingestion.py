@@ -35,7 +35,6 @@ from topicsent.errors import (
     ScoringError,
 )
 from topicsent import ingestion
-from topicsent.evaluate import SUBTASKS
 from topicsent.ingestion import (
     count_labels,
     dedup,
@@ -46,7 +45,7 @@ from topicsent.ingestion import (
     parse_prevalence_file,
     stats,
 )
-from topicsent.model import Prevalence, Scale, duplicate_key, row_key
+from topicsent.model import SUBTASKS, Prevalence, Scale, duplicate_key, row_key
 
 
 def parse(text, subtask="B"):
