@@ -12,8 +12,9 @@ _EXPORTS = {
     "classification": ("table_metrics",),
     "errors": ("ScoringError",),
     "evaluate": ("ScoreReport", "classification_report", "quantification_report"),
-    "ingestion": ("count_labels", "dedup", "join_labels", "parse_labels", "stats"),
+    "ingestion": ("count_labels", "join_labels", "parse_labels", "stats"),
     "model": ("SUBTASKS", "Mode", "Prevalence", "Scale", "SubtaskSpec", "class_fractions"),
+    "neardup": ("dedup",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

@@ -230,7 +230,8 @@ def cmd_consolidate(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    from .ingestion import dedup, parse_raw_records
+    from .ingestion import parse_raw_records
+    from .neardup import dedup
     _one_std_stream(args, "output", "removed", "stdout")
     if args.removed not in (None, "-") and args.output != "-" and (
             os.path.realpath(args.output) == os.path.realpath(args.removed)):

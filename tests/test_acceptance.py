@@ -241,7 +241,8 @@ def test_criterion_7_metric_properties():
 
 
 def test_criterion_8_dedup_and_topic_filter():
-    from topicsent.ingestion import dedup, parse_raw_records, stats
+    from topicsent.ingestion import parse_raw_records, stats
+    from topicsent.neardup import dedup
 
     # "a b c" and "a b d" have cosine 2/3: a near-duplicate below it, kept above it
     pair = "t1\tNA\t\ta b c\nt2\tNA\t\ta b d\n"

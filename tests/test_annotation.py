@@ -1,7 +1,7 @@
 import io
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -61,7 +61,10 @@ class TestConsolidate:
         assert consolidate_labels(labels) == 2
 
     def test_exhaustive_against_reference(self):
-        for labels in product([-2, -1, 0, 1, 2], repeat=5):
+        # every 5-label sequence, and every 10-label multiset: the means of ten
+        # labels fall on the 7/5 and -7/5 cuts, where those of five never do
+        for labels in chain(product(range(-2, 3), repeat=5),
+                            combinations_with_replacement(range(-2, 3), 10)):
             assert consolidate_labels(list(labels)) == reference_consolidate(labels), labels
 
     def test_majority_always_short_circuits_averaging(self):

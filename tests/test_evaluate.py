@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import (class_counts, constant_predictions, join, reference_metrics,
                       reference_table_metrics, rows_from_counts, table)
 from topicsent.classification import table_metrics
-from topicsent.errors import EmptyInput, MissingPrediction, TopicRequired
+from topicsent.errors import EmptyInput, MissingPrediction, ScaleMismatch, TopicRequired
 from topicsent.evaluate import classification_report, quantification_report
 from topicsent.ingestion import normalized_prevalence
 from topicsent.model import SUBTASKS, Mode, Prevalence, Scale, class_fractions
@@ -224,6 +224,15 @@ class TestQuantification:
         gold = rows_from_counts({1: 3, -1: 2}, topic="x")
         with pytest.raises(MissingPrediction):
             quantify(SUBTASKS["D"], gold, {})
+
+    def test_topics_of_different_class_counts_rejected(self):
+        # two classes in one topic and three in the other: zip would silently
+        # cut the second to two
+        counts = {"a": (1, 1), "b": (1, 1, 1)}
+        preds = {"a": (0.5, 0.5), "b": (0.25, 0.25, 0.5)}
+        with pytest.raises(ScaleMismatch, match="^per-topic distributions have different "
+                                                "numbers of classes$"):
+            quantification_report(SUBTASKS["D"], counts, preds, False)
 
     def test_extra_topic_warned_and_excluded(self):
         gold = rows_from_counts({1: 3, -1: 2}, topic="x")

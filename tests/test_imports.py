@@ -126,15 +126,21 @@ except SystemExit as exc:
     assert exc.code == 0"""
 SCORING = {f"topicsent.{m}" for m in ("evaluate", "classification", "quantification")}
 BASELINES, INGESTION = "topicsent.baselines", "topicsent.ingestion"
+# the near-duplicate filter, which only dedup runs
+NEARDUP = {"topicsent.neardup", "unicodedata"}
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
-    (["--help"], set(), {INGESTION, BASELINES, "json", "decimal", *SCORING}),
-    (["dedup", "--input", "raw", "--output", "kept"], {INGESTION},
+    (["--help"], set(), {INGESTION, BASELINES, "json", "decimal", *NEARDUP, *SCORING}),
+    (["dedup", "--input", "raw", "--output", "kept"], {INGESTION, *NEARDUP},
      {BASELINES, "json", "decimal", *SCORING}),
     (["score", "--subtask", "C", "--gold", "gold", "--pred", "gold", "--output", "report"],
-     {INGESTION, "json", "decimal", *SCORING}, {BASELINES}),
-], ids=["help", "dedup", "score"])
+     {INGESTION, "json", "decimal", *SCORING}, {BASELINES, *NEARDUP}),
+    (["baseline", "--subtask", "C", "--gold", "gold", "--kind", "constant:1",
+      "--output", "report"], {INGESTION, BASELINES, "json", "decimal", *SCORING}, NEARDUP),
+    (["stats", "--subtask", "C", "--input", "gold", "--output", "report"],
+     {INGESTION, "json"}, {BASELINES, "decimal", *NEARDUP, *SCORING}),
+], ids=["help", "dedup", "score", "baseline", "stats"])
 def test_command_loads_only_its_layers(argv, loaded, absent, tmp_path):
     (tmp_path / "raw").write_text("t1\tx\tpositive\ta b c\nt2\tx\tnegative\ta b c!\n")
     (tmp_path / "gold").write_text("t1\tx\t2\nt2\tx\t-1\n")
